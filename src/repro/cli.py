@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from repro.core.api import ALGORITHMS, decompose
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphIOError
 from repro.graph.io import read_edge_list
 from repro.graph.stats import compute_stats
 from repro.utils.tables import format_table
@@ -207,7 +207,10 @@ def _load_graph(args: argparse.Namespace):
     from repro.datasets import load
 
     if getattr(args, "edges", None):
-        return read_edge_list(args.edges)
+        try:
+            return read_edge_list(args.edges)
+        except OSError as exc:
+            raise GraphIOError(f"{args.edges}: {exc.strerror or exc}") from exc
     return load(args.dataset, scale=args.scale, seed=args.seed if hasattr(args, "seed") else 0)
 
 
@@ -659,8 +662,14 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except GraphIOError as exc:
+        # bad input is a usage error: one line, argparse's exit code
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,6 +28,7 @@ read it. Mutation workloads stay on :class:`Graph` and convert with
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from repro.errors import GraphError, NodeNotFoundError
@@ -101,23 +102,11 @@ class CSRGraph:
         index_of = (
             None if contiguous else {u: i for i, u in enumerate(node_ids)}
         )
-        offsets = array("q", [0] * (n + 1))
-        for i, u in enumerate(node_ids):
-            offsets[i + 1] = offsets[i] + graph.degree(u)
-        targets = array("q", [0] * offsets[n])
-        cursor = 0
-        for u in node_ids:
-            # contiguous ids map to themselves; otherwise the compaction
-            # map is monotone (ids are ranked ascending), so the graph's
-            # cached sorted tuples stay sorted after mapping — no re-sort
-            if contiguous:
-                nbrs = graph.sorted_neighbors(u, cache=False)
-            else:
-                nbrs = [
-                    index_of[v] for v in graph.sorted_neighbors(u, cache=False)
-                ]
-            targets[cursor:cursor + len(nbrs)] = array("q", nbrs)
-            cursor += len(nbrs)
+        rows = list(map(graph.neighbors, node_ids))
+        offsets = array("q", accumulate(map(len, rows), initial=0))
+        if index_of is not None:
+            rows = [map(index_of.__getitem__, nbrs) for nbrs in rows]
+        targets = array("q", chain.from_iterable(map(sorted, rows)))
         csr = cls(offsets, targets, ids, name=graph.name if name is None else name)
         if index_of is not None:
             csr._index_of = index_of

@@ -78,6 +78,17 @@ class Graph:
         return graph
 
     @classmethod
+    def _adopt(cls, adj: dict[int, set[int]], name: str = "") -> "Graph":
+        """Wrap ``adj`` without copying it (bulk loaders).
+
+        The caller guarantees ``adj`` is symmetric and has no self-loops.
+        """
+        graph = cls(name=name)
+        graph._adj = adj
+        graph._num_edges = sum(map(len, adj.values())) // 2
+        return graph
+
+    @classmethod
     def from_adjacency(
         cls, adjacency: dict[int, Iterable[int]], name: str = ""
     ) -> "Graph":
@@ -193,21 +204,18 @@ class Graph:
         except KeyError:
             raise NodeNotFoundError(node) from None
 
-    def sorted_neighbors(self, node: int, cache: bool = True) -> tuple[int, ...]:
+    def sorted_neighbors(self, node: int) -> tuple[int, ...]:
         """``neighborV(u)`` as a sorted tuple, cached until mutation.
 
         The deterministic engines need a stable neighbour order per
         node; caching the sorted tuple here means repeated protocol
         runs over one graph sort each neighbourhood once instead of
-        once per run. One-shot readers (e.g. a single CSR conversion)
-        pass ``cache=False`` to reuse existing entries without pinning
-        O(n + m) of tuples on the graph as a side effect.
+        once per run.
         """
         cached = self._sorted_cache.get(node)
         if cached is None:
             cached = tuple(sorted(self.neighbors(node)))
-            if cache:
-                self._sorted_cache[node] = cached
+            self._sorted_cache[node] = cached
         return cached
 
     def degree(self, node: int) -> int:

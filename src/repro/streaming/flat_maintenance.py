@@ -253,6 +253,15 @@ class FlatDynamicKCore:
                 }
         return self._coreness_cache
 
+    def coreness_of(self, node: int) -> int:
+        """Current coreness of one node, read without building the map."""
+        row = self._graph._index_of.get(node)
+        if row is None:
+            raise NodeNotFoundError(node)
+        if self._approx is None:
+            return self._est[row]
+        return int(self._est[row] / self._sample_p + 0.5)
+
     def core(self, k: int) -> set[int]:
         """Nodes of the current k-core."""
         return {u for u, c in self.coreness.items() if c >= k}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.errors import ConfigurationError, NodeNotFoundError
+from repro.errors import ConfigurationError
 from repro.streaming.flat_maintenance import FlatDynamicKCore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,10 +104,7 @@ class ChurnService:
     def coreness_of(self, node: int) -> int:
         """Current coreness of ``node`` (flushes pending events)."""
         self.flush()
-        try:
-            return self._engine.coreness[node]
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        return self._engine.coreness_of(node)
 
     def core(self, k: int) -> set[int]:
         """Nodes of the current k-core (flushes pending events)."""

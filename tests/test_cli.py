@@ -278,6 +278,48 @@ class TestDecompose:
         assert "k_max" in capsys.readouterr().out
 
 
+class TestBadInput:
+    """A bad or missing ``--edges`` file is a usage error: one stderr
+    line and exit code 2, no traceback."""
+
+    @pytest.mark.parametrize("command", ["decompose", "stats"])
+    def test_bad_line(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 2\n1 x\n")
+        assert main([command, "--edges", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-kcore: error: {path}:2: non-integer node id in '1 x'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["decompose", "stats"])
+    def test_missing_file(self, tmp_path, capsys, command):
+        path = tmp_path / "nowhere.txt"
+        assert main([command, "--edges", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-kcore: error: {path}: No such file or directory\n"
+        )
+
+    def test_gzipped_edge_list_with_comments(self, tmp_path, capsys):
+        import gzip
+
+        path = tmp_path / "fig1.txt.gz"
+        with gzip.open(path, "wt") as handle:
+            handle.write("# comment\n% another\n")
+            for u, v in sorted(gen.figure1_example().edges()):
+                handle.write(f"{u + 100}\t{v + 100}\r\n")
+        outputs = []
+        for algorithm in ("one-to-one", "bz"):
+            assert main(
+                ["decompose", "--edges", str(path), "--algorithm", algorithm]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert all("k_max=3" in out for out in outputs)
+
+
 class TestStats:
     def test_stats_output(self, edge_file, capsys):
         assert main(["stats", "--edges", edge_file]) == 0

@@ -23,7 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
-from repro.errors import ConfigurationError, EdgeError, GraphError
+from repro.errors import (
+    ConfigurationError,
+    EdgeError,
+    GraphError,
+    NodeNotFoundError,
+)
 from repro.graph import generators as gen
 from repro.sim.kernels import numpy_available, resolve_backend
 from repro.streaming import ChurnService, DynamicKCore, FlatDynamicKCore
@@ -331,6 +336,44 @@ class TestChurnService:
     def test_batch_size_validated(self):
         with pytest.raises(ConfigurationError, match="batch_size"):
             ChurnService(batch_size=0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_coreness_of_matches_full_map(self, backend):
+        graph = gen.erdos_renyi_graph(120, 0.08, seed=3)
+        service = ChurnService(graph, backend=resolve_backend(backend),
+                               batch_size=BATCH)
+        for event in _script(graph, "mixed", seed=1):
+            service.submit([event])
+            full = service.coreness()
+            assert {u: service.coreness_of(u) for u in full} == full
+        with pytest.raises(NodeNotFoundError):
+            service.coreness_of(10**9)
+
+
+class TestCorenessOf:
+    """``FlatDynamicKCore.coreness_of`` reads one estimate; it must agree
+    with the full map on both lanes and both backends."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("approx", [None, 0.5])
+    def test_matches_full_map(self, backend, approx):
+        graph = gen.erdos_renyi_graph(200, 0.1, seed=9)
+        engine = FlatDynamicKCore(graph, backend=resolve_backend(backend),
+                                  approx=approx, approx_floor=150, seed=4)
+        if approx is not None:
+            assert engine.sample_probability < 1.0  # scaling is exercised
+        events = _script(graph, "mixed", seed=2)
+        for start in range(0, len(events), BATCH):
+            engine.apply_events(events[start:start + BATCH])
+            full = engine.coreness
+            assert {u: engine.coreness_of(u) for u in full} == full
+
+    def test_unknown_node(self):
+        engine = FlatDynamicKCore(gen.path_graph(4))
+        engine.remove_node(3)
+        for node in (3, -1, 99):
+            with pytest.raises(NodeNotFoundError):
+                engine.coreness_of(node)
 
 
 class TestApproxLane:
