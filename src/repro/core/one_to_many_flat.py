@@ -35,7 +35,57 @@ from repro.sim.kernels import resolve_backend
 from repro.sim.tracing import recorders_from_observers
 from repro.telemetry import finish_run_telemetry, run_tracer
 
-__all__ = ["run_one_to_many_flat"]
+__all__ = ["run_one_to_many_flat", "shard_input", "export_one_to_many_extra"]
+
+
+def shard_input(
+    graph: "Graph | CSRGraph", config, assignment: "Assignment | None"
+) -> "tuple[ShardedCSR, Assignment]":
+    """Resolve the placement and partition the graph for a sharded run.
+
+    A :class:`Graph` is placed by ``config.policy`` unless an explicit
+    ``assignment`` is given; a prebuilt :class:`CSRGraph` requires one,
+    since the placement policies are defined over the original node ids
+    of a :class:`Graph`.
+    """
+    if isinstance(graph, CSRGraph):
+        if assignment is None:
+            raise ConfigurationError(
+                "a prebuilt CSRGraph carries no placement policy input; "
+                "pass an explicit assignment (from repro.core.assignment."
+                "assign on the source Graph)"
+            )
+        csr = graph
+    else:
+        if assignment is None:
+            # built *before* the engine touches the seed so a shared
+            # Random instance is consumed in the same order as the
+            # object path (assign first, then the activation shuffle)
+            assignment = assign(
+                graph, config.num_hosts, policy=config.policy,
+                seed=config.seed,
+            )
+        csr = CSRGraph.from_graph(graph)
+    return ShardedCSR(csr, assignment), assignment
+
+
+def export_one_to_many_extra(stats, engine, sharded: ShardedCSR, policy) -> None:
+    """The Figure-5 and partition keys every sharded engine exports.
+
+    ``cut_edges_after_refine`` appears only when the placement came from
+    ``policy="refined"``, mirroring the metric registry's source
+    annotation.
+    """
+    estimates_sent = engine.estimates_sent_total()
+    num_nodes = sharded.csr.num_nodes
+    stats.extra["estimates_sent_total"] = estimates_sent
+    stats.extra["estimates_sent_per_node"] = (
+        estimates_sent / num_nodes if num_nodes else 0.0
+    )
+    stats.extra["num_hosts"] = sharded.num_hosts
+    stats.extra["cut_edges"] = sharded.cut_edges
+    if policy == "refined":
+        stats.extra["cut_edges_after_refine"] = sharded.cut_edges
 
 
 def run_one_to_many_flat(
@@ -70,25 +120,7 @@ def run_one_to_many_flat(
     # missing numpy fails before any shard work starts; both modes and
     # all communication policies accept both backends
     backend = resolve_backend(config.backend)
-    if isinstance(graph, CSRGraph):
-        if assignment is None:
-            raise ConfigurationError(
-                "a prebuilt CSRGraph carries no placement policy input; "
-                "pass an explicit assignment (from repro.core.assignment."
-                "assign on the source Graph)"
-            )
-        csr = graph
-    else:
-        if assignment is None:
-            # built *before* the engine touches the seed so a shared
-            # Random instance is consumed in the same order as the
-            # object path (assign first, then the activation shuffle)
-            assignment = assign(
-                graph, config.num_hosts, policy=config.policy,
-                seed=config.seed,
-            )
-        csr = CSRGraph.from_graph(graph)
-    sharded = ShardedCSR(csr, assignment)
+    sharded, assignment = shard_input(graph, config, assignment)
 
     max_rounds = config.max_rounds
     strict = config.strict
@@ -108,17 +140,7 @@ def run_one_to_many_flat(
         recorders=recorders,
     )
     stats = engine.run()
-
-    estimates_sent = engine.estimates_sent_total()
-    num_nodes = csr.num_nodes
-    stats.extra["estimates_sent_total"] = estimates_sent
-    stats.extra["estimates_sent_per_node"] = (
-        estimates_sent / num_nodes if num_nodes else 0.0
-    )
-    stats.extra["num_hosts"] = assignment.num_hosts
-    stats.extra["cut_edges"] = sharded.cut_edges
-    if assignment.policy == "refined":
-        stats.extra["cut_edges_after_refine"] = sharded.cut_edges
+    export_one_to_many_extra(stats, engine, sharded, assignment.policy)
     finish_run_telemetry(tracer, config.trace_out, stats)
     return DecompositionResult(
         coreness=engine.coreness(),

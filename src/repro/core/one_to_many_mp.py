@@ -10,7 +10,7 @@ the same ``stats.extra`` keys as the object/flat paths plus the
 mp-specific transport metrics (``pipe_bytes_total`` /
 ``pipe_bytes_per_round`` / ``shard_payload_bytes`` / ``workers`` /
 ``start_method`` / ``transport``, plus ``shm_bytes_total`` /
-``shm_bytes_per_round`` / ``shm_overflow_batches`` when
+``shm_bytes_per_round`` when
 ``mp_transport="shm"`` moves the estimate hot path into shared-memory
 mailbox rings).
 
@@ -47,12 +47,11 @@ from __future__ import annotations
 import pickle
 import warnings
 
-from repro.core.assignment import Assignment, assign
+from repro.core.assignment import Assignment
+from repro.core.one_to_many_flat import export_one_to_many_extra, shard_input
 from repro.core.result import DecompositionResult
-from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.graph.sharded import ShardedCSR
 from repro.sim.checkpoint import CheckpointPolicy, load_checkpoint
 from repro.sim.faults import FaultPlan
 from repro.sim.mp_engine import MultiProcessOneToManyEngine
@@ -106,24 +105,9 @@ def run_one_to_many_mp(
     # the shard aggregates at each barrier
     recorders = recorders_from_observers(config.observers, "mp")
     tracer = run_tracer(config.telemetry, config.trace_out, lane="coordinator")
-    if isinstance(graph, CSRGraph):
-        if assignment is None:
-            raise ConfigurationError(
-                "a prebuilt CSRGraph carries no placement policy input; "
-                "pass an explicit assignment (from repro.core.assignment."
-                "assign on the source Graph)"
-            )
-        csr = graph
-    else:
-        if assignment is None:
-            assignment = assign(
-                graph, config.num_hosts, policy=config.policy,
-                seed=config.seed,
-            )
-        csr = CSRGraph.from_graph(graph)
-    sharded = ShardedCSR(csr, assignment)
+    sharded, assignment = shard_input(graph, config, assignment)
 
-    num_nodes = csr.num_nodes
+    num_nodes = sharded.csr.num_nodes
     workers = assignment.num_hosts
     max_rounds = config.max_rounds
     strict = config.strict
@@ -148,9 +132,10 @@ def run_one_to_many_mp(
         telemetry=tracer,
         recorders=recorders,
     )
-    # persisted into checkpoint manifests so a resumed run reports the
-    # same algorithm label without the original Graph or Assignment
-    engine.checkpoint_meta = {"algorithm": algorithm}
+    # persisted into checkpoint manifests so a resumed run packages the
+    # same label and placement keys without the original Graph or
+    # Assignment
+    engine.checkpoint_meta = {"algorithm": algorithm, "policy": assignment.policy}
     # the serialization-cost guard fires only once the configuration is
     # known-valid, so a warning never precedes a rejection
     if num_nodes < MP_SMALL_RUN_NODES_PER_WORKER * workers:
@@ -165,49 +150,32 @@ def run_one_to_many_mp(
             stacklevel=2,
         )
     stats = engine.run()
+    return _package(engine, stats, tracer, config.trace_out)
 
-    estimates_sent = engine.estimates_sent_total()
-    stats.extra["estimates_sent_total"] = estimates_sent
-    stats.extra["estimates_sent_per_node"] = (
-        estimates_sent / num_nodes if num_nodes else 0.0
-    )
-    stats.extra["num_hosts"] = workers
-    stats.extra["cut_edges"] = sharded.cut_edges
-    stats.extra["workers"] = workers
+
+def _package(engine, stats, tracer, trace_out) -> DecompositionResult:
+    """Result packaging shared by fresh and resumed fleets.
+
+    The label and the placement policy come from
+    ``engine.checkpoint_meta`` — the same fields a checkpoint manifest
+    persists — so an interrupted-then-resumed run reports exactly the
+    keys of an uninterrupted one. ``transport`` is always exported
+    (which lane moved the estimates is part of what executed); the shm
+    byte counters only when the shm transport ran, and the recovery
+    keys whenever they could be nonzero.
+    """
+    sharded = engine.sharded
+    meta = engine.checkpoint_meta
+    export_one_to_many_extra(stats, engine, sharded, meta.get("policy"))
+    stats.extra["workers"] = sharded.num_hosts
     stats.extra["start_method"] = engine.start_method
     stats.extra["pipe_bytes_total"] = engine.pipe_bytes_total
     stats.extra["pipe_bytes_per_round"] = list(engine.pipe_bytes_per_round)
     stats.extra["shard_payload_bytes"] = list(engine.shard_payload_bytes)
-    _export_transport_extra(stats, engine, assignment)
-    _export_recovery_extra(stats, engine)
-    finish_run_telemetry(tracer, config.trace_out, stats)
-    return DecompositionResult(
-        coreness=engine.coreness(),
-        stats=stats,
-        algorithm=algorithm,
-    )
-
-
-def _export_transport_extra(stats, engine, assignment) -> None:
-    """Shm-transport and refined-placement telemetry (when in play).
-
-    ``transport`` is always exported (which lane moved the estimates is
-    part of what executed); the shm byte/overflow counters only when the
-    shm transport ran, and ``cut_edges_after_refine`` only when the
-    placement came from ``policy="refined"`` — mirroring the metric
-    registry's source annotations.
-    """
     stats.extra["transport"] = engine.transport
     if engine.transport == "shm":
         stats.extra["shm_bytes_total"] = engine.shm_bytes_total
         stats.extra["shm_bytes_per_round"] = list(engine.shm_bytes_per_round)
-        stats.extra["shm_overflow_batches"] = engine.shm_overflow_batches
-    if assignment is not None and assignment.policy == "refined":
-        stats.extra["cut_edges_after_refine"] = stats.extra["cut_edges"]
-
-
-def _export_recovery_extra(stats, engine) -> None:
-    """Fault-tolerance telemetry, present whenever it could be nonzero."""
     if (
         engine.checkpoint is not None
         or engine.fault_plan is not None
@@ -217,6 +185,12 @@ def _export_recovery_extra(stats, engine) -> None:
         stats.extra["recoveries"] = list(engine.recoveries)
         stats.extra["checkpoint_bytes"] = engine.checkpoint_bytes
         stats.extra["resumed_from_round"] = engine.resumed_from_round
+    finish_run_telemetry(tracer, trace_out, stats)
+    return DecompositionResult(
+        coreness=engine.coreness(),
+        stats=stats,
+        algorithm=meta["algorithm"],
+    )
 
 
 def resume_from_checkpoint(
@@ -266,31 +240,11 @@ def resume_from_checkpoint(
         ),
         telemetry=tracer,
     )
-    engine.checkpoint_meta = {"algorithm": cfg["algorithm"]}
+    # .get: manifests written before the policy was persisted resume
+    # without the refined-cut gauge, as they always did
+    engine.checkpoint_meta = {
+        "algorithm": cfg["algorithm"], "policy": cfg.get("policy"),
+    }
     engine._resume = ckpt
     stats = engine.run()
-
-    num_nodes = sharded.csr.num_nodes
-    workers = sharded.num_hosts
-    estimates_sent = engine.estimates_sent_total()
-    stats.extra["estimates_sent_total"] = estimates_sent
-    stats.extra["estimates_sent_per_node"] = (
-        estimates_sent / num_nodes if num_nodes else 0.0
-    )
-    stats.extra["num_hosts"] = workers
-    stats.extra["cut_edges"] = sharded.cut_edges
-    stats.extra["workers"] = workers
-    stats.extra["start_method"] = engine.start_method
-    stats.extra["pipe_bytes_total"] = engine.pipe_bytes_total
-    stats.extra["pipe_bytes_per_round"] = list(engine.pipe_bytes_per_round)
-    stats.extra["shard_payload_bytes"] = list(engine.shard_payload_bytes)
-    # a resumed fleet has no Assignment object; the refined-cut gauge
-    # belongs to the original run's export
-    _export_transport_extra(stats, engine, None)
-    _export_recovery_extra(stats, engine)
-    finish_run_telemetry(tracer, trace_out, stats)
-    return DecompositionResult(
-        coreness=engine.coreness(),
-        stats=stats,
-        algorithm=cfg["algorithm"],
-    )
+    return _package(engine, stats, tracer, trace_out)

@@ -28,11 +28,13 @@ in flat per-shard arrays —
   over the pairs reproduces the object engine's fold of every pending
   payload.
 
-Since PR 4 the seeding / cascade / mailbox-fold array work lives in the
-shared kernel layer (:mod:`repro.sim.kernels`): the engine orchestrates
-host activations, transmissions and statistics while a
-:class:`~repro.sim.kernels.base.KernelBackend` executes the per-shard
-batches. ``backend="stdlib"`` (default) is the canonical worklist;
+The host program itself — seeding, mailbox fold, cascade and the
+broadcast / p2p routing with its Figure-5 accounting — is one
+:class:`~repro.sim.host_step.HostStep` per shard, the same class the
+multi-process engine runs inside its workers; its array work runs on a
+:class:`~repro.sim.kernels.base.KernelBackend`. This engine only orders
+host activations, delivers batches in-process and keeps statistics.
+``backend="stdlib"`` (default) is the canonical worklist;
 ``backend="numpy"`` runs the cascade as vectorised Jacobi rounds of
 the same monotone operator — legitimate because the fixpoint, the
 changed-node set and the exact support counters are all
@@ -82,9 +84,10 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.sharded import ShardedCSR
+from repro.sim.host_step import HostStep
 from repro.sim.kernels import KernelBackend, export_send_counts, resolve_backend
 from repro.sim.metrics import SimulationStats
-from repro.sim.tracing import diff_round, reference_slice
+from repro.sim.tracing import diff_round, record_shard_round, reference_slice
 from repro.telemetry.spans import resolve_tracer
 from repro.utils.rng import make_rng
 
@@ -220,37 +223,20 @@ class FlatOneToManyEngine:
         shards = sharded.shards
         num_hosts = sharded.num_hosts
         peersim = self.mode == "peersim"
-        broadcast = self.communication == "broadcast"
-        p2p_filter = self.p2p_filter
         rng = make_rng(self.seed) if peersim else None
-        scratch: list[int] = []
 
-        # per-shard graph arrays, adopted once by the backend
-        sh_offsets = [kb.graph_array(s.offsets) for s in shards]
-        sh_targets = [kb.graph_array(s.targets) for s in shards]
-        sh_watch_offsets = [kb.graph_array(s.watch_offsets) for s in shards]
-        sh_watch_targets = [kb.graph_array(s.watch_targets) for s in shards]
-
-        est_list = self._est = [
-            kb.full(s.n_owned + s.n_ext) for s in shards
+        # one HostStep per shard holds the protocol state and runs
+        # Algorithms 3-5; this engine only orders activations and
+        # delivers the batches in-process
+        steps = [
+            HostStep(
+                kb, shard, num_hosts, self.communication, self.p2p_filter,
+                INFINITY_INT, tracer, {"host": x},
+            )
+            for x, shard in enumerate(shards)
         ]
-        # sup[u] — the support counter of the flat one-to-one engines,
-        # per shard: the number of u's neighbours (internal or external)
-        # whose estimate is >= est[u]. computeIndex lowers est[u] iff
-        # fewer than est[u] neighbours sit at >= est[u] (its suffix
-        # count test), so a neighbour's drop needs a recompute only when
-        # it pushes sup below est — every other cascade visit would
-        # return est[u] unchanged and is skipped. The kernels maintain
-        # the invariant exactly (recomputes re-read it from the suffix
-        # counts), so it is bit-identical across backends.
-        sup_list = [kb.full(s.n_owned) for s in shards]
-        changed_flag = [bytearray(s.n_owned) for s in shards]
-        changed_lists: list[list[int]] = [[] for _ in range(num_hosts)]
-        queued = [kb.worklist_flags(s.n_owned) for s in shards]
-        estimates_sent = self.estimates_sent = array("q", [0]) * num_hosts
+        est_list = self._est = [step.est for step in steps]
         sent_msgs = array("q", [0]) * num_hosts
-        # p2p transmit scratch: per-destination counts + touched list
-        host_counts = array("q", [0]) * num_hosts
 
         # Mailboxes: parallel (ext-slot, value) lists per destination
         # host, plus an engine-message counter (the object engine's
@@ -270,146 +256,37 @@ class FlatOneToManyEngine:
         pending = 0
         sends = 0
 
-        # -- transmit (Algorithm 3's S / Algorithm 5's per-host subsets)
-        # NOTE: repro.sim.mp_engine._ShardWorker._emit is the
-        # per-process transcription of this closure (per-dest batches
-        # over queues instead of in-process buffer appends); any change
-        # to a policy branch or to the estimates_sent accounting here
-        # must be mirrored there — tests/test_mp_engine.py enforces the
-        # equivalence across the full grid
+        # -- transmit: the step appends straight into the live inboxes
         def emit(x: int, updates: list[tuple[int, int]]) -> None:
             nonlocal pending, sends
-            shard = shards[x]
-            neighbor_hosts = shard.neighbor_hosts
-            if not updates or not neighbor_hosts:
-                # nothing "has to be sent to another host" (Figure 5)
-                return
-            deliver = shard.deliver
-            if broadcast:
-                # one transmission; every estimate counted once, every
-                # neighbour host receives a message (even an irrelevant
-                # one — only border pairs are actually delivered, the
-                # rest the object engine's fold would ignore anyway)
-                estimates_sent[x] += len(updates)
-                for u, k in updates:
-                    for y, s in deliver[u]:
-                        in_slots[y].append(s)
-                        in_vals[y].append(k)
-                for y in neighbor_hosts:
-                    in_msgs[y] += 1
-                count = len(neighbor_hosts)
-                sent_msgs[x] += count
-                pending += count
-                sends += count
-            elif not p2p_filter:
-                # per-destination subsets; a message exists only where
-                # the subset is non-empty, and each (estimate,
-                # destination) pair costs one overhead unit
-                touched: list[int] = []
-                for u, k in updates:
-                    for y, s in deliver[u]:
-                        in_slots[y].append(s)
-                        in_vals[y].append(k)
-                        c = host_counts[y]
-                        if not c:
-                            touched.append(y)
-                        host_counts[y] = c + 1
-                for y in touched:
-                    estimates_sent[x] += host_counts[y]
-                    host_counts[y] = 0
-                    in_msgs[y] += 1
-                    sent_msgs[x] += 1
-                    pending += 1
-                    sends += 1
-            else:
-                # the §3.1.2-style host-level filter consults this
-                # shard's stored external estimates per (node, host)
-                est = est_list[x]
-                n_owned = shard.n_owned
-                dest_slots = shard.dest_slots
-                for y in neighbor_hosts:
-                    dest_get = dest_slots[y].get
-                    remote = shard.remote_slots[y]
-                    slots = in_slots[y]
-                    vals = in_vals[y]
-                    count = 0
-                    for u, k in updates:
-                        s = dest_get(u)
-                        if s is None:  # u has no neighbour on y
-                            continue
-                        if not any(
-                            est[n_owned + t] > k for t in remote[u]
-                        ):
-                            continue
-                        slots.append(s)
-                        vals.append(k)
-                        count += 1
-                    if count:
-                        estimates_sent[x] += count
-                        in_msgs[y] += 1
-                        sent_msgs[x] += 1
-                        pending += 1
-                        sends += 1
-
-        # -- Algorithm 3 initialisation: degrees in, cascade, full send
-        def on_init(x: int) -> None:
-            shard = shards[x]
-            est = est_list[x]
-            n_owned = shard.n_owned
-            with tracer.span("kernel.seed_shard", host=x):
-                dirty = kb.seed_shard(
-                    sh_offsets[x], sh_targets[x], n_owned, shard.n_ext,
-                    INFINITY_INT, est, sup_list[x], queued[x],
-                )
-            if len(dirty):
-                with tracer.span("kernel.cascade", host=x):
-                    kb.cascade(
-                        sh_offsets[x], sh_targets[x], n_owned, est,
-                        sup_list[x], dirty, queued[x], changed_flag[x],
-                        changed_lists[x], scratch,
-                    )
-            # the initial message carries *all* owned estimates
             with tracer.span("emit", host=x):
-                emit(x, [(u, int(est[u])) for u in range(n_owned)])
-            flags = changed_flag[x]
-            for u in changed_lists[x]:
-                flags[u] = 0
-            changed_lists[x].clear()
+                dests = steps[x].emit(updates, in_slots, in_vals)
+            for y in dests:
+                in_msgs[y] += 1
+            count = len(dests)
+            sent_msgs[x] += count
+            pending += count
+            sends += count
 
-        # -- one activation: fold mailbox, cascade, transmit changes
+        # -- round 1: Algorithm 3 initialisation, full send
+        def init(x: int) -> None:
+            emit(x, steps[x].init())
+
+        # -- later rounds: fold the mailbox, transmit the changes
         def activate(x: int) -> None:
             nonlocal pending
-            shard = shards[x]
-            est = est_list[x]
-            n_owned = shard.n_owned
             msgs = mb_msgs[x]
-            if msgs:
-                pending -= msgs
-                mb_msgs[x] = 0
-                slots = mb_slots[x]
-                vals = mb_vals[x]
-                with tracer.span("kernel.fold_mailbox", host=x):
-                    dirty = kb.fold_mailbox(
-                        slots, vals, n_owned, est, sup_list[x],
-                        sh_watch_offsets[x], sh_watch_targets[x], queued[x],
-                    )
-                slots.clear()
-                vals.clear()
-                if len(dirty):
-                    with tracer.span("kernel.cascade", host=x):
-                        kb.cascade(
-                            sh_offsets[x], sh_targets[x], n_owned, est,
-                            sup_list[x], dirty, queued[x], changed_flag[x],
-                            changed_lists[x], scratch,
-                        )
-            clist = changed_lists[x]
-            if clist:
-                with tracer.span("emit", host=x):
-                    emit(x, [(u, int(est[u])) for u in clist])
-                flags = changed_flag[x]
-                for u in clist:
-                    flags[u] = 0
-                clist.clear()
+            if not msgs:
+                return
+            pending -= msgs
+            mb_msgs[x] = 0
+            slots = mb_slots[x]
+            vals = mb_vals[x]
+            updates = steps[x].fold(slots, vals)
+            slots.clear()
+            vals.clear()
+            if updates:
+                emit(x, updates)
 
         # recorder state: per-shard prev copies of the owned estimates
         # plus per-(shard, recorder) reference slices — allocated only
@@ -427,46 +304,17 @@ class FlatOneToManyEngine:
                 for s in shards
             ]
 
-        def record_round(round_number: int, round_sends: int) -> None:
-            changed = 0
-            errors: "list[int | None]" = [
-                0 if rec.reference is not None else None for rec in recorders
-            ]
-            for x in range(num_hosts):
-                shard_changed, shard_errors = diff_round(
-                    est_list[x], prev_lists[x], refs_by_shard[x]
-                )
-                changed += shard_changed
-                for j, err in enumerate(shard_errors):
-                    if err is not None:
-                        errors[j] += err
-            for rec, err in zip(recorders, errors):
-                rec.record(round_number, round_sends, changed, err)
-
-        # -- round 1: on_init in activation order. Under peersim the
-        # shuffle still runs (keeping the RNG stream aligned with the
-        # object engine) even though on_init never reads a mailbox.
+        # Round 1 always runs. Under peersim its shuffle keeps the RNG
+        # stream aligned with the object engine even though init never
+        # reads a mailbox.
         base = list(range(num_hosts))
-        rnd = 1
-        if peersim:
-            order = base[:]
-            rng.shuffle(order)
-        else:
-            order = base
-        with tracer.span("round", round=1):
-            for x in order:
-                on_init(x)
-        stats.sends_per_round.append(sends)
-        if sends:
-            stats.execution_time += 1
-        if recorders:
-            record_round(rnd, sends)
-
-        while sends or pending:
-            if rnd >= self.max_rounds:
+        order = base
+        rnd = 0
+        while rnd == 0 or sends or pending:
+            if rnd >= max(1, self.max_rounds):
                 stats.converged = False
                 stats.rounds_executed = rnd
-                export_send_counts(stats, sent_msgs)
+                self._finish(steps, sent_msgs)
                 stats.wall_seconds = _time.perf_counter() - start
                 if self.strict:
                     raise ConvergenceError(rnd)
@@ -480,20 +328,29 @@ class FlatOneToManyEngine:
                 else:
                     # flip buffers: last round's sends become this
                     # round's mail (the previous live buffers were
-                    # fully drained)
+                    # fully drained; both are empty before round 1)
                     mb_slots, in_slots = in_slots, mb_slots
                     mb_vals, in_vals = in_vals, mb_vals
                     mb_msgs, in_msgs = in_msgs, mb_msgs
+                act = init if rnd == 1 else activate
                 for x in order:
-                    activate(x)
+                    act(x)
                 round_span.note(sends=sends)
             stats.sends_per_round.append(sends)
             if sends:
                 stats.execution_time += 1
             if recorders:
-                record_round(rnd, sends)
+                record_shard_round(recorders, rnd, sends, [
+                    diff_round(est_list[x], prev_lists[x], refs_by_shard[x])
+                    for x in range(num_hosts)
+                ])
 
         stats.rounds_executed = rnd
-        export_send_counts(stats, sent_msgs)
+        self._finish(steps, sent_msgs)
         stats.wall_seconds = _time.perf_counter() - start
         return stats
+
+    def _finish(self, steps: "list[HostStep]", sent_msgs: array) -> None:
+        """Export per-host message counts and Figure-5 counters."""
+        export_send_counts(self.stats, sent_msgs)
+        self.estimates_sent = array("q", [step.estimates_sent for step in steps])

@@ -41,15 +41,12 @@ segments (:mod:`repro.sim.shm_transport`): senders write fixed-width
 worker's inbound segment and the lockstep barrier is the buffer flip —
 zero pickling, no feeder threads, no blocking receives (by the time a
 round is dispatched, all of its ring writes have completed). Rings are
-sized from the partition's :meth:`~repro.graph.sharded.ShardedCSR.
-cut_matrix` upper bounds; a batch that exceeds its ring's capacity
-(possible only when tests shrink it via ``shm_max_records``) takes a
-loud-fallback *overflow lane* over the existing queue path, counted in
-:attr:`MultiProcessOneToManyEngine.shm_overflow_batches`. The receive
-path drains the ring first, then the queue, under the same round-tag +
-per-sender dedupe — so ring mail, overflow mail and recovery re-sends
-compose, and ``pipe_bytes_total`` measures exactly the pickled residue
-(zero on the happy path). Recovery is unchanged in shape: segments are
+sized from the partition's cut structure, an exact per-round upper
+bound, so every batch fits its ring (a batch that did not would be a
+bug, and the write raises). The receive path drains the ring first,
+then the queue, under the same round-tag + per-sender dedupe — so ring
+mail and recovery re-sends compose, and ``pipe_bytes_total`` stays
+zero. Recovery is unchanged in shape: segments are
 coordinator-owned, so they survive a worker's death and the
 replacement finds the stuck round's rings intact; resend buffers hold
 raw ``(round, slots, vals)`` tuples that survivors pickle on demand
@@ -59,7 +56,9 @@ Checkpoint snapshots still drain expected mail — from the ring and the
 queue both — so ``CheckpointWriter`` and ``resume_from_checkpoint``
 work identically on either transport.
 
-**Semantics.** The engine is an exact replay of
+**Semantics.** Each worker runs its shard through the same
+:class:`~repro.sim.host_step.HostStep` the in-process engine uses, so
+the engine is an exact replay of
 :class:`~repro.sim.flat_many_engine.FlatOneToManyEngine` under
 ``mode="lockstep"`` — same coreness, executed rounds, per-round send
 counts, per-host message counts and Figure-5 ``estimates_sent``, for
@@ -152,6 +151,7 @@ from repro.errors import (
 from repro.graph.sharded import HostShard, ShardedCSR
 from repro.sim.checkpoint import CheckpointPolicy, CheckpointWriter
 from repro.sim.faults import KILL_EXIT_CODE, FaultPlan, WorkerFaults
+from repro.sim.host_step import HostStep
 from repro.sim.kernels import export_send_counts, resolve_backend
 from repro.sim.metrics import SimulationStats
 from repro.sim.shm_transport import (
@@ -159,7 +159,7 @@ from repro.sim.shm_transport import (
     build_shm_layout,
     create_segments,
 )
-from repro.sim.tracing import diff_round, reference_slice
+from repro.sim.tracing import diff_round, record_shard_round, reference_slice
 from repro.telemetry.merge import merge_worker_buffers
 from repro.telemetry.spans import NULL_TRACER, Tracer, resolve_tracer
 
@@ -220,14 +220,13 @@ class _WorkerLost(Exception):
 
 
 class _ShardWorker:
-    """One shard's protocol state inside its worker process.
+    """One shard's :class:`~repro.sim.host_step.HostStep` plus transport.
 
-    A per-shard transcription of the :class:`FlatOneToManyEngine` round
-    body: ``on_init`` / ``activate`` run the identical kernel calls
-    (seed → cascade → emit, fold → cascade → emit) over this shard
-    only, and ``_emit`` routes the resulting ``(ext-slot, value)``
-    batches into the destination workers' inbox queues instead of
-    in-process lists.
+    The step runs the host protocol — the same code the in-process
+    :class:`FlatOneToManyEngine` runs — and fills fresh per-destination
+    batches; this class only ships them (queue or shm ring), receives
+    the round's mail (round-tagged, held back, deduplicated), and keeps
+    the resend buffers and snapshots recovery needs.
     """
 
     def __init__(
@@ -244,27 +243,13 @@ class _ShardWorker:
         faults: "WorkerFaults | None" = None,
         tracer=NULL_TRACER,
     ) -> None:
-        kb = resolve_backend(backend)
-        self.kb = kb
+        self.step = HostStep(
+            resolve_backend(backend), shard, num_hosts, communication,
+            p2p_filter, infinity, tracer,
+        )
         self.host = host
-        self.shard = shard
         self.num_hosts = num_hosts
-        self.broadcast = communication == "broadcast"
-        self.p2p_filter = p2p_filter
         self.inboxes = inboxes
-        self.offsets = kb.graph_array(shard.offsets)
-        self.targets = kb.graph_array(shard.targets)
-        self.watch_offsets = kb.graph_array(shard.watch_offsets)
-        self.watch_targets = kb.graph_array(shard.watch_targets)
-        self.est = kb.full(shard.n_owned + shard.n_ext)
-        self.sup = kb.full(shard.n_owned)
-        self.queued = kb.worklist_flags(shard.n_owned)
-        self.changed_flag = bytearray(shard.n_owned)
-        self.changed_list: list[int] = []
-        self.scratch: list[int] = []
-        self.infinity = infinity
-        self.estimates_sent = 0
-        self.host_counts = array("q", [0]) * num_hosts  # p2p scratch
         self.resilient = resilient
         self.faults = faults
         #: batches that arrived early, keyed by their delivery round
@@ -308,24 +293,25 @@ class _ShardWorker:
         node (the observer path's first-observation rule).
         """
         self.record_refs = refs
+        n_owned = self.step.shard.n_owned
         if restored:
-            est = self.est
-            self.record_prev = [int(est[u]) for u in range(self.shard.n_owned)]
+            est = self.step.est
+            self.record_prev = [int(est[u]) for u in range(n_owned)]
         else:
-            self.record_prev = [-1] * self.shard.n_owned
+            self.record_prev = [-1] * n_owned
 
     def record_diff(self) -> "tuple | None":
         """One round's ``(changed, errors)`` aggregate, or ``None``."""
         if self.record_refs is None:
             return None
-        return diff_round(self.est, self.record_prev, self.record_refs)
+        return diff_round(self.step.est, self.record_prev, self.record_refs)
 
     def resync_record_prev(self) -> None:
         """Re-align ``prev`` with the estimates after a recovery replay
         (equivalent to having diffed every replayed round)."""
         if self.record_prev is not None:
-            est = self.est
-            self.record_prev = [int(est[u]) for u in range(self.shard.n_owned)]
+            est = self.step.est
+            self.record_prev = [int(est[u]) for u in range(len(self.record_prev))]
 
     def _inbox_get(self, inbox) -> bytes:
         """Receive one payload from this worker's inbox.
@@ -359,12 +345,13 @@ class _ShardWorker:
         tables, the overhead counter, the fold watermark and the held
         mailbox backlog are the *whole* state.
         """
+        step = self.step
         return pickle.dumps(
             (
                 self.folded_through,
-                self.est,
-                self.sup,
-                self.estimates_sent,
+                step.est,
+                step.sup,
+                step.estimates_sent,
                 self.held,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -372,139 +359,67 @@ class _ShardWorker:
 
     def restore(self, blob: bytes) -> None:
         """Adopt a :meth:`snapshot` (same backend, per the manifest)."""
+        step = self.step
         (
             self.folded_through,
-            self.est,
-            self.sup,
-            self.estimates_sent,
+            step.est,
+            step.sup,
+            step.estimates_sent,
             self.held,
         ) = pickle.loads(blob)
 
-    # -- transmit (Algorithm 3's S / Algorithm 5's per-host subsets),
-    # identical accounting to FlatOneToManyEngine.emit; returns
-    # (messages sent, {dest: 1}, pickled bytes, ring bytes, overflow
-    # batches) for the round report. ``transport=False`` (recovery
-    # replay) keeps every counter and the resend buffer exact but skips
-    # the physical queue puts / ring writes — the live fleet already
-    # received these batches.
-    def _emit(self, deliver_round: int, updates: list, transport: bool = True) -> tuple:
-        shard = self.shard
-        neighbor_hosts = shard.neighbor_hosts
-        if not updates or not neighbor_hosts:
-            # nothing "has to be sent to another host" (Figure 5)
-            return 0, {}, 0, 0, 0
-        deliver = shard.deliver
+    # -- ship one activation's updates: the step routes them into
+    # fresh per-destination batches, this method moves the batches.
+    # Returns (dests, pickled bytes, ring bytes) for the round report.
+    # ``transport=False`` (recovery replay) keeps every counter and the
+    # resend buffer exact but skips the physical queue puts / ring
+    # writes — the live fleet already received these batches.
+    def _ship(self, deliver_round: int, updates: list, transport: bool = True) -> tuple:
+        num_hosts = self.num_hosts
+        out_slots: list[list[int]] = [[] for _ in range(num_hosts)]
+        out_vals: list[list[int]] = [[] for _ in range(num_hosts)]
+        dests = self.step.emit(updates, out_slots, out_vals)
+        if not dests:
+            return (), 0, 0
         x = self.host
-        out_slots: dict[int, list[int]] = {}
-        out_vals: dict[int, list[int]] = {}
-        if self.broadcast:
-            # one transmission; every estimate counted once, every
-            # neighbour host receives a message (even an empty one —
-            # only border pairs are delivered, as in the flat engine)
-            self.estimates_sent += len(updates)
-            for u, k in updates:
-                for y, s in deliver[u]:
-                    out_slots.setdefault(y, []).append(s)
-                    out_vals.setdefault(y, []).append(k)
-            dests = neighbor_hosts
-        elif not self.p2p_filter:
-            # per-destination subsets; a message exists only where the
-            # subset is non-empty, one overhead unit per (estimate,
-            # destination) pair
-            host_counts = self.host_counts
-            touched: list[int] = []
-            for u, k in updates:
-                for y, s in deliver[u]:
-                    out_slots.setdefault(y, []).append(s)
-                    out_vals.setdefault(y, []).append(k)
-                    c = host_counts[y]
-                    if not c:
-                        touched.append(y)
-                    host_counts[y] = c + 1
-            for y in touched:
-                self.estimates_sent += host_counts[y]
-                host_counts[y] = 0
-            dests = touched
-        else:
-            # the §3.1.2-style host-level filter over stored externals
-            est = self.est
-            n_owned = shard.n_owned
-            dest_slots = shard.dest_slots
-            dests = []
-            for y in neighbor_hosts:
-                dest_get = dest_slots[y].get
-                remote = shard.remote_slots[y]
-                slots: list[int] = []
-                vals: list[int] = []
-                for u, k in updates:
-                    s = dest_get(u)
-                    if s is None:  # u has no neighbour on y
-                        continue
-                    if not any(est[n_owned + t] > k for t in remote[u]):
-                        continue
-                    slots.append(s)
-                    vals.append(k)
-                if slots:
-                    self.estimates_sent += len(slots)
-                    out_slots[y] = slots
-                    out_vals[y] = vals
-                    dests.append(y)
-        per_dest: dict[int, int] = {}
-        nbytes = 0
-        inboxes = self.inboxes
         faults = self.faults
         mailbox = self.mailbox
-        if mailbox is None:
-            with self.tracer.span("emit.serialize", dests=len(dests)) as span:
-                for y in dests:
+        nbytes = 0
+        span_name = "emit.serialize" if mailbox is None else "emit.shm_write"
+        with self.tracer.span(span_name, dests=len(dests)) as span:
+            for y in dests:
+                # a broadcast to a host with no border pair is an empty
+                # message; it travels as ``()`` on the wire
+                slots = out_slots[y] or ()
+                vals = out_vals[y] or ()
+                # the emitting round is deliver_round - 1 (lockstep)
+                send = transport and (
+                    faults is None
+                    or faults.on_transport(deliver_round - 1, y) != "drop"
+                )
+                if mailbox is None:
                     payload = pickle.dumps(
-                        (deliver_round, x, out_slots.get(y, ()), out_vals.get(y, ())),
+                        (deliver_round, x, slots, vals),
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                     nbytes += len(payload)
                     if self.resilient:
-                        self.resend.setdefault(y, []).append((deliver_round, payload))
-                    if transport:
-                        # the emitting round is deliver_round - 1 (lockstep)
-                        if (
-                            faults is None
-                            or faults.on_transport(deliver_round - 1, y) != "drop"
-                        ):
-                            inboxes[y].put(payload)
-                    per_dest[y] = 1
-                span.note(nbytes=nbytes)
-            return len(dests), per_dest, nbytes, 0, 0
-        # shm transport: write each batch straight into the destination
-        # ring; a batch over its ring's capacity takes the pickled
-        # overflow lane over the same queue the queue transport uses
-        shm_nbytes = 0
-        overflow = 0
-        with self.tracer.span("emit.shm_write", dests=len(dests)) as span:
-            for y in dests:
-                slots = out_slots.get(y, ())
-                vals = out_vals.get(y, ())
-                if self.resilient:
-                    self.resend.setdefault(y, []).append(
-                        (deliver_round, slots, vals)
-                    )
-                if transport and (
-                    faults is None
-                    or faults.on_transport(deliver_round - 1, y) != "drop"
-                ):
-                    written = mailbox.write(y, deliver_round, slots, vals)
-                    if written is None:
-                        payload = pickle.dumps(
-                            (deliver_round, x, slots, vals),
-                            protocol=pickle.HIGHEST_PROTOCOL,
+                        self.resend.setdefault(y, []).append(
+                            (deliver_round, payload)
                         )
-                        nbytes += len(payload)
-                        overflow += 1
-                        inboxes[y].put(payload)
-                    else:
-                        shm_nbytes += written
-                per_dest[y] = 1
-            span.note(nbytes=shm_nbytes, overflow=overflow)
-        return len(dests), per_dest, nbytes, shm_nbytes, overflow
+                    if send:
+                        self.inboxes[y].put(payload)
+                else:
+                    if self.resilient:
+                        self.resend.setdefault(y, []).append(
+                            (deliver_round, slots, vals)
+                        )
+                    if send:
+                        nbytes += mailbox.write(y, deliver_round, slots, vals)
+            span.note(nbytes=nbytes)
+        if mailbox is None:
+            return dests, nbytes, 0
+        return dests, 0, nbytes
 
     def prune_resend(self, through_round: int) -> None:
         """Drop buffered payloads a post-checkpoint replay cannot need."""
@@ -517,77 +432,29 @@ class _ShardWorker:
 
     # -- Algorithm 3 initialisation: degrees in, cascade, full send
     def on_init(self, deliver_round: int, transport: bool = True) -> tuple:
-        shard = self.shard
-        est = self.est
-        n_owned = shard.n_owned
-        with self.tracer.span("kernel.seed_shard"):
-            dirty = self.kb.seed_shard(
-                self.offsets, self.targets, n_owned, shard.n_ext,
-                self.infinity, est, self.sup, self.queued,
-            )
-        if len(dirty):
-            with self.tracer.span("kernel.cascade"):
-                self.kb.cascade(
-                    self.offsets, self.targets, n_owned, est, self.sup,
-                    dirty, self.queued, self.changed_flag, self.changed_list,
-                    self.scratch,
-                )
-        # the initial message carries *all* owned estimates
-        report = self._emit(
-            deliver_round, [(u, int(est[u])) for u in range(n_owned)],
-            transport=transport,
-        )
-        flags = self.changed_flag
-        for u in self.changed_list:
-            flags[u] = 0
-        self.changed_list.clear()
-        return report
+        return self._ship(deliver_round, self.step.init(), transport)
 
     # -- one activation: fold the round's mail, cascade, transmit
     def activate(
         self, deliver_round: int, batches: list, transport: bool = True
     ) -> tuple:
-        shard = self.shard
-        est = self.est
-        n_owned = shard.n_owned
-        if batches:
-            # restore the flat engine's mailbox order: senders append
-            # in activation (pid) order, one batch per sender per round
-            batches.sort(key=lambda b: b[1])
-            slots: list[int] = []
-            vals: list[int] = []
-            for _rnd, _sender, bslots, bvals in batches:
-                slots.extend(bslots)
-                vals.extend(bvals)
-            with self.tracer.span("kernel.fold_mailbox", batches=len(batches)):
-                dirty = self.kb.fold_mailbox(
-                    slots, vals, n_owned, est, self.sup,
-                    self.watch_offsets, self.watch_targets, self.queued,
-                )
-            if len(dirty):
-                with self.tracer.span("kernel.cascade"):
-                    self.kb.cascade(
-                        self.offsets, self.targets, n_owned, est, self.sup,
-                        dirty, self.queued, self.changed_flag,
-                        self.changed_list, self.scratch,
-                    )
-        clist = self.changed_list
-        if not clist:
-            return 0, {}, 0, 0, 0
-        report = self._emit(
-            deliver_round, [(u, int(est[u])) for u in clist],
-            transport=transport,
-        )
-        flags = self.changed_flag
-        for u in clist:
-            flags[u] = 0
-        clist.clear()
-        return report
+        if not batches:
+            return (), 0, 0
+        # restore the flat engine's mailbox order: senders append in
+        # activation (pid) order, one batch per sender per round
+        batches.sort(key=lambda b: b[1])
+        slots: list[int] = []
+        vals: list[int] = []
+        for _rnd, _sender, bslots, bvals in batches:
+            slots.extend(bslots)
+            vals.extend(bvals)
+        updates = self.step.fold(slots, vals, batches=len(batches))
+        return self._ship(deliver_round, updates, transport)
 
     # ------------------------------------------------------------------
     # receive path: round-tagged, held-back, deduplicated
     # ------------------------------------------------------------------
-    def pull(self, inbox, rnd: int, expect: int) -> list:
+    def pull(self, inbox, rnd: int, expect: int, hold: bool = False) -> list:
         """Collect the ``expect`` distinct round-``rnd`` batches.
 
         Early mail for later rounds is held back; mail for rounds
@@ -599,72 +466,51 @@ class _ShardWorker:
         On the shm transport the ring is drained first — its tags are
         exact (parity double-buffering means a region's tag equals
         ``rnd`` iff it carries this round's batch), so ring reads never
-        block — and the queue loop then covers only the residue:
-        overflow batches and recovery re-sends. The per-sender dedupe
-        spans both sources, so a re-send duplicating a ring batch (or
-        a checkpoint backlog) is discarded exactly like before.
-        """
-        held = self.held
-        batches = held.pop(rnd, [])
-        mailbox = self.mailbox
-        if mailbox is not None and len(batches) < expect:
-            with self.tracer.span("mail.shm_read", round=rnd) as span:
-                found = 0
-                for sender, slots, vals in mailbox.read(rnd):
-                    if any(b[1] == sender for b in batches):
-                        continue
-                    batches.append((rnd, sender, slots, vals))
-                    found += 1
-                span.note(batches=found)
-        while len(batches) < expect:
-            msg = pickle.loads(self._inbox_get(inbox))
-            r = msg[0]
-            if r <= self.folded_through:
-                continue  # duplicate of mail this state already folded
-            bucket = batches if r == rnd else held.setdefault(r, [])
-            sender = msg[1]
-            if any(b[1] == sender for b in bucket):
-                continue  # duplicate within the round (recovery re-send)
-            bucket.append(msg)
-        self.folded_through = rnd
-        return batches
+        block — and the queue loop then covers only recovery re-sends.
+        The per-sender dedupe spans both sources, so a re-send
+        duplicating a ring batch (or a checkpoint backlog) is
+        discarded.
 
-    def absorb(self, inbox, rnd: int, expect: int) -> None:
-        """Drain the ``expect`` round-``rnd`` batches into the backlog.
-
-        The checkpoint barrier uses this so a snapshot carries every
-        in-flight batch — afterwards the queues are empty and the
-        snapshot is self-contained. On the shm transport the ring is
-        drained into the backlog first (same dedupe as :meth:`pull`):
-        in-flight mail must live in the snapshot, not in a segment a
-        whole-fleet resume would re-create from scratch.
+        By default the batches are returned for folding and ``rnd``
+        becomes the fold watermark. ``hold=True`` (the checkpoint
+        barrier) leaves them in the held backlog instead, so the
+        snapshot carries every in-flight batch — afterwards the queues
+        and rings are empty and the snapshot is self-contained.
         """
         held = self.held
         bucket = held.setdefault(rnd, [])
         mailbox = self.mailbox
         if mailbox is not None and len(bucket) < expect:
-            for sender, slots, vals in mailbox.read(rnd):
-                if any(b[1] == sender for b in bucket):
-                    continue
-                bucket.append((rnd, sender, slots, vals))
+            with self.tracer.span("mail.shm_read", round=rnd) as span:
+                found = 0
+                for sender, slots, vals in mailbox.read(rnd):
+                    if any(b[1] == sender for b in bucket):
+                        continue
+                    bucket.append((rnd, sender, slots, vals))
+                    found += 1
+                span.note(batches=found)
         while len(bucket) < expect:
             msg = pickle.loads(self._inbox_get(inbox))
             r = msg[0]
             if r <= self.folded_through:
-                continue
+                continue  # duplicate of mail this state already folded
             dest = bucket if r == rnd else held.setdefault(r, [])
             sender = msg[1]
             if any(b[1] == sender for b in dest):
-                continue
+                continue  # duplicate within the round (recovery re-send)
             dest.append(msg)
-        if not bucket:
+        if not hold or not bucket:
             del held[rnd]
+        if not hold:
+            self.folded_through = rnd
+        return bucket
 
     def result(self) -> tuple:
         """Final per-shard payload: owned estimates + Figure-5 count."""
-        est = self.est
-        owned = [int(est[u]) for u in range(self.shard.n_owned)]
-        return owned, self.estimates_sent
+        step = self.step
+        est = step.est
+        owned = [int(est[u]) for u in range(step.shard.n_owned)]
+        return owned, step.estimates_sent
 
 
 def _die(inboxes, host: int) -> None:
@@ -752,7 +598,7 @@ def _worker_main(
         )
         if shm_info is not None:
             names, layout = shm_info
-            mailbox = attach_mailbox(worker.kb, layout, names, host)
+            mailbox = attach_mailbox(worker.step.kb, layout, names, host)
             worker.mailbox = mailbox
         if restore_blob is not None:
             worker.restore(restore_blob)
@@ -763,26 +609,19 @@ def _worker_main(
         while True:
             cmd = conn.recv()
             op = cmd[0]
-            if op == _INIT:
-                if faults and faults.kill_now(1, "start"):
-                    _die(inboxes, host)
-                with tracer.span("round", round=1) as round_span:
-                    report = worker.on_init(cmd[1])
-                    round_span.note(sends=report[0])
-                if faults and faults.kill_now(1, "after_emit"):
-                    _die(inboxes, host)
-                if faults:
-                    faults.stall_before_report(1)
-                conn.send(("done",) + report + (worker.record_diff(),))
-            elif op == _STEP:
-                rnd, expect = cmd[1], cmd[2]
+            if op == _INIT or op == _STEP:
+                rnd = 1 if op == _INIT else cmd[1]
                 if faults and faults.kill_now(rnd, "start"):
                     _die(inboxes, host)
                 with tracer.span("round", round=rnd) as round_span:
-                    with tracer.span("mail.pull", round=rnd, expect=expect):
-                        batches = worker.pull(inbox, rnd, expect)
-                    report = worker.activate(rnd + 1, batches)
-                    round_span.note(sends=report[0])
+                    if op == _INIT:
+                        report = worker.on_init(cmd[1])
+                    else:
+                        expect = cmd[2]
+                        with tracer.span("mail.pull", round=rnd, expect=expect):
+                            batches = worker.pull(inbox, rnd, expect)
+                        report = worker.activate(rnd + 1, batches)
+                    round_span.note(sends=len(report[0]))
                 if faults and faults.kill_now(rnd, "after_emit"):
                     _die(inboxes, host)
                 if faults:
@@ -791,7 +630,7 @@ def _worker_main(
             elif op == _CHECKPOINT:
                 rnd, expect = cmd[1], cmd[2]
                 with tracer.span("checkpoint.snapshot", round=rnd):
-                    worker.absorb(inbox, rnd + 1, expect)
+                    worker.pull(inbox, rnd + 1, expect, hold=True)
                     worker.prune_resend(rnd)
                     blob = worker.snapshot()
                 conn.send(("ckpt", blob))
@@ -881,11 +720,6 @@ class MultiProcessOneToManyEngine:
         or ``"shm"`` (zero-copy mailbox rings in shared memory — see
         the module docstring and :mod:`repro.sim.shm_transport`).
         Replay is bit-identical on either.
-    shm_max_records:
-        Test knob: clamp every shm ring's per-round record capacity to
-        force the overflow lane. ``None`` (default) sizes rings from
-        the exact cut-structure upper bounds, where overflow cannot
-        occur. Only meaningful with ``transport="shm"``.
     reply_timeout:
         Seconds the coordinator waits for any single worker round
         report before the failure detector fires. ``None`` derives a
@@ -927,10 +761,9 @@ class MultiProcessOneToManyEngine:
     After :meth:`run`: :meth:`coreness`, :attr:`estimates_sent` (per
     host), :attr:`pipe_bytes_per_round` / :attr:`pipe_bytes_total` (the
     serialized host-to-host traffic; control-plane chatter excluded —
-    on the shm transport this is the overflow-lane residue, zero on
-    the happy path), :attr:`shm_bytes_per_round` /
-    :attr:`shm_bytes_total` / :attr:`shm_overflow_batches` (ring
-    traffic; empty/zero on the queue transport), :attr:`recoveries`
+    zero on the shm transport), :attr:`shm_bytes_per_round` /
+    :attr:`shm_bytes_total` (ring traffic; empty/zero on the queue
+    transport), :attr:`recoveries`
     (one event dict per recovered worker) and :attr:`checkpoint_bytes`
     (total snapshot bytes committed).
     """
@@ -947,7 +780,6 @@ class MultiProcessOneToManyEngine:
         backend: str = "stdlib",
         start_method: str = "spawn",
         transport: str = "queue",
-        shm_max_records: "int | None" = None,
         reply_timeout: "float | None" = None,
         checkpoint: "CheckpointPolicy | None" = None,
         fault_plan: "FaultPlan | None" = None,
@@ -986,18 +818,6 @@ class MultiProcessOneToManyEngine:
                 f"unknown transport {transport!r}; "
                 f"options: {list(TRANSPORTS)}"
             )
-        if shm_max_records is not None:
-            if transport != "shm":
-                raise ConfigurationError(
-                    "shm_max_records clamps the shared-memory ring "
-                    "capacity and is only meaningful with "
-                    f"transport='shm', got transport={transport!r}"
-                )
-            if shm_max_records < 0:
-                raise ConfigurationError(
-                    "shm_max_records must be >= 0, got "
-                    f"{shm_max_records!r}"
-                )
         if checkpoint is not None and not isinstance(
             checkpoint, CheckpointPolicy
         ):
@@ -1025,7 +845,6 @@ class MultiProcessOneToManyEngine:
         self.strict = strict
         self.start_method = start_method
         self.transport = transport
-        self.shm_max_records = shm_max_records
         if reply_timeout is not None and reply_timeout <= 0:
             raise ConfigurationError(
                 f"reply_timeout must be positive, got {reply_timeout!r}"
@@ -1058,9 +877,6 @@ class MultiProcessOneToManyEngine:
         #: empty/zero on the queue transport).
         self.shm_bytes_per_round: list[int] = []
         self.shm_bytes_total: int = 0
-        #: Batches that exceeded their ring's capacity and fell back to
-        #: the pickled queue lane (possible only under shm_max_records).
-        self.shm_overflow_batches: int = 0
         #: Pickled size of each worker's shard payload (what start-up
         #: serialization actually shipped) — the cost the config-layer
         #: guard warns about.
@@ -1320,60 +1136,50 @@ class MultiProcessOneToManyEngine:
         return reports
 
     # ------------------------------------------------------------------
-    def _write_checkpoint(
-        self, rnd, expect, sends, pending, sent_msgs, pipe_bytes
-    ) -> None:
+    def _checkpoint_barrier(self, rnd, expect, sends, pending, sent_msgs) -> None:
         """The checkpoint barrier: drain, snapshot, commit atomically."""
-        num_hosts = self.sharded.num_hosts
         with self.tracer.span("checkpoint.commit", round=rnd):
-            self._checkpoint_barrier(rnd, expect, sends, pending, sent_msgs,
-                                     pipe_bytes)
-
-    def _checkpoint_barrier(
-        self, rnd, expect, sends, pending, sent_msgs, pipe_bytes
-    ) -> None:
-        num_hosts = self.sharded.num_hosts
-        for x in range(num_hosts):
-            self._conns[x].send((_CHECKPOINT, rnd, expect[x]))
-        blobs: list[bytes] = []
-        for x in range(num_hosts):
-            reply = self._recv(x, rnd)
-            blobs.append(reply[1])
-        self._ckpt_round = rnd
-        self._ckpt_blobs = blobs
-        # replay never reaches further back than the checkpoint round
-        for k in [k for k in self._expect_hist if k <= rnd]:
-            del self._expect_hist[k]
-        if self._ckpt_writer is not None:
-            coordinator = {
-                "rnd": rnd,
-                "expect": list(expect),
-                "sends": sends,
-                "pending": pending,
-                "sends_per_round": list(self.stats.sends_per_round),
-                "execution_time": self.stats.execution_time,
-                "sent_msgs": list(sent_msgs),
-                "pipe_bytes_per_round": list(pipe_bytes),
-                "shm_bytes_per_round": list(self.shm_bytes_per_round),
-                "shm_overflow_batches": self.shm_overflow_batches,
-                "recoveries": list(self.recoveries),
-            }
-            config = {
-                "communication": self.communication,
-                "p2p_filter": self.p2p_filter,
-                "backend": self.backend_name,
-                "num_hosts": num_hosts,
-                "num_nodes": self.sharded.csr.num_nodes,
-                "start_method": self.start_method,
-                "max_rounds": self.max_rounds,
-                "strict": self.strict,
-                "transport": self.transport,
-                "checkpoint_every": self.checkpoint.every_n_rounds,
-                **self.checkpoint_meta,
-            }
-            self.checkpoint_bytes += self._ckpt_writer.commit(
-                rnd, blobs, coordinator, config
-            )
+            num_hosts = self.sharded.num_hosts
+            for x in range(num_hosts):
+                self._conns[x].send((_CHECKPOINT, rnd, expect[x]))
+            blobs: list[bytes] = []
+            for x in range(num_hosts):
+                reply = self._recv(x, rnd)
+                blobs.append(reply[1])
+            self._ckpt_round = rnd
+            self._ckpt_blobs = blobs
+            # replay never reaches further back than the checkpoint round
+            for k in [k for k in self._expect_hist if k <= rnd]:
+                del self._expect_hist[k]
+            if self._ckpt_writer is not None:
+                coordinator = {
+                    "rnd": rnd,
+                    "expect": list(expect),
+                    "sends": sends,
+                    "pending": pending,
+                    "sends_per_round": list(self.stats.sends_per_round),
+                    "execution_time": self.stats.execution_time,
+                    "sent_msgs": list(sent_msgs),
+                    "pipe_bytes_per_round": list(self.pipe_bytes_per_round),
+                    "shm_bytes_per_round": list(self.shm_bytes_per_round),
+                    "recoveries": list(self.recoveries),
+                }
+                config = {
+                    "communication": self.communication,
+                    "p2p_filter": self.p2p_filter,
+                    "backend": self.backend_name,
+                    "num_hosts": num_hosts,
+                    "num_nodes": self.sharded.csr.num_nodes,
+                    "start_method": self.start_method,
+                    "max_rounds": self.max_rounds,
+                    "strict": self.strict,
+                    "transport": self.transport,
+                    "checkpoint_every": self.checkpoint.every_n_rounds,
+                    **self.checkpoint_meta,
+                }
+                self.checkpoint_bytes += self._ckpt_writer.commit(
+                    rnd, blobs, coordinator, config
+                )
 
     def _shutdown(self, graceful: bool) -> None:
         """Reap the fleet: every worker joined, every queue drained.
@@ -1476,21 +1282,40 @@ class MultiProcessOneToManyEngine:
                 for shard in sharded.shards
             ]
 
-        def record_round(rnd: int, sends: int, reports: dict) -> None:
-            if not recorders:
-                return
-            changed = 0
-            errors: "list[int | None]" = [
-                0 if rec.reference is not None else None for rec in recorders
-            ]
-            for x in all_hosts:
-                shard_changed, shard_errors = reports[x][6]
-                changed += shard_changed
-                for j, err in enumerate(shard_errors):
-                    if err is not None:
-                        errors[j] += err
-            for rec, err in zip(recorders, errors):
-                rec.record(rnd, sends, changed, err)
+        def run_round(rnd: int, expect: list[int]) -> tuple[int, list[int]]:
+            """One lockstep round on every worker (round 1: Algorithm 3
+            initialisation); returns its sends and next round's
+            per-worker expected batch counts."""
+            self._expect_hist[rnd] = list(expect)
+            with tracer.span("round", round=rnd) as round_span:
+                for x in all_hosts:
+                    self._conns[x].send(
+                        (_INIT, 2) if rnd == 1 else (_STEP, rnd, expect[x])
+                    )
+                reports = self._round_barrier(rnd)
+                sends = 0
+                round_bytes = 0
+                round_shm = 0
+                next_expect = [0] * num_hosts
+                for x in all_hosts:
+                    _tag, dests, nbytes, shm_nb, _diff = reports[x]
+                    sends += len(dests)
+                    sent_msgs[x] += len(dests)
+                    round_bytes += nbytes
+                    round_shm += shm_nb
+                    for y in dests:
+                        next_expect[y] += 1
+                round_span.note(sends=sends)
+            stats.sends_per_round.append(sends)
+            pipe_bytes.append(round_bytes)
+            shm_bytes.append(round_shm)
+            if sends:
+                stats.execution_time += 1
+            if recorders:
+                record_shard_round(
+                    recorders, rnd, sends, [reports[x][4] for x in all_hosts]
+                )
+            return sends, next_expect
 
         rnd = 0
         try:
@@ -1503,7 +1328,7 @@ class MultiProcessOneToManyEngine:
                 # coordinator-owned segments: created before the fleet,
                 # unlinked after it — they survive any worker's death,
                 # which is what keeps in-flight recovery working
-                layout = build_shm_layout(sharded, self.shm_max_records)
+                layout = build_shm_layout(sharded)
                 with tracer.span(
                     "shm.create",
                     segments=num_hosts,
@@ -1547,87 +1372,29 @@ class MultiProcessOneToManyEngine:
                     sent_msgs[x] = count
                 pipe_bytes.extend(co["pipe_bytes_per_round"])
                 shm_bytes.extend(co.get("shm_bytes_per_round", ()))
-                self.shm_overflow_batches = co.get("shm_overflow_batches", 0)
                 self.recoveries.extend(co.get("recoveries", ()))
                 self.resumed_from_round = rnd
                 self._ckpt_round = rnd
                 self._ckpt_blobs = list(resume.worker_blobs)
             else:
-                # -- round 1: Algorithm 3 on_init everywhere (lockstep
-                # has no intra-round delivery, so the barrier is the
-                # only order)
-                rnd = 1
-                self._expect_hist[1] = [0] * num_hosts
-                with tracer.span("round", round=1) as round_span:
-                    for x in all_hosts:
-                        self._conns[x].send((_INIT, rnd + 1))
-                    sends = 0
-                    round_bytes = 0
-                    round_shm = 0
-                    expect = [0] * num_hosts  # per-dest counts, next round
-                    reports = self._round_barrier(rnd)
-                    for x in all_hosts:
-                        _tag, sent, per_dest, nbytes, shm_nb, over = (
-                            reports[x][:6]
-                        )
-                        sends += sent
-                        sent_msgs[x] += sent
-                        round_bytes += nbytes
-                        round_shm += shm_nb
-                        self.shm_overflow_batches += over
-                        for y, count in per_dest.items():
-                            expect[y] += count
-                    round_span.note(sends=sends)
-                pending = sends
-                stats.sends_per_round.append(sends)
-                pipe_bytes.append(round_bytes)
-                shm_bytes.append(round_shm)
-                if sends:
-                    stats.execution_time += 1
-                record_round(rnd, sends, reports)
-                if self.checkpoint and self.checkpoint.due(rnd):
-                    self._write_checkpoint(
-                        rnd, expect, sends, pending, sent_msgs, pipe_bytes
-                    )
+                # a fresh fleet starts before round 1, which always runs
+                # (lockstep has no intra-round delivery, so the barrier
+                # is the only order)
+                expect = [0] * num_hosts
+                sends = pending = 0
 
-            while sends or pending:
-                if rnd >= self.max_rounds:
+            while rnd == 0 or sends or pending:
+                if rnd >= max(1, self.max_rounds):
                     stats.converged = False
                     stats.rounds_executed = rnd
                     break
                 rnd += 1
-                self._expect_hist[rnd] = list(expect)
-                with tracer.span("round", round=rnd) as round_span:
-                    for x in all_hosts:
-                        self._conns[x].send((_STEP, rnd, expect[x]))
-                    delivered = sum(expect)
-                    expect = [0] * num_hosts
-                    sends = 0
-                    round_bytes = 0
-                    round_shm = 0
-                    reports = self._round_barrier(rnd)
-                    for x in all_hosts:
-                        _tag, sent, per_dest, nbytes, shm_nb, over = (
-                            reports[x][:6]
-                        )
-                        sends += sent
-                        sent_msgs[x] += sent
-                        round_bytes += nbytes
-                        round_shm += shm_nb
-                        self.shm_overflow_batches += over
-                        for y, count in per_dest.items():
-                            expect[y] += count
-                    round_span.note(sends=sends)
+                delivered = sum(expect)
+                sends, expect = run_round(rnd, expect)
                 pending += sends - delivered
-                stats.sends_per_round.append(sends)
-                pipe_bytes.append(round_bytes)
-                shm_bytes.append(round_shm)
-                if sends:
-                    stats.execution_time += 1
-                record_round(rnd, sends, reports)
                 if self.checkpoint and self.checkpoint.due(rnd):
-                    self._write_checkpoint(
-                        rnd, expect, sends, pending, sent_msgs, pipe_bytes
+                    self._checkpoint_barrier(
+                        rnd, expect, sends, pending, sent_msgs
                     )
             else:
                 stats.rounds_executed = rnd

@@ -22,8 +22,7 @@ region is two *parity buffers* (double buffering, below), each::
 
 A batch write fills the slot/value blocks, then publishes by writing
 the header — ``round_tag`` is the delivery round, so a reader matches
-the tag exactly and a stale buffer (or one bypassed by the overflow
-lane) is simply skipped.
+the tag exactly and a stale buffer is simply skipped.
 
 **Buffer flip.** Lockstep delivers round-``r`` emissions in round
 ``r + 1``, so a batch for delivery round ``d`` is written to the parity
@@ -35,13 +34,12 @@ every round-``r`` ring write has completed (workers report *after*
 emitting), so ring reads never block and carry no locks. Writers never
 share a region (one region per ordered ``(x, y)`` pair).
 
-**Overflow lane.** ``cap`` is an upper bound from the cut structure; a
-test knob (``shm_max_records``) can shrink it to force the fallback: a
-batch larger than its region's capacity is pickled and sent over the
-worker's existing inbox queue instead, counted loudly in
-``shm_overflow_batches``. The receive path drains the ring first, then
-the queue, with the engine's usual round-tag + per-sender dedupe — so
-ring mail, overflow mail and recovery re-sends compose.
+**Capacity.** ``cap`` is exact, not a guess: a batch carries at most
+one record per owned node of the sender with a neighbour on ``y``, and
+each such node is exactly one of ``y``'s external slots owned by ``x``.
+So every batch fits, under every communication policy, and a batch
+that does not is a bug — :meth:`ShmMailbox.write` raises rather than
+dropping or rerouting it.
 
 **Lifecycle.** The *coordinator* creates every segment and is the
 single close + unlink point (engine shutdown); workers attach by name
@@ -70,6 +68,8 @@ queue transport would have unpickled — the replay stays bit-identical.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
+
+from repro.errors import SimulationError
 
 __all__ = [
     "HEADER_WORDS",
@@ -118,13 +118,8 @@ class ShmLayout:
         self.seg_bytes = [w * WORD_BYTES for w in seg_words]
 
 
-def build_shm_layout(sharded, max_records: "int | None" = None) -> ShmLayout:
-    """Size every ring from the partition's cut upper bounds.
-
-    ``max_records`` (tests only) clamps each region's capacity to force
-    the overflow lane; production layouts carry the exact bound, so the
-    fallback never fires there.
-    """
+def build_shm_layout(sharded) -> ShmLayout:
+    """Size every ring from the partition's cut upper bounds."""
     regions: list[dict[int, tuple[int, int, int]]] = []
     seg_words: list[int] = []
     for shard in sharded.shards:
@@ -135,8 +130,6 @@ def build_shm_layout(sharded, max_records: "int | None" = None) -> ShmLayout:
         offset = 0
         for x in sorted(counts):
             cap = counts[x]
-            if max_records is not None:
-                cap = min(cap, max_records)
             table[x] = (offset, 0, cap)
             offset += HEADER_WORDS + 2 * cap
         # the parity-1 buffers mirror the parity-0 block wholesale
@@ -202,20 +195,25 @@ class ShmMailbox:
             for y, seg in enumerate(segments)
         ]
 
-    def write(
-        self, dest: int, deliver_round: int, slots, vals
-    ) -> "int | None":
-        """Publish one batch into ``dest``'s ring; ``None`` = overflow.
+    def write(self, dest: int, deliver_round: int, slots, vals) -> int:
+        """Publish one batch into ``dest``'s ring.
 
         Record blocks first, header last — the tag write is the
         publication point, so a reader either sees the whole batch or
         (tag mismatch) none of it. Returns the ring bytes written, the
-        ``shm_bytes_total`` unit.
+        ``shm_bytes_total`` unit. A batch over the ring's capacity
+        raises :class:`~repro.errors.SimulationError` before anything
+        is written (see the module docstring: it cannot happen).
         """
         base0, base1, cap = self.layout.regions[dest][self.host]
         n = len(slots)
         if n > cap:
-            return None
+            raise SimulationError(
+                f"shm batch of {n} records from worker {self.host} to "
+                f"worker {dest} exceeds its ring capacity {cap}; ring "
+                "capacities are exact upper bounds, so the shard tables "
+                "and the layout disagree"
+            )
         view = self.views[dest]
         base = base0 if deliver_round % 2 == 0 else base1
         write = self._write
@@ -247,10 +245,9 @@ class ShmMailbox:
 
         Scans every inbound region's parity-``rnd % 2`` buffer; a tag
         other than ``rnd`` means that sender sent nothing this round
-        (or its batch took the overflow lane) and the region is
-        skipped. Region build order is ascending sender id, so the
-        yield order is deterministic (the engine re-sorts by sender
-        before folding regardless).
+        and the region is skipped. Region build order is ascending
+        sender id, so the yield order is deterministic (the engine
+        re-sorts by sender before folding regardless).
         """
         view = self.views[self.host]
         parity = rnd % 2

@@ -35,6 +35,7 @@ __all__ = [
     "TraceRecorder",
     "diff_round",
     "record_flat_round",
+    "record_shard_round",
     "recorders_from_observers",
     "reference_slice",
 ]
@@ -238,3 +239,27 @@ def record_flat_round(
     changed, errors = diff_round(values, prev, refs)
     for recorder, error in zip(recorders, errors):
         recorder.record(round_number, messages_sent, changed, error)
+
+
+def record_shard_round(
+    recorders: "list[TraceRecorder]",
+    round_number: int,
+    messages_sent: int,
+    diffs,
+) -> None:
+    """Sum per-shard :func:`diff_round` aggregates, feed every recorder.
+
+    The sharded engines diff each shard's owned slice separately;
+    addition is associative, so the sums equal one whole-graph diff.
+    """
+    changed = 0
+    errors: "list[int | None]" = [
+        0 if rec.reference is not None else None for rec in recorders
+    ]
+    for shard_changed, shard_errors in diffs:
+        changed += shard_changed
+        for j, err in enumerate(shard_errors):
+            if err is not None:
+                errors[j] += err
+    for rec, err in zip(recorders, errors):
+        rec.record(round_number, messages_sent, changed, err)

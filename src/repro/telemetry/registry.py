@@ -109,11 +109,6 @@ _SPECS = (
         "per-round series of ring bytes (barrier-aligned)",
     ),
     MetricSpec(
-        "shm_overflow_batches", "counter", "int", "batches",
-        "mp (shm transport)",
-        "batches that outgrew their ring and fell back to the queue lane",
-    ),
-    MetricSpec(
         "cut_edges_after_refine", "gauge", "int", "edges",
         "one-to-many (policy='refined')",
         "cut edges under the greedily refined placement (== cut_edges)",

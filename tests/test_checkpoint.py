@@ -256,6 +256,29 @@ class TestResume:
             == full.stats.extra["estimates_sent_total"]
         )
 
+    def test_refined_resume_reports_the_uninterrupted_extra(self, graph,
+                                                            tmp_path):
+        """The placement policy rides in the manifest, so a resumed
+        refined run keeps ``cut_edges_after_refine`` and every other key
+        of the run that was never interrupted."""
+        whole = _mp_checkpointed(graph, tmp_path / "whole", policy="refined")
+        dir = tmp_path / "ck"
+        _mp_checkpointed(graph, dir, fixed_rounds=7, policy="refined")
+        resumed = resume_from_checkpoint(
+            str(dir), max_rounds=1_000_000, strict=True
+        )
+        assert resumed.coreness == whole.coreness
+        assert resumed.algorithm == whole.algorithm
+        assert set(resumed.stats.extra) == set(whole.stats.extra)
+        assert "cut_edges_after_refine" in resumed.stats.extra
+        # the resumed coordinator counts only the checkpoint bytes it
+        # committed itself
+        differ = {"resumed_from_round", "checkpoint_bytes"}
+        for key, value in whole.stats.extra.items():
+            if key not in differ:
+                assert resumed.stats.extra[key] == value, key
+        assert resumed.stats.extra["resumed_from_round"] == 6
+
     def test_checkpoint_telemetry(self, graph, tmp_path):
         dir = tmp_path / "ck"
         run = _mp_checkpointed(graph, dir, every=2)

@@ -7,9 +7,10 @@ Two contracts, one test module:
    ``FlatOneToManyEngine(mode="lockstep")`` — coreness, rounds,
    per-round sends, per-host messages, Figure-5 ``estimates_sent`` —
    with **zero pickled bytes on the estimate hot path**
-   (``pipe_bytes_total == 0`` absent overflow), under both start
-   methods, both kernel backends, overflow pressure, scripted worker
-   kills and whole-fleet checkpoint/resume.
+   (``pipe_bytes_total == 0``), under both start methods, both kernel
+   backends, scripted worker kills and whole-fleet checkpoint/resume —
+   and every batch fits its ring, because ring capacities are exact
+   per-round upper bounds.
 
 2. ``policy="refined"`` (:func:`repro.core.assignment.refine_assignment`)
    is a deterministic greedy cut reducer: the cut never increases, the
@@ -31,18 +32,25 @@ from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
 from repro.core.assignment import assign, refine_assignment
-from repro.core.one_to_many import OneToManyConfig, run_one_to_many
+from repro.core.one_to_many import INFINITY_INT, OneToManyConfig, run_one_to_many
 from repro.core.one_to_many_mp import resume_from_checkpoint
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.sharded import ShardedCSR
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.faults import Fault, FaultPlan
-from repro.sim.kernels import numpy_available
+from repro.sim.host_step import HostStep
+from repro.sim.kernels import numpy_available, resolve_backend
 from repro.sim.mp_engine import MultiProcessOneToManyEngine
-from repro.sim.shm_transport import HEADER_WORDS, build_shm_layout
+from repro.sim.shm_transport import (
+    HEADER_WORDS,
+    ShmLayout,
+    attach_mailbox,
+    build_shm_layout,
+    create_segments,
+)
 from repro.telemetry import Tracer
 
 from tests.conftest import graphs
@@ -84,10 +92,9 @@ def assert_shm_replays_flat(
     assert sm.converged == sf.converged
     assert sm.extra["estimates_sent_total"] == sf.extra["estimates_sent_total"]
     assert sm.extra["cut_edges"] == sf.extra["cut_edges"]
-    # the whole point: production ring capacities are exact upper
-    # bounds, so nothing overflows and nothing is pickled in flight
+    # the whole point: ring capacities are exact upper bounds, so every
+    # batch lands in a ring and nothing is pickled in flight
     assert sm.extra["transport"] == "shm"
-    assert sm.extra["shm_overflow_batches"] == 0
     assert sm.extra["pipe_bytes_total"] == 0
     if sm.extra["estimates_sent_total"]:
         assert sm.extra["shm_bytes_total"] > 0
@@ -124,16 +131,6 @@ class TestLayout:
                 assert end <= start
             if spans:
                 assert spans[-1][1] <= layout.seg_words[y]
-
-    def test_max_records_clamps_capacity(self):
-        _, sharded = self._sharded()
-        layout = build_shm_layout(sharded, max_records=1)
-        caps = [
-            cap
-            for table in layout.regions
-            for (_, _, cap) in table.values()
-        ]
-        assert caps and all(cap <= 1 for cap in caps)
 
     def test_every_segment_is_mappable(self):
         _, sharded = self._sharded(hosts=64)  # most hosts own 1-2 nodes
@@ -208,36 +205,75 @@ def _engine(graph, hosts=4, **kw):
     )
 
 
-class TestOverflowLane:
-    """A batch that outgrows its ring falls back to the queue, loudly
-    counted — and the run stays bit-identical."""
+class TestRingCapacity:
+    """Ring capacities are exact per-round upper bounds: the largest
+    batch a host step can emit fits its ring under every placement and
+    communication policy, and a batch that did not would fail loudly."""
 
-    @pytest.mark.parametrize("max_records", (0, 2))
-    def test_overflow_is_correct_and_counted(self, max_records):
-        g = gen.preferential_attachment_graph(250, 3, seed=4)
-        flat = _flat(g, num_hosts=4)
-        _, engine = _engine(
-            g, transport="shm", shm_max_records=max_records
+    @given(
+        graphs(min_nodes=1),
+        st.integers(2, 6),
+        st.sampled_from(("modulo", "refined")),
+        st.sampled_from(
+            (("broadcast", False), ("p2p", False), ("p2p", True))
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_emit_batches_fit_ring_capacity(self, g, hosts, policy, comm):
+        communication, p2p_filter = comm
+        sharded = ShardedCSR(
+            CSRGraph.from_graph(g), assign(g, hosts, policy=policy)
         )
-        stats = engine.run()
-        assert engine.coreness() == flat.coreness
-        assert stats.sends_per_round == flat.stats.sends_per_round
-        assert engine.shm_overflow_batches > 0
-        # overflow batches travel pickled over the queue lane
-        assert engine.pipe_bytes_total > 0
-        if max_records == 0:
-            # zero-capacity rings: every batch with records overflows;
-            # only bare headers (record-less batches) may hit the ring
-            from repro.sim.shm_transport import HEADER_WORDS, WORD_BYTES
+        layout = build_shm_layout(sharded)
+        kb = resolve_backend("stdlib")
+        for x, shard in enumerate(sharded.shards):
+            step = HostStep(
+                kb, shard, hosts, communication, p2p_filter, INFINITY_INT
+            )
+            out_slots: list[list[int]] = [[] for _ in range(hosts)]
+            out_vals: list[list[int]] = [[] for _ in range(hosts)]
+            # the worst case: every owned estimate at once, against
+            # external estimates still at infinity (the filter passes
+            # everything)
+            dests = step.emit(step.init(), out_slots, out_vals)
+            for y in dests:
+                _, _, cap = layout.regions[y][x]
+                assert len(out_slots[y]) == len(out_vals[y]) <= cap
 
-            assert engine.shm_bytes_total % (HEADER_WORDS * WORD_BYTES) == 0
+    def test_undersized_ring_write_raises(self):
+        cap = 2
+        width = HEADER_WORDS + 2 * cap
+        # two workers, one region each way, both deliberately too small
+        # for a three-record batch
+        layout = ShmLayout(
+            [{1: (0, width, cap)}, {0: (0, width, cap)}],
+            [2 * width, 2 * width],
+        )
+        segments = create_segments(layout)
+        names = [seg.name for seg in segments]
+        kb = resolve_backend("stdlib")
+        sender = attach_mailbox(kb, layout, names, 0)
+        receiver = attach_mailbox(kb, layout, names, 1)
+        try:
+            with pytest.raises(SimulationError, match="capacity"):
+                sender.write(1, 2, [0, 1, 2], [5, 5, 5])
+            # nothing was published: the receiver sees no batch
+            assert receiver.read(2) == []
+            assert sender.write(1, 2, [0, 1], [5, 5]) > 0
+            assert receiver.read(2) == [(0, [0, 1], [5, 5])]
+        finally:
+            sender.detach()
+            receiver.detach()
+            for seg in segments:
+                seg.close()
+                seg.unlink()
 
     def test_exact_capacity_never_overflows(self):
         g = gen.preferential_attachment_graph(250, 3, seed=4)
         _, engine = _engine(g, transport="shm")
         engine.run()
-        assert engine.shm_overflow_batches == 0
         assert engine.pipe_bytes_total == 0
+        assert engine.shm_bytes_total > 0
 
 
 class TestRecovery:
@@ -375,16 +411,6 @@ class TestRejections:
         g = gen.path_graph(40)
         with pytest.raises(ConfigurationError, match="transport"):
             _engine(g, hosts=2, transport="carrier-pigeon")
-
-    def test_shm_max_records_requires_shm(self):
-        g = gen.path_graph(40)
-        with pytest.raises(ConfigurationError, match="shm_max_records"):
-            _engine(g, hosts=2, transport="queue", shm_max_records=4)
-
-    def test_shm_max_records_must_be_non_negative(self):
-        g = gen.path_graph(40)
-        with pytest.raises(ConfigurationError, match="shm_max_records"):
-            _engine(g, hosts=2, transport="shm", shm_max_records=-1)
 
     @pytest.mark.parametrize("engine", ("round", "flat", "async"))
     def test_mp_transport_rejected_off_mp(self, engine):
