@@ -18,39 +18,46 @@ that, once, from a ``CSRGraph`` plus an
 * the boundary tables the host protocol reads every round are
   precomputed flat: ``watch_offsets``/``watch_targets`` (which owned
   nodes care about an external estimate — the object engine's
-  ``external_watchers``), per owned node ``deliver`` (every
-  ``(neighbour host, destination mailbox slot)`` pair its estimate must
-  reach — the transmit loop iterates exactly the relevant pairs, no
-  per-host membership test), per neighbour host ``dest_slots`` (border
-  membership *and* the destination slot in one dict — Algorithm 5's
-  ``border``) and ``remote_slots`` (the owned node's external
-  neighbours on that host, as local ext slots — the ``p2p_filter``
-  extension's ``remote_neighbors``; built lazily, only the filter
-  needs it);
+  ``external_watchers``) and the *delivery table*
+  ``deliver_offsets``/``deliver_hosts``/``deliver_slots``, a CSR over
+  owned nodes listing every ``(neighbour host, destination mailbox
+  slot)`` pair a node's estimate must reach — routing iterates exactly
+  the relevant pairs, no per-host membership test. Per neighbour host,
+  ``dest_slots`` (border membership *and* the destination slot in one
+  dict — Algorithm 5's ``border``) and ``remote_slots`` (the owned
+  node's external neighbours on that host, as local ext slots — the
+  ``p2p_filter`` extension's ``remote_neighbors``) are built lazily;
+  only the filter needs them;
 * the host-to-host edge cuts are counted during the build:
   ``HostShard.cut_to[y]`` is the number of directed edges leaving the
   shard for host ``y``, and :attr:`ShardedCSR.cut_edges` is the global
   undirected cut — identical to ``Assignment.cut_edges(graph)`` without
   the per-edge Python loop over the object graph.
 
+The tables are built by the kernel layer's ``shard_tables``
+(:mod:`repro.sim.kernels`): on the numpy backend whenever numpy is
+importable, on the stdlib backend otherwise. Both build identical
+``array('q')`` tables, so the choice is invisible to every reader.
+
 The structure is immutable by convention, like ``CSRGraph``: builders
 produce it, the flat one-to-many engine
-(:mod:`repro.sim.flat_many_engine`) reads it. It is also the substrate
-the ROADMAP's later items (numpy kernels per shard, real multi-process
-sharding, streaming on CSR) are meant to build on: everything a real
-worker process would need to run its shard — local CSR, mailbox slot
-maps, cut sizes — is already separated per host.
+(:mod:`repro.sim.flat_many_engine`) and the multi-process workers read
+it. Everything a worker process needs to run its shard — local CSR,
+mailbox slot maps, cut sizes — is separated per host.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from typing import TYPE_CHECKING
 
 from repro.core.assignment import Assignment
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
+
+if TYPE_CHECKING:
+    from repro.sim.kernels.base import ShardTables
 
 __all__ = ["HostShard", "ShardedCSR"]
 
@@ -62,6 +69,8 @@ class HostShard:
     original id), ``n_owned..n_owned+n_ext-1`` the external boundary
     nodes (deterministic first-encounter order). ``owned_global[u]`` /
     ``ext_global[s]`` map back to the parent CSR's compact indices.
+    :class:`ShardedCSR` builds each shard from the host's
+    :class:`~repro.sim.kernels.base.ShardTables`.
     """
 
     __slots__ = (
@@ -77,36 +86,42 @@ class HostShard:
         "watch_offsets",
         "watch_targets",
         "neighbor_hosts",
-        "deliver",
+        "deliver_offsets",
+        "deliver_hosts",
+        "deliver_slots",
         "cut_to",
         "_dest_slots",
         "_remote_slots",
     )
 
-    def __init__(self, host: int) -> None:
+    def __init__(self, host: int, tables: "ShardTables") -> None:
         self.host = host
-        self.n_owned = 0
-        self.n_ext = 0
+        self.n_owned = len(tables.owned_global)
+        self.n_ext = len(tables.ext_global)
         #: global (parent-CSR compact) index of each owned local node
-        self.owned_global: array = array("q")
+        self.owned_global: array = tables.owned_global
         #: global index of each external boundary node
-        self.ext_global: array = array("q")
+        self.ext_global: array = tables.ext_global
         self._ext_index: dict[int, int] | None = None
         #: owning host of each external boundary node
-        self.ext_host: array = array("q")
+        self.ext_host: array = tables.ext_host
         #: local CSR over owned nodes; targets are local indices
-        self.offsets: array = array("q", [0])
-        self.targets: array = array("q")
+        self.offsets: array = tables.offsets
+        self.targets: array = tables.targets
         #: CSR from ext slot -> owned local nodes adjacent to it
-        self.watch_offsets: array = array("q", [0])
-        self.watch_targets: array = array("q")
-        #: hosts owning at least one neighbour of an owned node (sorted)
-        self.neighbor_hosts: tuple[int, ...] = ()
-        #: per owned local node u: every (neighbour host y, y's ext slot
-        #: for u) pair — the full delivery list of u's estimate
-        self.deliver: list[list[tuple[int, int]]] = []
+        self.watch_offsets: array = tables.watch_offsets
+        self.watch_targets: array = tables.watch_targets
+        #: the delivery table, a CSR over owned local nodes: for each e
+        #: in u's segment, u's estimate goes to host deliver_hosts[e]
+        #: (ascending) at mailbox slot deliver_slots[e], that host's ext
+        #: slot for u
+        self.deliver_offsets: array = tables.deliver_offsets
+        self.deliver_hosts: array = tables.deliver_hosts
+        self.deliver_slots: array = tables.deliver_slots
         #: per neighbour host y: directed edge count from this shard to y
-        self.cut_to: dict[int, int] = {}
+        self.cut_to: dict[int, int] = tables.cut_to
+        #: hosts owning at least one neighbour of an owned node (sorted)
+        self.neighbor_hosts: tuple[int, ...] = tuple(sorted(tables.cut_to))
         self._dest_slots: dict[int, dict[int, int]] | None = None
         self._remote_slots: dict[int, dict[int, tuple[int, ...]]] | None = None
 
@@ -130,7 +145,9 @@ class HostShard:
         "watch_offsets",
         "watch_targets",
         "neighbor_hosts",
-        "deliver",
+        "deliver_offsets",
+        "deliver_hosts",
+        "deliver_slots",
         "cut_to",
     )
 
@@ -164,17 +181,21 @@ class HostShard:
         """Per neighbour host y: {owned local u -> y's ext slot for u}.
 
         The key set is exactly the border toward y (Algorithm 5) —
-        derived lazily from the delivery lists; only the ``p2p_filter``
+        derived lazily from the delivery table; only the ``p2p_filter``
         transmit path and introspection read this per-host view.
         """
         if self._dest_slots is None:
             table: dict[int, dict[int, int]] = {}
-            for u, pairs in enumerate(self.deliver):
-                for y, s in pairs:
+            offsets = self.deliver_offsets
+            hosts = self.deliver_hosts
+            slots = self.deliver_slots
+            for u in range(self.n_owned):
+                for e in range(offsets[u], offsets[u + 1]):
+                    y = hosts[e]
                     per_host = table.get(y)
                     if per_host is None:
                         per_host = table[y] = {}
-                    per_host[u] = s
+                    per_host[u] = slots[e]
             self._dest_slots = table
         return self._dest_slots
 
@@ -236,6 +257,10 @@ class ShardedCSR:
                  "cut_edges")
 
     def __init__(self, csr: CSRGraph, assignment: Assignment) -> None:
+        # deferred: importing the kernel layer at module scope would
+        # close a cycle through repro.sim (whose engines import this)
+        from repro.sim.kernels import numpy_available, resolve_backend
+
         self.csr = csr
         self.assignment = assignment
         self.num_hosts = assignment.num_hosts
@@ -256,98 +281,20 @@ class ShardedCSR:
             ) from None
         self.host_of_index = host_idx
 
-        num_hosts = self.num_hosts
-        owned_per: list[list[int]] = [[] for _ in range(num_hosts)]
-        for i in range(n):
-            owned_per[host_idx[i]].append(i)
-        # local rank of every global node within its owning shard
-        local_of = array("q", [0]) * n
-        for nodes in owned_per:
-            for rank, i in enumerate(nodes):
-                local_of[i] = rank
-
-        offsets = csr.offsets
-        targets = csr.targets
-        shards: list[HostShard] = []
-        directed_cut = 0
-        # ext-slot scratch, shared across shards: slot_of[g] is g's ext
-        # slot while building the current shard, -1 otherwise (reset via
-        # the shard's own ext list — only touched entries are cleared)
-        slot_of = array("q", [-1]) * n
-        for x in range(num_hosts):
-            shard = HostShard(x)
-            owned = owned_per[x]
-            n_owned = len(owned)
-            shard.n_owned = n_owned
-            shard.owned_global = array("q", owned)
-            # single pass over the shard's edges: local CSR, the
-            # external index space (first-encounter order) and the
-            # watcher lists all at once
-            ext_list: list[int] = []
-            loc_offsets = array("q", [0] * (n_owned + 1))
-            loc: list[int] = []
-            loc_append = loc.append
-            watchers: list[list[int]] = []
-            for u, i in enumerate(owned):
-                # iterating the slice directly keeps the inner loop on
-                # C-level array iteration instead of index arithmetic
-                for j in targets[offsets[i]:offsets[i + 1]]:
-                    if host_idx[j] == x:
-                        loc_append(local_of[j])
-                    else:
-                        s = slot_of[j]
-                        if s < 0:
-                            s = len(ext_list)
-                            slot_of[j] = s
-                            ext_list.append(j)
-                            watchers.append([u])
-                        else:
-                            watchers[s].append(u)
-                        loc_append(n_owned + s)
-                loc_offsets[u + 1] = len(loc)
-            loc_targets = array("q", loc)
-            shard.n_ext = len(ext_list)
-            shard.ext_global = array("q", ext_list)
-            shard.ext_host = ext_host = array(
-                "q", [host_idx[g] for g in ext_list]
+        kb = resolve_backend("numpy" if numpy_available() else "stdlib")
+        self.shards = [
+            HostShard(x, tables)
+            for x, tables in enumerate(
+                kb.shard_tables(
+                    csr.offsets, csr.targets, host_idx, self.num_hosts
+                )
             )
-            for g in ext_list:
-                slot_of[g] = -1
-            shard.offsets = loc_offsets
-            shard.targets = loc_targets
-            watch_offsets = array("q", [0] * (len(ext_list) + 1))
-            # the per-host directed cut falls out of the watcher lists:
-            # every edge into ext node s is one directed edge toward the
-            # host owning s
-            cut_to: dict[int, int] = {}
-            cut_get = cut_to.get
-            for s, us in enumerate(watchers):
-                watch_offsets[s + 1] = watch_offsets[s] + len(us)
-                y = ext_host[s]
-                cut_to[y] = cut_get(y, 0) + len(us)
-            shard.watch_offsets = watch_offsets
-            shard.watch_targets = array("q", chain.from_iterable(watchers))
-            shard.neighbor_hosts = tuple(sorted(cut_to))
-            shard.cut_to = cut_to
-            shard.deliver = [[] for _ in range(n_owned)]
-            directed_cut += sum(cut_to.values())
-            shards.append(shard)
-        self.shards = shards
+        ]
         # every cut edge contributes one directed edge to each endpoint's
         # shard, so the undirected cut is half the directed total
-        self.cut_edges = directed_cut // 2
-
-        # phase 2, destination side (needs every shard's ext index
-        # space): u is in x's border toward y  <=>  u appears in y's
-        # external set — so walking each shard's ext list fills the
-        # sender delivery lists in one sweep, touching each unique
-        # (node, watching host) pair once. The per-host border/slot
-        # dicts (``dest_slots``) derive lazily from these lists.
-        for y, shard_y in enumerate(shards):
-            s = 0
-            for g in shard_y.ext_global:
-                shards[host_idx[g]].deliver[local_of[g]].append((y, s))
-                s += 1
+        self.cut_edges = (
+            sum(sum(shard.cut_to.values()) for shard in self.shards) // 2
+        )
 
     # ------------------------------------------------------------------
     # pickling — explicit state so the whole partition (or any single

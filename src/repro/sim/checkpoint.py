@@ -60,9 +60,11 @@ __all__ = [
 ]
 
 #: On-disk manifest format version. Bump on any incompatible change to
-#: the manifest schema or the worker snapshot payload; loaders refuse
-#: both older and newer files loudly (see the module docstring).
-CHECKPOINT_FORMAT_VERSION = 1
+#: the manifest schema, the worker snapshot payload or the pickled
+#: partition in ``fleet.pkl``; loaders refuse both older and newer files
+#: loudly (see the module docstring). Version 2: ``HostShard`` carries
+#: its delivery table as three flat arrays.
+CHECKPOINT_FORMAT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _FLEET = "fleet.pkl"

@@ -198,9 +198,10 @@ class FlatOneToManyEngine:
         ids = self.sharded.csr.ids
         out: dict[int, int] = {}
         for shard, est in zip(self.sharded.shards, self._est):
-            owned_global = shard.owned_global
-            for u in range(shard.n_owned):
-                out[ids[owned_global[u]]] = int(est[u])
+            # one slice per shard; tolist() yields builtin ints on
+            # either backend
+            for g, k in zip(shard.owned_global, est[:shard.n_owned].tolist()):
+                out[ids[g]] = k
         return out
 
     def estimates_sent_total(self) -> int:
@@ -257,7 +258,7 @@ class FlatOneToManyEngine:
         sends = 0
 
         # -- transmit: the step appends straight into the live inboxes
-        def emit(x: int, updates: list[tuple[int, int]]) -> None:
+        def emit(x: int, updates: list[int]) -> None:
             nonlocal pending, sends
             with tracer.span("emit", host=x):
                 dests = steps[x].emit(updates, in_slots, in_vals)

@@ -5,8 +5,10 @@ received ``(ext-slot, value)`` pairs, run the ``improveEstimate``
 cascade (Algorithm 4), and route the changes by broadcast (Algorithm 3)
 or point-to-point (Algorithm 5, optionally ``p2p_filter``) — is written
 once, here, over one :class:`~repro.graph.sharded.HostShard`, with its
-array work on a :class:`~repro.sim.kernels.base.KernelBackend`. The
-drivers only decide when a host runs and how its batches travel:
+array work on a :class:`~repro.sim.kernels.base.KernelBackend`: the
+backend's ``route_updates`` kernel does the broadcast and p2p routing
+over the shard's delivery table. The drivers only decide when a host
+runs and how its batches travel:
 :class:`~repro.sim.flat_many_engine.FlatOneToManyEngine` hands
 :meth:`HostStep.emit` its live mailbox lists, and
 :class:`~repro.sim.mp_engine.MultiProcessOneToManyEngine` ships the
@@ -18,6 +20,7 @@ Figure-5 ``estimates_sent`` accounting.
 from __future__ import annotations
 
 from array import array
+from typing import Sequence
 
 from repro.graph.sharded import HostShard
 from repro.sim.kernels.base import KernelBackend
@@ -29,8 +32,11 @@ __all__ = ["HostStep"]
 class HostStep:
     """One shard's protocol state and its three moves.
 
-    :meth:`init` and :meth:`fold` return the ``(owned node, estimate)``
-    updates to transmit; :meth:`emit` routes them. ``est`` covers owned
+    :meth:`init` and :meth:`fold` return the updates to transmit — the
+    owned local nodes whose estimates ``est[u]`` must go out, as a list
+    of builtin ints — and :meth:`emit` routes them; a driver calls
+    :meth:`emit` right after the move that returned them, before the
+    estimates can change again. ``est`` covers owned
     then external slots; ``sup[u]`` counts neighbours at or above
     ``est[u]`` (the cascade recomputes a node only when a drop pushes
     it below); ``estimates_sent`` is the Figure-5 overhead numerator.
@@ -47,6 +53,9 @@ class HostStep:
         "targets",
         "watch_offsets",
         "watch_targets",
+        "deliver_offsets",
+        "deliver_hosts",
+        "deliver_slots",
         "est",
         "sup",
         "queued",
@@ -80,6 +89,9 @@ class HostStep:
         self.targets = kb.graph_array(shard.targets)
         self.watch_offsets = kb.graph_array(shard.watch_offsets)
         self.watch_targets = kb.graph_array(shard.watch_targets)
+        self.deliver_offsets = kb.graph_array(shard.deliver_offsets)
+        self.deliver_hosts = kb.graph_array(shard.deliver_hosts)
+        self.deliver_slots = kb.graph_array(shard.deliver_slots)
         self.est = kb.full(n_owned + shard.n_ext)
         self.sup = kb.full(n_owned)
         self.queued = kb.worklist_flags(n_owned)
@@ -87,7 +99,7 @@ class HostStep:
         self.changed_list: list[int] = []
         self.scratch: list[int] = []
         self.estimates_sent = 0
-        # p2p transmit scratch: per-destination pair counts, all-zero
+        # route_updates scratch: per-destination pair counts, all-zero
         # between emits
         self.host_counts = array("q", [0]) * num_hosts
         self.tracer = tracer
@@ -103,24 +115,20 @@ class HostStep:
                     self.changed_list, self.scratch,
                 )
 
-    def _drain_changes(self) -> list[tuple[int, int]]:
-        """The cascade's changed nodes as updates; resets the flags."""
-        clist = self.changed_list
-        if not clist:
-            return []
-        est = self.est
-        updates = [(u, int(est[u])) for u in clist]
+    def _drain_changes(self) -> list[int]:
+        """The cascade's changed nodes; resets the flags."""
+        changed = self.changed_list
         flags = self.changed_flag
-        for u in clist:
+        for u in changed:
             flags[u] = 0
-        clist.clear()
-        return updates
+        self.changed_list = []
+        return changed
 
-    def init(self) -> list[tuple[int, int]]:
+    def init(self) -> list[int]:
         """Algorithm 3 initialisation: degrees in, cascade.
 
-        Returns every owned estimate — the initial message carries all
-        of them, changed or not.
+        Returns every owned node — the initial message carries all
+        estimates, changed or not.
         """
         shard = self.shard
         n_owned = shard.n_owned
@@ -131,10 +139,9 @@ class HostStep:
             )
         self._cascade(dirty)
         self._drain_changes()
-        est = self.est
-        return [(u, int(est[u])) for u in range(n_owned)]
+        return list(range(n_owned))
 
-    def fold(self, slots, vals, **span_args) -> list[tuple[int, int]]:
+    def fold(self, slots, vals, **span_args) -> list[int]:
         """Fold one activation's mail, cascade; returns the changes.
 
         ``slots`` / ``vals`` are parallel builtin lists of received
@@ -153,10 +160,10 @@ class HostStep:
 
     def emit(
         self,
-        updates: list[tuple[int, int]],
+        updates: list[int],
         out_slots: list[list[int]],
         out_vals: list[list[int]],
-    ) -> "tuple[int, ...] | list[int]":
+    ) -> Sequence[int]:
         """Route ``updates`` (Algorithm 3's S / Algorithm 5's subsets).
 
         Appends each delivered ``(dest slot, value)`` pair to
@@ -167,48 +174,25 @@ class HostStep:
         :attr:`estimates_sent`.
         """
         shard = self.shard
+        if not self.p2p_filter:
+            dests, sent = self.kb.route_updates(
+                updates, self.est, self.deliver_offsets, self.deliver_hosts,
+                self.deliver_slots, shard.neighbor_hosts, self.broadcast,
+                out_slots, out_vals, self.host_counts,
+            )
+            self.estimates_sent += sent
+            return dests
         neighbor_hosts = shard.neighbor_hosts
         if not updates or not neighbor_hosts:
             # nothing "has to be sent to another host" (Figure 5)
             return ()
-        deliver = shard.deliver
-        if self.broadcast:
-            # one transmission; every estimate counted once, every
-            # neighbour host receives a message (even an irrelevant one —
-            # only border pairs are actually delivered, the rest the
-            # object engine's fold would ignore anyway)
-            self.estimates_sent += len(updates)
-            for u, k in updates:
-                for y, s in deliver[u]:
-                    out_slots[y].append(s)
-                    out_vals[y].append(k)
-            return neighbor_hosts
-        if not self.p2p_filter:
-            # per-destination subsets; a message exists only where the
-            # subset is non-empty, and each (estimate, destination) pair
-            # costs one overhead unit
-            host_counts = self.host_counts
-            touched: list[int] = []
-            for u, k in updates:
-                for y, s in deliver[u]:
-                    out_slots[y].append(s)
-                    out_vals[y].append(k)
-                    c = host_counts[y]
-                    if not c:
-                        touched.append(y)
-                    host_counts[y] = c + 1
-            sent = 0
-            for y in touched:
-                sent += host_counts[y]
-                host_counts[y] = 0
-            self.estimates_sent += sent
-            return touched
         # the §3.1.2-style host-level filter consults this shard's
         # stored external estimates per (node, host)
         est = self.est
         n_owned = shard.n_owned
         dest_slots = shard.dest_slots
         remote_slots = shard.remote_slots
+        values = [int(est[u]) for u in updates]
         dests: list[int] = []
         for y in neighbor_hosts:
             dest_get = dest_slots[y].get
@@ -216,7 +200,7 @@ class HostStep:
             slots = out_slots[y]
             vals = out_vals[y]
             count = 0
-            for u, k in updates:
+            for u, k in zip(updates, values):
                 s = dest_get(u)
                 if s is None:  # u has no neighbour on y
                     continue

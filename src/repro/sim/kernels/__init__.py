@@ -39,6 +39,8 @@ communication policies incl. p2p_filter)     yes        yes
 ``run_pregel_kcore(engine="flat")``          yes        yes
 ``FlatDynamicKCore`` streaming maintenance
 (dynamic-CSR edits + re-convergence)         yes        yes
+``ShardedCSR`` table build
+(``shard_tables`` kernel)                    yes [3]_   yes [3]_
 object engines (``round`` / ``async``)       n/a [2]_   n/a [2]_
 ===========================================  =========  =========
 
@@ -49,11 +51,16 @@ object engines (``round`` / ``async``)       n/a [2]_   n/a [2]_
    rather than silently falling back.
 .. [2] The object engines run ``Process`` subclasses, not kernels; a
    non-default ``backend`` on them is rejected by the config layer.
+.. [3] Not configurable: ``ShardedCSR(csr, assignment)`` builds on
+   numpy whenever :func:`numpy_available` and on stdlib otherwise. The
+   tables are identical ``array('q')`` buffers either way, so the
+   engines' own ``backend`` stays independent of the build.
 
 Vectorisation boundary: the numpy backend vectorises *within* a batch
-(a lockstep round's frontier, one host activation's fold + cascade, a
-Jacobi sweep); activation order, RNG streams and message routing stay
-in the engines, byte-identical across backends.
+(a lockstep round's frontier, one host activation's fold + cascade +
+routing, a Jacobi sweep, one shard's table build); activation order,
+RNG streams and mailbox delivery stay in the engines, byte-identical
+across backends.
 """
 
 from __future__ import annotations

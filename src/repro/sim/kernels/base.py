@@ -6,8 +6,12 @@ allocation, the round-2 estimate seeding, the mailbox-slot fold with
 the sup-counter recompute skip, frontier recomputation + send emission
 (Algorithm 1's periodic block), the shard-local cascade (Algorithm 4)
 with its changed-flag bookkeeping, batched ``computeIndex`` (Algorithm
-2), and the bulk-synchronous h-index sweep. Engines orchestrate rounds
-and messages; backends execute the per-round array work.
+2), the bulk-synchronous h-index sweep, and the two loops over the
+partition's delivery table: building every host's tables
+(:meth:`KernelBackend.shard_tables`) and routing a host's changed
+estimates along them (:meth:`KernelBackend.route_updates`). Engines
+orchestrate rounds and messages; backends execute the per-round array
+work.
 
 **The contract.** Every kernel is defined by the canonical stdlib
 implementation (:class:`~repro.sim.kernels.stdlib_backend.
@@ -43,9 +47,10 @@ between rounds — backends that do not need them accept and ignore them
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
+from array import array
+from typing import Any, Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
-__all__ = ["KernelBackend", "Table", "export_send_counts"]
+__all__ = ["KernelBackend", "ShardTables", "Table", "export_send_counts"]
 
 #: A flat i64 buffer in a backend's native container — ``array('q')``
 #: for stdlib, ``numpy.ndarray`` for numpy. Deliberately ``Any``: the
@@ -58,6 +63,28 @@ Table = Any
 #: the same backend next phase (list, array, or ndarray — engines must
 #: not depend on its order, per the module docstring).
 Worklist = Any
+
+
+class ShardTables(NamedTuple):
+    """One host's partition tables, as :meth:`KernelBackend.shard_tables`
+    builds them (field meanings in that method's post-conditions).
+
+    Every table is a fresh ``array('q')`` on every backend, so a
+    :class:`~repro.graph.sharded.HostShard` pickles, checkpoints and
+    feeds the shm layout the same way whichever backend built it.
+    """
+
+    owned_global: array
+    offsets: array
+    targets: array
+    ext_global: array
+    ext_host: array
+    watch_offsets: array
+    watch_targets: array
+    deliver_offsets: array
+    deliver_hosts: array
+    deliver_slots: array
+    cut_to: dict[int, int]
 
 
 def export_send_counts(stats, sent: Sequence[int], ids=None) -> None:
@@ -297,6 +324,82 @@ class KernelBackend(Protocol):
         support of watchers whose level the drop crosses, and returns
         the dirty worklist (watchers starved below their estimate) for
         :meth:`cascade`.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # partition tables (ShardedCSR build, one-to-many routing)
+    # ------------------------------------------------------------------
+    def shard_tables(
+        self, offsets: Table, targets: Table, host_of: Table, num_hosts: int
+    ) -> list[ShardTables]:
+        """Build every host's :class:`ShardTables` at once.
+
+        Pre: ``offsets`` / ``targets`` are a symmetric CSR over ``n``
+        nodes and ``host_of[i]`` in ``[0, num_hosts)`` places node
+        ``i`` (all ``array('q')``). Post: element ``x`` of the result
+        holds host ``x``'s tables, with no reference into the inputs:
+
+        * ``owned_global`` — the nodes placed on ``x``, ascending; the
+          owned node at position ``u`` is *local node* ``u``;
+        * ``offsets`` / ``targets`` — the local CSR over the owned
+          nodes, in the parent's edge order. An owned neighbour becomes
+          its local index, an external one ``n_owned + s`` where ``s``
+          is its *ext slot*;
+        * ``ext_global`` / ``ext_host`` — the external neighbours by
+          ext slot, numbered in first-encounter order of that edge
+          scan, and their hosts;
+        * ``watch_offsets`` / ``watch_targets`` — CSR from ext slot
+          ``s`` to the owned nodes adjacent to it, one entry per edge,
+          in scan order;
+        * ``deliver_offsets`` / ``deliver_hosts`` / ``deliver_slots``
+          — CSR over owned nodes: for local ``u``, one ``(y, s)`` pair
+          per other host ``y`` whose ext space holds ``u``, ``y``
+          ascending, ``s`` being ``u``'s ext slot on ``y``;
+        * ``cut_to`` — ``{y: directed edges from x's owned nodes into
+          host y}``, keys in first-encounter order of ``ext_host``.
+
+        Every table is bit-identical across backends
+        (``tests/test_sharded_csr.py`` asserts it table by table).
+        """
+        raise NotImplementedError
+
+    def route_updates(
+        self,
+        nodes,
+        est,
+        deliver_offsets,
+        deliver_hosts,
+        deliver_slots,
+        neighbor_hosts,
+        broadcast,
+        out_slots,
+        out_vals,
+        host_counts,
+    ) -> tuple[Sequence[int], int]:
+        """Route one activation's updates along a delivery table.
+
+        ``nodes`` (builtin ints, any order) are owned local nodes whose
+        estimates ``est[u]`` changed; ``deliver_*`` are the shard's
+        delivery CSR adopted through :meth:`graph_array`. For each
+        ``u`` in ``nodes`` order, for each ``(y, s)`` in ``u``'s
+        delivery segment order, ``s`` is appended to ``out_slots[y]``
+        and ``est[u]`` (a builtin ``int``) to ``out_vals[y]`` — so the
+        caller's per-destination lists come out in the same order on
+        every backend. Returns ``(dests, sent)``:
+
+        * no nodes or no ``neighbor_hosts``: ``((), 0)`` — nothing has
+          to be sent to another host (Figure 5), nothing is appended;
+        * ``broadcast`` (Algorithm 3): ``(neighbor_hosts, len(nodes))``
+          — one transmission reaches every neighbour host, and each
+          estimate costs one overhead unit;
+        * otherwise point-to-point (Algorithm 5): the hosts that
+          received at least one pair, in first-touch order, and the
+          number of pairs appended (one unit per estimate and
+          destination).
+
+        ``host_counts`` is caller-owned per-host scratch that must be
+        all-zero between calls (vectorised backends ignore it).
         """
         raise NotImplementedError
 

@@ -31,14 +31,23 @@ so stdlib-only environments never pay — or need — the import.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.core.compute_index import compute_index
-from repro.sim.kernels.base import KernelBackend
+from repro.sim.kernels.base import KernelBackend, ShardTables
 
 __all__ = ["NumpyBackend"]
 
 _I64 = np.int64
+
+
+def _csr_offsets(counts):
+    """``[0, cumsum(counts)...]``: CSR offsets from per-row counts."""
+    offsets = np.zeros(len(counts) + 1, dtype=_I64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 def _segments(offsets, nodes):
@@ -50,12 +59,18 @@ def _segments(offsets, nodes):
     ``starts`` (length ``len(nodes) + 1``) bounds each segment.
     """
     lens = offsets[nodes + 1] - offsets[nodes]
-    starts = np.zeros(len(nodes) + 1, dtype=_I64)
-    np.cumsum(lens, out=starts[1:])
+    starts = _csr_offsets(lens)
     total = int(starts[-1])
     seg = np.repeat(np.arange(len(nodes), dtype=_I64), lens)
     idx = offsets[nodes][seg] + (np.arange(total, dtype=_I64) - starts[seg])
     return seg, idx, starts, lens
+
+
+def _to_q(values) -> array:
+    """Copy an i64 ndarray into a fresh ``array('q')`` (one block copy)."""
+    out = array("q")
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=_I64)).cast("B"))
+    return out
 
 
 class NumpyBackend(KernelBackend):
@@ -301,6 +316,133 @@ class NumpyBackend(KernelBackend):
         np.subtract.at(sup, starved, 1)
         cand = np.unique(starved)
         return cand[sup[cand] < est[cand]]
+
+    # ------------------------------------------------------------------
+    # partition tables
+    # ------------------------------------------------------------------
+    def shard_tables(self, offsets, targets, host_of, num_hosts):
+        offsets = self.graph_array(offsets)
+        targets = self.graph_array(targets)
+        host = self.graph_array(host_of)
+        n = len(host)
+        # owned nodes grouped by host, ascending within each (stable)
+        order = np.argsort(host, kind="stable")
+        bounds = _csr_offsets(np.bincount(host, minlength=num_hosts))
+        # local rank of every node within its owning shard
+        local_of = np.empty(n, dtype=_I64)
+        local_of[order] = np.arange(n, dtype=_I64) - bounds[host[order]]
+
+        # one shard at a time, so the temporaries stay bounded by one
+        # shard's edges; each shard's tables leave as array('q') copies
+        built = []
+        for x in range(num_hosts):
+            owned = order[bounds[x]:bounds[x + 1]]
+            n_owned = len(owned)
+            seg, idx, starts, _ = _segments(offsets, owned)
+            t = targets[idx]
+            ext = host[t] != x
+            ext_t = t[ext]
+            # ext slots number the external nodes by first encounter
+            uniq, first, inverse = np.unique(
+                ext_t, return_index=True, return_inverse=True
+            )
+            by_first = np.argsort(first)
+            slot_of = np.empty(len(uniq), dtype=_I64)
+            slot_of[by_first] = np.arange(len(uniq), dtype=_I64)
+            slot = slot_of[inverse]
+            ext_global = uniq[by_first]
+            loc = local_of[t]
+            loc[ext] = n_owned + slot
+            # watchers: the owners of the edges into each slot, in
+            # scan order (stable sort by slot)
+            watch_targets = seg[ext][np.argsort(slot, kind="stable")]
+            watch_counts = np.bincount(slot, minlength=len(uniq))
+            # directed cut per host, keyed in first-encounter order
+            ys, y_first, y_count = np.unique(
+                host[ext_t], return_index=True, return_counts=True
+            )
+            y_order = np.argsort(y_first)
+            built.append(ShardTables(
+                owned_global=_to_q(owned),
+                offsets=_to_q(starts),
+                targets=_to_q(loc),
+                ext_global=_to_q(ext_global),
+                ext_host=_to_q(host[ext_global]),
+                watch_offsets=_to_q(_csr_offsets(watch_counts)),
+                watch_targets=_to_q(watch_targets),
+                deliver_offsets=array("q", [0]),
+                deliver_hosts=array("q"),
+                deliver_slots=array("q"),
+                cut_to=dict(zip(ys[y_order].tolist(), y_count[y_order].tolist())),
+            ))
+
+        # delivery side, as in the stdlib kernel: count each node's
+        # watching hosts, lay the pairs out in (host, local node) order,
+        # then fill host by host — y ascending within each node
+        ext_lists = [self.graph_array(tables.ext_global) for tables in built]
+        count = np.zeros(n, dtype=_I64)
+        for ext_global in ext_lists:
+            count[ext_global] += 1  # unique within one shard
+        layout = _csr_offsets(count[order])
+        cursor = np.empty(n, dtype=_I64)
+        cursor[order] = layout[:-1]
+        hosts_flat = np.empty(int(layout[-1]), dtype=_I64)
+        slots_flat = np.empty(int(layout[-1]), dtype=_I64)
+        for y, ext_global in enumerate(ext_lists):
+            p = cursor[ext_global]
+            hosts_flat[p] = y
+            slots_flat[p] = np.arange(len(ext_global), dtype=_I64)
+            cursor[ext_global] = p + 1
+        out = []
+        for x, tables in enumerate(built):
+            offs = layout[bounds[x]:bounds[x + 1] + 1]
+            lo = int(offs[0])
+            hi = int(offs[-1])
+            out.append(tables._replace(
+                deliver_offsets=_to_q(offs - lo),
+                deliver_hosts=_to_q(hosts_flat[lo:hi]),
+                deliver_slots=_to_q(slots_flat[lo:hi]),
+            ))
+        return out
+
+    def route_updates(
+        self,
+        nodes,
+        est,
+        deliver_offsets,
+        deliver_hosts,
+        deliver_slots,
+        neighbor_hosts,
+        broadcast,
+        out_slots,
+        out_vals,
+        host_counts,
+    ):
+        if not len(nodes) or not neighbor_hosts:
+            return (), 0
+        nodes = np.asarray(nodes, dtype=_I64)
+        seg, idx, _, _ = _segments(deliver_offsets, nodes)
+        sent = len(idx)
+        if sent:
+            # group the pairs by destination; the stable sort keeps
+            # update order inside each group, as the stdlib loop appends
+            by_host = np.argsort(deliver_hosts[idx], kind="stable")
+            pairs = idx[by_host]
+            hosts = deliver_hosts[pairs]
+            slots = deliver_slots[pairs].tolist()
+            vals = est[nodes[seg[by_host]]].tolist()
+            starts = [0, *(np.flatnonzero(np.diff(hosts)) + 1).tolist()]
+            dests = hosts[starts]
+            for y, lo, hi in zip(dests.tolist(), starts, starts[1:] + [sent]):
+                out_slots[y].extend(slots[lo:hi])
+                out_vals[y].extend(vals[lo:hi])
+        if broadcast:
+            return neighbor_hosts, len(nodes)
+        if not sent:
+            return [], 0
+        # first touch: each destination's earliest pair in update order
+        # is its group's first element (stable sort)
+        return dests[np.argsort(by_host[starts])].tolist(), sent
 
     # ------------------------------------------------------------------
     # dynamic-CSR edit kernels

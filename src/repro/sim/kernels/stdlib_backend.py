@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from itertools import chain
 
 from repro.core.compute_index import compute_index
-from repro.sim.kernels.base import KernelBackend
+from repro.sim.kernels.base import KernelBackend, ShardTables
 
 __all__ = ["StdlibBackend"]
 
@@ -239,6 +240,170 @@ class StdlibBackend(KernelBackend):
                             queued[u] = 1
                             dirty.append(u)
         return dirty
+
+    # ------------------------------------------------------------------
+    # partition tables
+    # ------------------------------------------------------------------
+    def shard_tables(self, offsets, targets, host_of, num_hosts):
+        n = len(host_of)
+        owned_per: list[list[int]] = [[] for _ in range(num_hosts)]
+        for i in range(n):
+            owned_per[host_of[i]].append(i)
+        # local rank of every global node within its owning shard
+        local_of = array("q", [0]) * n
+        for nodes in owned_per:
+            for rank, i in enumerate(nodes):
+                local_of[i] = rank
+
+        # ext-slot scratch, shared across shards: slot_of[g] is g's ext
+        # slot while building the current shard, -1 otherwise (reset via
+        # the shard's own ext list — only touched entries are cleared)
+        slot_of = array("q", [-1]) * n
+        built = []
+        for x, owned in enumerate(owned_per):
+            n_owned = len(owned)
+            # single pass over the shard's edges: local CSR, the
+            # external index space (first-encounter order) and the
+            # watcher lists all at once
+            ext_list: list[int] = []
+            loc_offsets = array("q", [0]) * (n_owned + 1)
+            loc: list[int] = []
+            loc_append = loc.append
+            watchers: list[list[int]] = []
+            for u, i in enumerate(owned):
+                # iterating the slice directly keeps the inner loop on
+                # C-level array iteration instead of index arithmetic
+                for j in targets[offsets[i]:offsets[i + 1]]:
+                    if host_of[j] == x:
+                        loc_append(local_of[j])
+                    else:
+                        s = slot_of[j]
+                        if s < 0:
+                            s = len(ext_list)
+                            slot_of[j] = s
+                            ext_list.append(j)
+                            watchers.append([u])
+                        else:
+                            watchers[s].append(u)
+                        loc_append(n_owned + s)
+                loc_offsets[u + 1] = len(loc)
+            for g in ext_list:
+                slot_of[g] = -1
+            ext_host = array("q", [host_of[g] for g in ext_list])
+            watch_offsets = array("q", [0]) * (len(ext_list) + 1)
+            # the per-host directed cut falls out of the watcher lists:
+            # every edge into ext node s is one directed edge toward the
+            # host owning s
+            cut_to: dict[int, int] = {}
+            cut_get = cut_to.get
+            for s, us in enumerate(watchers):
+                watch_offsets[s + 1] = watch_offsets[s] + len(us)
+                y = ext_host[s]
+                cut_to[y] = cut_get(y, 0) + len(us)
+            built.append(ShardTables(
+                owned_global=array("q", owned),
+                offsets=loc_offsets,
+                targets=array("q", loc),
+                ext_global=array("q", ext_list),
+                ext_host=ext_host,
+                watch_offsets=watch_offsets,
+                watch_targets=array("q", chain.from_iterable(watchers)),
+                deliver_offsets=array("q", [0]),
+                deliver_hosts=array("q"),
+                deliver_slots=array("q"),
+                cut_to=cut_to,
+            ))
+
+        # delivery side (needs every shard's ext index space): u is in
+        # x's border toward y  <=>  u appears in y's external set, so
+        # one sweep over the ext lists yields every (node, watching
+        # host) pair. Count the pairs per node, lay them out per shard
+        # in local-node order, then fill — y ascending within a node.
+        count = array("q", [0]) * n
+        for tables in built:
+            for g in tables.ext_global:
+                count[g] += 1
+        cursor = array("q", [0]) * n
+        deliver_offsets = []
+        pos = 0
+        for owned in owned_per:
+            offs = array("q", [0]) * (len(owned) + 1)
+            base = pos
+            for u, g in enumerate(owned):
+                cursor[g] = pos
+                pos += count[g]
+                offs[u + 1] = pos - base
+            deliver_offsets.append(offs)
+        hosts_flat = array("q", [0]) * pos
+        slots_flat = array("q", [0]) * pos
+        for y, tables in enumerate(built):
+            s = 0
+            for g in tables.ext_global:
+                p = cursor[g]
+                hosts_flat[p] = y
+                slots_flat[p] = s
+                cursor[g] = p + 1
+                s += 1
+        out = []
+        pos = 0
+        for tables, offs in zip(built, deliver_offsets):
+            end = pos + offs[-1]
+            out.append(tables._replace(
+                deliver_offsets=offs,
+                deliver_hosts=hosts_flat[pos:end],
+                deliver_slots=slots_flat[pos:end],
+            ))
+            pos = end
+        return out
+
+    def route_updates(
+        self,
+        nodes,
+        est,
+        deliver_offsets,
+        deliver_hosts,
+        deliver_slots,
+        neighbor_hosts,
+        broadcast,
+        out_slots,
+        out_vals,
+        host_counts,
+    ):
+        if not len(nodes) or not neighbor_hosts:
+            return (), 0
+        if broadcast:
+            # one transmission; every estimate counted once, every
+            # neighbour host receives a message (even an irrelevant one —
+            # only border pairs are actually delivered, the rest the
+            # object engine's fold would ignore anyway)
+            for u in nodes:
+                k = est[u]
+                lo = deliver_offsets[u]
+                hi = deliver_offsets[u + 1]
+                for y, s in zip(deliver_hosts[lo:hi], deliver_slots[lo:hi]):
+                    out_slots[y].append(s)
+                    out_vals[y].append(k)
+            return neighbor_hosts, len(nodes)
+        # per-destination subsets; a message exists only where the
+        # subset is non-empty, and each (estimate, destination) pair
+        # costs one overhead unit
+        touched: list[int] = []
+        for u in nodes:
+            k = est[u]
+            lo = deliver_offsets[u]
+            hi = deliver_offsets[u + 1]
+            for y, s in zip(deliver_hosts[lo:hi], deliver_slots[lo:hi]):
+                out_slots[y].append(s)
+                out_vals[y].append(k)
+                c = host_counts[y]
+                if not c:
+                    touched.append(y)
+                host_counts[y] = c + 1
+        sent = 0
+        for y in touched:
+            sent += host_counts[y]
+            host_counts[y] = 0
+        return touched, sent
 
     # ------------------------------------------------------------------
     # dynamic-CSR edit kernels

@@ -374,7 +374,9 @@ class _ShardWorker:
     # ``transport=False`` (recovery replay) keeps every counter and the
     # resend buffer exact but skips the physical queue puts / ring
     # writes — the live fleet already received these batches.
-    def _ship(self, deliver_round: int, updates: list, transport: bool = True) -> tuple:
+    def _ship(
+        self, deliver_round: int, updates: list[int], transport: bool = True
+    ) -> tuple:
         num_hosts = self.num_hosts
         out_slots: list[list[int]] = [[] for _ in range(num_hosts)]
         out_vals: list[list[int]] = [[] for _ in range(num_hosts)]

@@ -195,6 +195,14 @@ class TestVersionSkew:
         with pytest.raises(CheckpointFormatError):
             resume_from_checkpoint(str(committed_dir))
 
+    def test_resume_refuses_version_1_fleet(self, committed_dir):
+        """Version-1 fleets pickled per-node delivery lists that today's
+        HostShard cannot adopt: the version check must refuse them
+        before anything is unpickled."""
+        self._rewrite_version(committed_dir, 1)
+        with pytest.raises(CheckpointFormatError, match="older"):
+            resume_from_checkpoint(str(committed_dir))
+
 
 class TestResume:
     """Whole-fleet restart (the coordinator-death path) is exact."""

@@ -41,7 +41,9 @@ def _emit(step, updates, out_slots=None):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_init_seeds_degrees_and_returns_every_owned_estimate(backend):
     step = _step(backend=backend)
-    assert step.init() == [(0, 1), (1, 2)]
+    # the updates are the owned nodes; their estimates are est[u]
+    assert step.init() == [0, 1]
+    assert [int(v) for v in step.est[:2]] == [1, 2]
     assert [int(v) for v in step.est[2:]] == [INFINITY_INT] * 3
     assert step.changed_list == []
     assert not any(step.changed_flag)
@@ -76,7 +78,8 @@ def test_fold_returns_only_the_cascade_changes(backend):
     step.init()
     # node 4 (host 1, ext slot 2) drops to 1: node 3 (local 1) keeps
     # only one neighbour at >= 2 and follows; node 0 is untouched
-    assert step.fold([2], [1]) == [(1, 1)]
+    assert step.fold([2], [1]) == [1]
+    assert int(step.est[1]) == 1
     assert step.fold([2], [1]) == []
 
 

@@ -224,6 +224,153 @@ class TestCountIntra:
         )
 
 
+def _reference_route(updates, pairs, neighbor_hosts, broadcast, out_slots, out_vals):
+    """The per-estimate routing loop ``route_updates`` replaced, over
+    ``(node, estimate)`` updates and per-node ``(host, slot)`` lists."""
+    if not updates or not neighbor_hosts:
+        return (), 0
+    if broadcast:
+        for u, k in updates:
+            for y, s in pairs[u]:
+                out_slots[y].append(s)
+                out_vals[y].append(k)
+        return neighbor_hosts, len(updates)
+    counts: dict[int, int] = {}
+    for u, k in updates:
+        for y, s in pairs[u]:
+            out_slots[y].append(s)
+            out_vals[y].append(k)
+            counts[y] = counts.get(y, 0) + 1
+    return list(counts), sum(counts.values())
+
+
+class TestRouteUpdates:
+    """``route_updates`` replays the reference routing loop exactly:
+    per-destination list contents and order, destinations (first-touch
+    order under p2p) and the Figure-5 count, on every backend."""
+
+    HOSTS = 5
+
+    @pytest.fixture(scope="class")
+    def sharded(self):
+        from repro.core.assignment import assign
+        from repro.graph.sharded import ShardedCSR
+
+        # isolated nodes 60..63 own no delivery pairs at all
+        g = gen.erdos_renyi_graph(60, 0.08, seed=4)
+        for v in range(60, 64):
+            g.add_node(v)
+        return ShardedCSR.from_graph(g, assign(g, self.HOSTS, policy="random", seed=2))
+
+    def _route(self, backend, shard, nodes, values, broadcast, queued=()):
+        """Run the kernel on fresh out lists that already hold ``queued``."""
+        est = backend.full(shard.n_owned + shard.n_ext, -1)
+        for u, k in zip(nodes, values):
+            est[u] = k
+        out_slots = [list(queued) for _ in range(self.HOSTS)]
+        out_vals = [list(queued) for _ in range(self.HOSTS)]
+        scratch = array("q", [0]) * self.HOSTS
+        dests, sent = backend.route_updates(
+            list(nodes), est,
+            backend.graph_array(shard.deliver_offsets),
+            backend.graph_array(shard.deliver_hosts),
+            backend.graph_array(shard.deliver_slots),
+            shard.neighbor_hosts, broadcast, out_slots, out_vals, scratch,
+        )
+        assert not any(scratch)  # scratch is all-zero between calls
+        return list(dests), sent, out_slots, out_vals
+
+    def _expected(self, shard, nodes, values, broadcast, queued=()):
+        pairs = [
+            list(zip(
+                shard.deliver_hosts[shard.deliver_offsets[u]:shard.deliver_offsets[u + 1]],
+                shard.deliver_slots[shard.deliver_offsets[u]:shard.deliver_offsets[u + 1]],
+            ))
+            for u in range(shard.n_owned)
+        ]
+        out_slots = [list(queued) for _ in range(self.HOSTS)]
+        out_vals = [list(queued) for _ in range(self.HOSTS)]
+        dests, sent = _reference_route(
+            list(zip(nodes, values)), pairs, shard.neighbor_hosts, broadcast,
+            out_slots, out_vals,
+        )
+        return list(dests), sent, out_slots, out_vals
+
+    @pytest.mark.parametrize("broadcast", [True, False])
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_random_batches_match_reference(self, sharded, name, broadcast):
+        backend = resolve_backend(name)
+        rng = random.Random(11)
+        for shard in sharded.shards:
+            for _ in range(25):
+                size = rng.randint(1, shard.n_owned)
+                # any order: the cascade's change order is backend-specific
+                nodes = rng.sample(range(shard.n_owned), size)
+                values = [rng.randint(0, 40) for _ in nodes]
+                got = self._route(backend, shard, nodes, values, broadcast, [7])
+                assert got == self._expected(
+                    shard, nodes, values, broadcast, [7]
+                )
+                for lists in got[2] + got[3]:
+                    assert all(type(v) is int for v in lists)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_p2p_first_touch_order_and_figure5_count(self, sharded, name):
+        backend = resolve_backend(name)
+        shard = max(sharded.shards, key=lambda s: len(s.deliver_hosts))
+        offsets = shard.deliver_offsets
+        # nodes by their first delivery host, descending: the earliest
+        # destinations are the largest hosts
+        nodes = sorted(
+            (u for u in range(shard.n_owned) if offsets[u + 1] > offsets[u]),
+            key=lambda u: -shard.deliver_hosts[offsets[u]],
+        )
+        dests, sent, _, _ = self._route(
+            backend, shard, nodes, [3] * len(nodes), False
+        )
+        touched: list[int] = []
+        for u in nodes:
+            for e in range(offsets[u], offsets[u + 1]):
+                if shard.deliver_hosts[e] not in touched:
+                    touched.append(shard.deliver_hosts[e])
+        assert dests == touched
+        assert dests != sorted(dests)  # the order is really first touch
+        # one unit per (estimate, destination) pair
+        assert sent == sum(offsets[u + 1] - offsets[u] for u in nodes)
+        _, broadcast_sent, _, _ = self._route(
+            backend, shard, nodes, [3] * len(nodes), True
+        )
+        assert broadcast_sent == len(nodes)
+
+    @pytest.mark.parametrize("broadcast", [True, False])
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_empty_batch_sends_nothing(self, sharded, name, broadcast):
+        backend = resolve_backend(name)
+        shard = sharded.shards[0]
+        assert shard.neighbor_hosts
+        assert self._route(backend, shard, [], [], broadcast) == (
+            [], 0, [[]] * self.HOSTS, [[]] * self.HOSTS
+        )
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_node_without_delivery_pairs(self, sharded, name):
+        backend = resolve_backend(name)
+        ids = sharded.csr.ids
+        shard, u = next(
+            (s, u) for s in sharded.shards for u in range(s.n_owned)
+            if ids[s.owned_global[u]] >= 60
+        )
+        assert shard.deliver_offsets[u] == shard.deliver_offsets[u + 1]
+        empty = [[]] * self.HOSTS
+        # p2p: no destination, no cost
+        assert self._route(backend, shard, [u], [0], False) == ([], 0, empty, empty)
+        # broadcast: still one (empty) message per neighbour host, and
+        # the estimate is counted once
+        assert self._route(backend, shard, [u], [0], True) == (
+            list(shard.neighbor_hosts), 1, empty, empty
+        )
+
+
 class TestExportSendCounts:
     def test_with_ids(self):
         stats = SimulationStats()

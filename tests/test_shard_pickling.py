@@ -43,7 +43,9 @@ def assert_shard_equal(a, b) -> None:
     assert b.watch_offsets == a.watch_offsets
     assert b.watch_targets == a.watch_targets
     assert b.neighbor_hosts == a.neighbor_hosts
-    assert b.deliver == a.deliver
+    assert b.deliver_offsets == a.deliver_offsets
+    assert b.deliver_hosts == a.deliver_hosts
+    assert b.deliver_slots == a.deliver_slots
     assert b.cut_to == a.cut_to
 
 

@@ -21,8 +21,17 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.sharded import ShardedCSR
+from repro.sim import kernels
+from repro.sim.kernels import numpy_available
 
 from tests.conftest import graphs
+
+#: Every HostShard table the shard_tables kernel builds.
+TABLES = (
+    "owned_global", "offsets", "targets", "ext_global", "ext_host",
+    "watch_offsets", "watch_targets", "deliver_offsets", "deliver_hosts",
+    "deliver_slots",
+)
 
 
 def _shard_owned_ids(sharded: ShardedCSR, host: int) -> list[int]:
@@ -97,6 +106,29 @@ class TestStructure:
         sharded = ShardedCSR.from_graph(g, Assignment(host_of={}, num_hosts=3))
         assert len(sharded.shards) == 3
         assert sharded.cut_edges == 0
+
+
+class TestDeliveryTable:
+    def test_segments_list_every_other_watching_host_once(self):
+        g = gen.powerlaw_cluster_graph(90, 3, 0.25, seed=8)
+        sharded = ShardedCSR.from_graph(g, assign(g, 6, policy="random", seed=9))
+        for shard in sharded.shards:
+            offsets = shard.deliver_offsets
+            assert len(offsets) == shard.n_owned + 1
+            assert offsets[-1] == len(shard.deliver_hosts) == len(
+                shard.deliver_slots
+            )
+            for u in range(shard.n_owned):
+                hosts = list(shard.deliver_hosts[offsets[u]:offsets[u + 1]])
+                assert hosts == sorted(set(hosts))
+                assert shard.host not in hosts
+                # exactly the hosts owning a neighbour of u
+                watching = {
+                    shard.ext_host[t - shard.n_owned]
+                    for t in shard.targets[shard.offsets[u]:shard.offsets[u + 1]]
+                    if t >= shard.n_owned
+                }
+                assert set(hosts) == watching
 
 
 class TestBoundaryTables:
@@ -220,3 +252,98 @@ class TestValidation:
         swapped = Assignment(host_of={0: 0, 1: 1, 99: 0}, num_hosts=2)
         with pytest.raises(ConfigurationError, match="node 2"):
             ShardedCSR.from_graph(g, swapped)
+
+
+def _build(graph, assignment, numpy: bool, monkeypatch) -> ShardedCSR:
+    """``ShardedCSR`` on the numpy or the stdlib ``shard_tables`` kernel
+    (checked, so a comparison can never pit a backend against itself)."""
+    resolve = kernels.resolve_backend
+    used: list[str] = []
+
+    def spy(name):
+        used.append(name)
+        return resolve(name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "resolve_backend", spy)
+        if not numpy:
+            patch.setattr(kernels, "numpy_available", lambda: False)
+        sharded = ShardedCSR(CSRGraph.from_graph(graph), assignment)
+    assert used == ["numpy" if numpy else "stdlib"]
+    return sharded
+
+
+def assert_same_partition(a: ShardedCSR, b: ShardedCSR) -> None:
+    """Every table, cut count and host list is identical, as a value and
+    as an ``array('q')``."""
+    assert a.cut_edges == b.cut_edges
+    assert a.host_of_index == b.host_of_index
+    assert len(a.shards) == len(b.shards)
+    for x, (sa, sb) in enumerate(zip(a.shards, b.shards)):
+        for name in TABLES:
+            ta, tb = getattr(sa, name), getattr(sb, name)
+            assert ta.typecode == tb.typecode == "q", (x, name)
+            assert ta == tb, (x, name)
+        assert (sa.n_owned, sa.n_ext) == (sb.n_owned, sb.n_ext), x
+        # cut_to's key order too: cut_matrix and the pickles iterate it
+        assert list(sa.cut_to.items()) == list(sb.cut_to.items()), x
+        assert sa.neighbor_hosts == sb.neighbor_hosts, x
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+class TestShardTablesBackendIdentity:
+    """The numpy ``shard_tables`` kernel builds the stdlib kernel's
+    tables exactly — so which one ``ShardedCSR`` ran is invisible."""
+
+    @pytest.mark.parametrize("hosts", [1, 2, 7, "n+3"])
+    @pytest.mark.parametrize(
+        "policy", ["modulo", "block", "random", "bfs", "refined"]
+    )
+    @pytest.mark.parametrize(
+        "family",
+        ["path6", "figure2", "figure1", "worst12", "small_social",
+         "medium_social"],
+    )
+    def test_conftest_graphs(self, request, monkeypatch, family, policy, hosts):
+        g = request.getfixturevalue(family)
+        num_hosts = g.num_nodes + 3 if hosts == "n+3" else hosts
+        assignment = assign(g, num_hosts, policy=policy, seed=3)
+        assert_same_partition(
+            _build(g, assignment, False, monkeypatch),
+            _build(g, assignment, True, monkeypatch),
+        )
+
+    def test_empty_graph(self, monkeypatch):
+        empty = Assignment(host_of={}, num_hosts=3)
+        a = _build(Graph(), empty, False, monkeypatch)
+        b = _build(Graph(), empty, True, monkeypatch)
+        assert_same_partition(a, b)
+        assert [s.n_owned for s in b.shards] == [0, 0, 0]
+
+    def test_isolated_nodes(self, monkeypatch):
+        g = Graph.from_edges([(0, 1), (1, 2), (5, 6)], num_nodes=9)
+        for policy in ("modulo", "block", "bfs"):
+            assignment = assign(g, 4, policy=policy, seed=1)
+            assert_same_partition(
+                _build(g, assignment, False, monkeypatch),
+                _build(g, assignment, True, monkeypatch),
+            )
+
+    @given(graphs(), st.integers(1, 9), st.sampled_from(
+        ["modulo", "block", "random", "bfs", "refined"]))
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_graphs(self, g, hosts, policy):
+        assignment = assign(g, hosts, policy=policy, seed=5)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_same_partition(
+                _build(g, assignment, False, monkeypatch),
+                _build(g, assignment, True, monkeypatch),
+            )
+
+    def test_cut_counts_are_builtin_ints(self):
+        g = gen.erdos_renyi_graph(40, 0.1, seed=2)
+        sharded = ShardedCSR.from_graph(g, assign(g, 3))
+        assert type(sharded.cut_edges) is int
+        for shard in sharded.shards:
+            for y, count in shard.cut_to.items():
+                assert type(y) is int and type(count) is int
