@@ -23,6 +23,14 @@ run straight over a ``CSRGraph`` with no per-node translation.
 The structure is immutable by convention: builders produce it, engines
 read it. Mutation workloads stay on :class:`Graph` and convert with
 :meth:`from_graph` / :meth:`to_graph` at the boundary.
+
+Edge lists become CSR buffers through one code path, the kernel layer's
+``csr_from_edges`` (:mod:`repro.sim.kernels`): :meth:`from_edges` and
+the SNAP reader :func:`repro.graph.io.read_edge_list` both go through
+:meth:`CSRGraph._from_endpoints`, which runs it on numpy when numpy is
+importable and the list has at least :data:`NUMPY_MIN_PAIRS` pairs, and
+on the stdlib otherwise. Both build identical ``array('q')`` buffers, so
+the choice is invisible to every reader.
 """
 
 from __future__ import annotations
@@ -35,6 +43,13 @@ from repro.errors import GraphError, NodeNotFoundError
 from repro.graph.graph import Graph
 
 __all__ = ["CSRGraph"]
+
+#: Edge lists shorter than this build on the stdlib kernel even where
+#: numpy is importable. Importing numpy costs a process about 14 MB
+#: resident and 0.1-0.2 s, more than the numpy build saves below this
+#: size (1-2 us per pair), and a short list is often the only thing in
+#: the process that would import it.
+NUMPY_MIN_PAIRS = 1 << 16
 
 
 class CSRGraph:
@@ -94,7 +109,18 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph, name: str | None = None) -> "CSRGraph":
-        """Compact a :class:`Graph`; nodes are ordered by ascending id."""
+        """Compact a :class:`Graph`; nodes are ordered by ascending id.
+
+        A graph read from a file hands back the CSR it holds (see
+        :mod:`repro.graph.graph`) until its first mutation; nothing is
+        copied, so callers must not write its buffers.
+        """
+        label = graph.name if name is None else name
+        held = graph._csr
+        if held is not None:
+            if held.name == label:
+                return held
+            return cls(held.offsets, held.targets, held.ids, name=label)
         node_ids = sorted(graph.nodes())
         ids = array("q", node_ids)
         n = len(node_ids)
@@ -104,10 +130,12 @@ class CSRGraph:
         )
         rows = list(map(graph.neighbors, node_ids))
         offsets = array("q", accumulate(map(len, rows), initial=0))
-        if index_of is not None:
-            rows = [map(index_of.__getitem__, nbrs) for nbrs in rows]
-        targets = array("q", chain.from_iterable(map(sorted, rows)))
-        csr = cls(offsets, targets, ids, name=graph.name if name is None else name)
+        compact: Iterable[Iterable[int]] = (
+            rows if index_of is None
+            else [map(index_of.__getitem__, nbrs) for nbrs in rows]
+        )
+        targets = array("q", chain.from_iterable(map(sorted, compact)))
+        csr = cls(offsets, targets, ids, name=label)
         if index_of is not None:
             csr._index_of = index_of
         return csr
@@ -126,38 +154,38 @@ class CSRGraph:
         collapse, and ``num_nodes`` forces ``0..num_nodes-1`` to exist
         even when isolated.
         """
-        node_set: set[int] = set()
-        pairs: list[tuple[int, int]] = []
+        us, vs = array("q"), array("q")
         for u, v in edges:
             if not isinstance(u, int) or not isinstance(v, int):
                 raise GraphError(f"node ids must be integers, got ({u!r}, {v!r})")
-            if u == v:
-                node_set.add(u)
-                continue
-            node_set.add(u)
-            node_set.add(v)
-            pairs.append((u, v) if u < v else (v, u))
+            us.append(u)
+            vs.append(v)
         if num_nodes is not None:
-            node_set.update(range(num_nodes))
-        node_ids = sorted(node_set)
-        ids = array("q", node_ids)
-        index_of = {u: i for i, u in enumerate(node_ids)}
-        n = len(node_ids)
-        # both directions, compacted, sorted, deduplicated
-        directed = sorted(
-            {(index_of[u], index_of[v]) for u, v in pairs}
-            | {(index_of[v], index_of[u]) for u, v in pairs}
-        )
-        offsets = array("q", [0] * (n + 1))
-        targets = array("q", [0] * len(directed))
-        for e, (src, dst) in enumerate(directed):
-            offsets[src + 1] += 1
-            targets[e] = dst
-        for i in range(n):
-            offsets[i + 1] += offsets[i]
-        csr = cls(offsets, targets, ids, name=name)
-        csr._index_of = index_of
-        return csr
+            # a self-loop testifies that its node exists
+            us.extend(range(num_nodes))
+            vs.extend(range(num_nodes))
+        return cls._from_endpoints(us, vs, name=name)
+
+    @classmethod
+    def _from_endpoints(
+        cls, us: array, vs: array, name: str = "", relabel: bool = False
+    ) -> "CSRGraph":
+        """The graph on the pairs ``(us[k], vs[k])`` of two ``array('q')``
+        endpoint buffers, with :meth:`from_edges` semantics.
+
+        ``relabel`` numbers the nodes ``0..n-1`` in ascending order of
+        their ids instead of keeping the ids.
+        """
+        # deferred: importing the kernel layer at module scope would
+        # close a cycle through repro.sim (whose engines import this)
+        from repro.sim.kernels import numpy_available, resolve_backend
+
+        large = len(us) >= NUMPY_MIN_PAIRS
+        kb = resolve_backend("numpy" if large and numpy_available() else "stdlib")
+        offsets, targets, ids = kb.csr_from_edges(us, vs)
+        if relabel:
+            ids = array("q", range(len(ids)))
+        return cls(offsets, targets, ids, name=name)
 
     def to_graph(self, name: str | None = None) -> Graph:
         """Round-trip back to a mutable :class:`Graph` (original ids)."""

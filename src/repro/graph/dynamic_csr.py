@@ -213,10 +213,6 @@ class DynamicCSRGraph:
         """Alive original ids, ascending."""
         return iter(sorted(self._index_of))
 
-    def live_rows(self) -> Iterator[int]:
-        """Rows backing alive nodes (arbitrary but deterministic order)."""
-        return iter(self._index_of.values())
-
     def degree(self, node: int) -> int:
         return self.live[self.row_of(node)]
 

@@ -7,6 +7,13 @@ fit for the access patterns here: neighbour iteration (the protocols),
 membership tests (edge queries), and incremental mutation (the streaming
 module).
 
+A graph read from a SNAP file (:func:`repro.graph.io.read_edge_list`)
+starts out holding the :class:`~repro.graph.csr.CSRGraph` its loader
+built, and fills the sets from it only when a caller first needs them:
+``nodes()``, ``num_nodes``, ``num_edges``, ``len()`` and ``in`` answer
+without them, and :meth:`CSRGraph.from_graph` hands the held CSR back
+until the first mutation drops it.
+
 The paper's system model (Section 2) defines ``neighborV(u)``; the
 :meth:`Graph.neighbors` method is exactly that function. Host-level views
 (``neighborV(x)``, ``neighborH(x)``) live in :mod:`repro.core.assignment`.
@@ -15,9 +22,14 @@ The paper's system model (Section 2) defines ``neighborV(u)``; the
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import pairwise
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from repro.errors import EdgeError, GraphError, NodeNotFoundError
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
 
 __all__ = ["Graph"]
 
@@ -38,15 +50,18 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges", "name", "_sorted_cache")
-
     def __init__(self, name: str = "") -> None:
-        self._adj: dict[int, set[int]] = {}
+        self._adj = {}
         self._num_edges: int = 0
         self.name = name
         # lazily filled {node: sorted neighbour tuple}; entries are
         # dropped on mutation of the node's neighbourhood
         self._sorted_cache: dict[int, tuple[int, ...]] = {}
+        # a graph built by _from_csr holds its CSR and a separate node
+        # view until its first mutation; every other graph has no CSR
+        # and its node view is the adjacency dict itself
+        self._csr: CSRGraph | None = None
+        self._nodes: Collection[int] = self._adj
 
     # ------------------------------------------------------------------
     # construction
@@ -78,15 +93,39 @@ class Graph:
         return graph
 
     @classmethod
-    def _adopt(cls, adj: dict[int, set[int]], name: str = "") -> "Graph":
-        """Wrap ``adj`` without copying it (bulk loaders).
+    def _from_csr(
+        cls, csr: "CSRGraph", nodes: Collection[int], name: str = ""
+    ) -> "Graph":
+        """Wrap ``csr`` without building adjacency sets (bulk loaders).
 
-        The caller guarantees ``adj`` is symmetric and has no self-loops.
+        ``nodes`` holds ``csr.ids`` in the graph's node order (a
+        ``range``, or a dict keyed in that order); it answers
+        ``nodes()``, ``len()`` and ``in`` until the first mutation.
         """
-        graph = cls(name=name)
-        graph._adj = adj
-        graph._num_edges = sum(map(len, adj.values())) // 2
+        graph = cls.__new__(cls)  # no __init__: _adj stays unbuilt
+        graph._num_edges = csr.num_edges
+        graph.name = name
+        graph._sorted_cache = {}
+        graph._csr = csr
+        graph._nodes = nodes
         return graph
+
+    @cached_property
+    def _adj(self) -> dict[int, set[int]]:
+        # reached only by a graph built by _from_csr (__init__ sets _adj
+        # on every other graph): fill the sets from the held CSR, once
+        csr = self._csr
+        assert csr is not None
+        keys = list(csr.ids)  # one int object per node, shared by the sets
+        flat = list(map(keys.__getitem__, csr.targets))
+        rows = dict(zip(keys, [set(flat[lo:hi]) for lo, hi in pairwise(csr.offsets)]))
+        return {u: rows[u] for u in self._nodes}
+
+    def _drop_csr(self) -> None:
+        """Before the first mutation of a CSR-backed graph: from now on
+        the sets are the graph."""
+        self._nodes = self._adj
+        self._csr = None
 
     @classmethod
     def from_adjacency(
@@ -104,8 +143,13 @@ class Graph:
 
     def copy(self, name: str | None = None) -> "Graph":
         """Return an independent deep copy."""
-        dup = Graph(name=self.name if name is None else name)
+        label = self.name if name is None else name
+        if self._csr is not None:
+            # the CSR and the node view are never mutated: share them
+            return Graph._from_csr(self._csr, self._nodes, label)
+        dup = Graph(name=label)
         dup._adj = {u: set(nbrs) for u, nbrs in self._adj.items()}
+        dup._nodes = dup._adj
         dup._num_edges = self._num_edges
         return dup
 
@@ -116,6 +160,8 @@ class Graph:
         """Ensure ``node`` exists (no-op if already present)."""
         if not isinstance(node, int):
             raise GraphError(f"node ids must be integers, got {node!r}")
+        if self._csr is not None:
+            self._drop_csr()
         self._adj.setdefault(node, set())
 
     def add_edge(self, u: int, v: int, strict: bool = True) -> bool:
@@ -130,7 +176,7 @@ class Graph:
             if strict:
                 raise EdgeError(f"self-loop on node {u} is not allowed")
             return False
-        self.add_node(u)
+        self.add_node(u)  # drops a held CSR before anything changes
         self.add_node(v)
         if v in self._adj[u]:
             if strict:
@@ -146,6 +192,8 @@ class Graph:
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove edge ``{u, v}``; raises :class:`EdgeError` if absent."""
+        if self._csr is not None:
+            self._drop_csr()
         if u not in self._adj or v not in self._adj[u]:
             raise EdgeError(f"edge ({u}, {v}) is not in the graph")
         self._adj[u].discard(v)
@@ -157,6 +205,8 @@ class Graph:
 
     def remove_node(self, node: int) -> None:
         """Remove ``node`` and all incident edges."""
+        if self._csr is not None:
+            self._drop_csr()
         if node not in self._adj:
             raise NodeNotFoundError(node)
         for neighbor in self._adj[node]:
@@ -172,7 +222,7 @@ class Graph:
     @property
     def num_nodes(self) -> int:
         """Number of nodes, the paper's ``N``."""
-        return len(self._adj)
+        return len(self._nodes)
 
     @property
     def num_edges(self) -> int:
@@ -181,7 +231,7 @@ class Graph:
 
     def nodes(self) -> Iterator[int]:
         """Iterate over node ids (insertion order)."""
-        return iter(self._adj)
+        return iter(self._nodes)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over each undirected edge once, as ``(min, max)``."""
@@ -191,7 +241,7 @@ class Graph:
                     yield (u, v)
 
     def has_node(self, node: int) -> bool:
-        return node in self._adj
+        return node in self._nodes
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self._adj.get(u)
@@ -292,13 +342,13 @@ class Graph:
     # dunder conveniences
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self._nodes)
 
     def __contains__(self, node: object) -> bool:
-        return node in self._adj
+        return node in self._nodes
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._adj)
+        return iter(self._nodes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -9,9 +9,11 @@ nodes to the contiguous ``0..N-1`` range the modulo assignment policy
 expects.
 
 :func:`read_edge_list` makes one pass over the file. It parses bounded
-blocks of lines into two ``array('q')`` endpoint buffers, then fills the
-adjacency sets once, already relabelled. No intermediate :class:`Graph`
-is built.
+blocks of lines into two ``array('q')`` endpoint buffers and hands them
+to the kernel layer's CSR build (on numpy for long files wherever numpy
+is importable, see :mod:`repro.graph.csr`). The returned :class:`Graph` holds that
+:class:`CSRGraph` and builds its adjacency sets only when a caller
+first needs them, so the flat engines run on the loader's CSR as is.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from repro.errors import GraphIOError
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 
 __all__ = ["read_edge_list", "write_edge_list", "parse_edge_lines"]
@@ -152,24 +155,13 @@ def read_edge_list(
             block_us, block_vs = _parse_block(text, lineno, path)
             us += block_us
             vs += block_vs
-    # node id -> its key in the graph, one int object per node, which
-    # every adjacency set then shares
-    if relabel:
-        ids = sorted(set(us).union(vs))
-        key_of = dict(zip(ids, range(len(ids))))
-    else:
-        first_seen = dict.fromkeys(chain.from_iterable(zip(us, vs)))
-        key_of = dict(zip(first_seen, first_seen))
-    heads = list(map(key_of.__getitem__, us))
-    tails = list(map(key_of.__getitem__, vs))
-    del us, vs
-    adj: dict[int, set[int]] = {u: set() for u in key_of.values()}
-    for u, v in zip(heads, tails):
-        adj[u].add(v)
-        adj[v].add(u)
-    for u, nbrs in adj.items():
-        nbrs.discard(u)  # a self-loop only testifies that u exists
-    return Graph._adopt(adj, name=name or os.path.basename(path))
+    name = name or os.path.basename(path)
+    csr = CSRGraph._from_endpoints(us, vs, name=name, relabel=relabel)
+    nodes: range | dict[int, None] = (
+        range(csr.num_nodes) if relabel
+        else dict.fromkeys(chain.from_iterable(zip(us, vs)))
+    )
+    return Graph._from_csr(csr, nodes, name=name)
 
 
 def write_edge_list(

@@ -6,7 +6,8 @@ allocation, the round-2 estimate seeding, the mailbox-slot fold with
 the sup-counter recompute skip, frontier recomputation + send emission
 (Algorithm 1's periodic block), the shard-local cascade (Algorithm 4)
 with its changed-flag bookkeeping, batched ``computeIndex`` (Algorithm
-2), the bulk-synchronous h-index sweep, and the two loops over the
+2), the bulk-synchronous h-index sweep, the CSR build from an edge
+list (:meth:`KernelBackend.csr_from_edges`), and the two loops over the
 partition's delivery table: building every host's tables
 (:meth:`KernelBackend.shard_tables`) and routing a host's changed
 estimates along them (:meth:`KernelBackend.route_updates`). Engines
@@ -324,6 +325,35 @@ class KernelBackend(Protocol):
         support of watchers whose level the drop crosses, and returns
         the dirty worklist (watchers starved below their estimate) for
         :meth:`cascade`.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # CSR build (SNAP ingest, CSRGraph.from_edges)
+    # ------------------------------------------------------------------
+    def csr_from_edges(self, us: array, vs: array) -> tuple[array, array, array]:
+        """Build the CSR of the simple undirected graph on ``(us[k], vs[k])``.
+
+        Pre: ``us`` / ``vs`` are equal-length ``array('q')`` endpoint
+        buffers holding any signed 64-bit ids. Duplicate pairs, reverse
+        pairs and self-loops are all allowed, and the inputs are not
+        modified. Post: returns ``(offsets, targets, ids)``, fresh
+        ``array('q')`` buffers with no reference into the inputs:
+
+        * ``ids`` — every id in ``us`` or ``vs``, once each, ascending
+          (a self-loop's endpoint included); id ``ids[i]`` is compact
+          node ``i``;
+        * ``offsets`` — ``len(ids) + 1`` entries; node ``i``'s
+          neighbours are ``targets[offsets[i]:offsets[i + 1]]``;
+        * ``targets`` — the compact neighbours of each node, strictly
+          ascending within each slice: a pair in either direction
+          gives one entry on each side, repeats collapse, and
+          self-loops give none.
+
+        This is exactly :meth:`~repro.graph.csr.CSRGraph.from_graph`
+        of the graph the pairs describe, and the buffers are
+        bit-identical across backends (``tests/test_kernels.py``
+        asserts it on generated inputs).
         """
         raise NotImplementedError
 

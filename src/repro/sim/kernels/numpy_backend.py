@@ -66,6 +66,18 @@ def _segments(offsets, nodes):
     return seg, idx, starts, lens
 
 
+def _distinct(values):
+    """The distinct values, ascending: ``np.unique(values)`` by one sort
+    and a neighbour comparison, without ``np.unique``'s per-call cost."""
+    out = np.sort(values)
+    if len(out) > 1:
+        keep = np.empty(len(out), dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
 def _to_q(values) -> array:
     """Copy an i64 ndarray into a fresh ``array('q')`` (one block copy)."""
     out = array("q")
@@ -95,7 +107,7 @@ class NumpyBackend(KernelBackend):
         return offsets[1:] - offsets[:-1]
 
     def worklist_flags(self, n: int):
-        return None  # dedupe happens with np.unique, no flag scratch
+        return None  # dedupe happens by sorting, no flag scratch
 
     # ------------------------------------------------------------------
     # Algorithm 2
@@ -182,7 +194,7 @@ class NumpyBackend(KernelBackend):
         crossing = (old >= levels) & (vals < levels)
         starved = owners[crossing]
         np.subtract.at(sup, starved, 1)
-        cand = np.unique(starved)
+        cand = _distinct(starved)
         return cand[sup[cand] < core[cand]]
 
     def process_frontier(
@@ -284,7 +296,7 @@ class NumpyBackend(KernelBackend):
             crossing = (cur >= levels) & (new < levels)
             starved = nbrs[crossing]
             np.subtract.at(sup, starved, 1)
-            cand = np.unique(starved)
+            cand = _distinct(starved)
             dirty = cand[sup[cand] < est[cand]]
 
     def fold_mailbox(
@@ -314,8 +326,30 @@ class NumpyBackend(KernelBackend):
         crossing = (old[seg] >= levels) & (new[seg] < levels)
         starved = watchers[crossing]
         np.subtract.at(sup, starved, 1)
-        cand = np.unique(starved)
+        cand = _distinct(starved)
         return cand[sup[cand] < est[cand]]
+
+    # ------------------------------------------------------------------
+    # CSR build
+    # ------------------------------------------------------------------
+    def csr_from_edges(self, us, vs):
+        us = self.graph_array(us)
+        vs = self.graph_array(vs)
+        ids = _distinct(np.concatenate((us, vs)))
+        n = len(ids)
+        # compact indices; self-loops only testify that a node exists
+        src = np.searchsorted(ids, us)
+        dst = np.searchsorted(ids, vs)
+        proper = src != dst
+        src = src[proper]
+        dst = dst[proper]
+        # both directions as packed (source, target) keys: one sort
+        # orders them by source, then target, and neighbour comparison
+        # drops the repeats (n < 2**31.5, so src * n + dst fits in i64)
+        keys = _distinct(np.concatenate((src * n + dst, dst * n + src)))
+        src = keys // n
+        offsets = _csr_offsets(np.bincount(src, minlength=n))
+        return _to_q(offsets), _to_q(keys - src * n), _to_q(ids)
 
     # ------------------------------------------------------------------
     # partition tables
@@ -549,7 +583,7 @@ class NumpyBackend(KernelBackend):
             seg3, idx3, _, _ = self._dyn_segments(st, us, du)
             nbrs = tg[idx3]
             nbrs = nbrs[nbrs >= 0]
-            cand = np.unique(nbrs)
+            cand = _distinct(nbrs)
             work = cand[est_v[cand] > 0]
         return sorted(changed), rounds
 
@@ -600,7 +634,7 @@ class NumpyBackend(KernelBackend):
 
     def count_distinct_owners(self, slots, owner, n):
         if slots is None:
-            return int(len(np.unique(owner)))
+            return int(len(_distinct(owner)))
         if not len(slots):
             return 0
-        return int(len(np.unique(owner[slots])))
+        return int(len(_distinct(owner[slots])))

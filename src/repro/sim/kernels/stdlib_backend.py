@@ -242,6 +242,32 @@ class StdlibBackend(KernelBackend):
         return dirty
 
     # ------------------------------------------------------------------
+    # CSR build
+    # ------------------------------------------------------------------
+    def csr_from_edges(self, us, vs):
+        ids = sorted(set(us).union(vs))
+        n = len(ids)
+        if n and (ids[0] != 0 or ids[-1] != n - 1):
+            # sparse ids: compact them (contiguous ids already are)
+            index_of = dict(zip(ids, range(n)))
+            us = list(map(index_of.__getitem__, us))
+            vs = list(map(index_of.__getitem__, vs))
+        # appending to per-row lists, then writing each row's sorted
+        # distinct neighbours straight into the output, beats a set
+        # insert per pair and leaves few containers alive for the cycle
+        # collector to scan
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            if u != v:  # a self-loop only testifies that u exists
+                rows[u].append(v)
+                rows[v].append(u)
+        offsets, targets = array("q", [0]), array("q")
+        for row in rows:
+            targets.extend(sorted(set(row)))
+            offsets.append(len(targets))
+        return offsets, targets, array("q", ids)
+
+    # ------------------------------------------------------------------
     # partition tables
     # ------------------------------------------------------------------
     def shard_tables(self, offsets, targets, host_of, num_hosts):

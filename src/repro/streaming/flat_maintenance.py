@@ -120,12 +120,6 @@ class FlatDynamicKCore:
     ``csr.compact``), never in the metrics dict.
     """
 
-    #: Visited-row cap for the insertion candidate walk; past it the
-    #: walk falls back to bumping the whole level set (see
-    #: :meth:`_insert_candidates`).  Class attribute so tests can force
-    #: the fallback on small graphs.
-    _WALK_BUDGET = 96
-
     def __init__(
         self,
         graph: "Graph | CSRGraph | DynamicCSRGraph | None" = None,
@@ -443,32 +437,34 @@ class FlatDynamicKCore:
           if they are candidates themselves.  Rows failing even the
           optimistic count (every same-level neighbour assumed to
           rise) are never enqueued and never expanded through;
-        * the walk carries a visit budget (:attr:`_WALK_BUDGET`).  On
-          graphs whose coreness distribution concentrates on one
-          value the level set percolates and no local test stops the
-          walk from flooding it; once the budget trips, the walk is
-          abandoned for the coarser-but-sound bump set of *every*
-          live row at ``level`` — an array scan instead of a
-          traversal — and the re-convergence kernel performs the peel
-          (the numpy backend vectorises those rounds);
-        * within budget, the walk is peeled instead: a candidate
-          whose support from still-viable neighbours drops to
-          ``level`` or below is evicted, decrementing its candidate
-          neighbours, cascading.
+        * the walk is then peeled: a candidate whose support from
+          still-viable neighbours drops to ``level`` or below is
+          evicted, decrementing its candidate neighbours, cascading.
 
-        Every true riser survives each variant — risers are connected
-        to a root through risers, a riser keeps more than ``level``
-        viable supporters as long as no riser has been evicted, and
-        the fallback set contains the whole subcore — so bumping the
-        result always yields a pointwise upper bound and
-        re-convergence lands on exact coreness.
+        Every true riser survives both steps — risers are connected
+        to a root through risers, and a riser keeps more than
+        ``level`` viable supporters as long as no riser has been
+        evicted — so bumping the result yields a pointwise upper bound
+        and re-convergence lands on exact coreness.
+
+        The walk is linear in the edges it touches: ``est`` does not
+        change during it, so each row's optimistic count is computed
+        once and cached, and a rejected same-level hub is not
+        re-scanned by each neighbour that reaches it.  Each row's
+        neighbours are scanned at most four times: once for the
+        count, once to expand a candidate, and at most twice in the
+        peel.
         """
         est = self._est
         g = self._graph
-        budget = self._WALK_BUDGET
+        counts: dict[int, int] = {}
 
         def optimistic(r: int) -> int:
-            return sum(1 for t in g.neighbors_rows(r) if est[t] >= level)
+            count = counts.get(r)
+            if count is None:
+                count = sum(1 for t in g.neighbors_rows(r) if est[t] >= level)
+                counts[r] = count
+            return count
 
         cand: set[int] = set()
         queue: deque[int] = deque()
@@ -484,10 +480,6 @@ class FlatDynamicKCore:
                 if optimistic(t) > level:
                     cand.add(t)
                     queue.append(t)
-            if len(cand) > budget:
-                return {
-                    row for row in g.live_rows() if est[row] == level
-                }
         # Peel: support now counts only higher-level neighbours and
         # surviving candidates (every candidate sits at ``level``).
         support = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import random
 from unittest import mock
 
 import pytest
@@ -12,12 +13,21 @@ from hypothesis import strategies as st
 
 import repro.graph.io as graph_io
 from repro.errors import GraphIOError
+from repro.sim.kernels import numpy_available
 from repro.graph import generators as gen
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import NUMPY_MIN_PAIRS, CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.io import parse_edge_lines, read_edge_list, write_edge_list
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+BACKENDS = (
+    "stdlib",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
+    ),
+)
 
 
 class TestParsing:
@@ -241,6 +251,11 @@ class TestOnePassReaderMatchesReference:
             with mock.patch.object(graph_io, "_BLOCK_CHARS", block):
                 graph = read_edge_list(path, relabel=relabel)
             expected = _reference(path, relabel)
+            # the held CSR is what the reference graph compacts to
+            csr, want = CSRGraph.from_graph(graph), CSRGraph.from_graph(expected)
+            assert csr.offsets == want.offsets
+            assert csr.targets == want.targets
+            assert csr.ids == want.ids
             assert graph == expected
             # relabelled: ascending 0..N-1; otherwise first appearance
             assert list(graph.nodes()) == list(expected.nodes())
@@ -290,3 +305,187 @@ class TestCSRFromGraph:
         assert csr.targets == expected.targets
         assert csr.ids == expected.ids
         assert [csr.index(u) for u in csr.ids] == list(range(csr.num_nodes))
+
+
+# ----------------------------------------------------------------------
+# the read graph holds its CSR and builds adjacency sets on first use
+# ----------------------------------------------------------------------
+_FILE_EDGES = "# header\n7 3\n3 7\n3 9\n9 9\n12 7\n9 12\n40 41\n"
+
+
+def _buffers(csr: CSRGraph) -> tuple:
+    return (csr.offsets, csr.targets, csr.ids, csr.name)
+
+
+def _sets_built(graph: Graph) -> bool:
+    return "_adj" in vars(graph)
+
+
+#: Every mutator, applied to a read graph and to its reference alike;
+#: node ids are picked from the graph so they exist in both modes.
+MUTATIONS = {
+    "add_node_new": lambda g, nodes: g.add_node(1000),
+    "add_node_existing": lambda g, nodes: g.add_node(nodes[0]),
+    "add_edge_new": lambda g, nodes: g.add_edge(nodes[0], nodes[-1]),
+    "add_edge_to_new_node": lambda g, nodes: g.add_edge(nodes[1], 2000),
+    "add_edge_duplicate": lambda g, nodes: g.add_edge(
+        nodes[0], sorted(g.neighbors(nodes[0]))[0], strict=False
+    ),
+    "remove_edge": lambda g, nodes: g.remove_edge(
+        nodes[0], sorted(g.neighbors(nodes[0]))[0]
+    ),
+    "remove_node": lambda g, nodes: g.remove_node(nodes[1]),
+}
+
+
+class TestReadGraphHoldsCSR:
+    @pytest.fixture
+    def path(self, tmp_path) -> str:
+        path = tmp_path / "small.txt"
+        path.write_text(_FILE_EDGES)
+        return str(path)
+
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_cheap_reads_build_no_sets(self, path, relabel):
+        graph = read_edge_list(path, relabel=relabel)
+        expected = _reference(path, relabel)
+        assert type(graph) is Graph
+        assert list(graph.nodes()) == list(expected.nodes())
+        assert list(graph) == list(expected)
+        assert (graph.num_nodes, graph.num_edges, len(graph)) == (
+            expected.num_nodes, expected.num_edges, len(expected)
+        )
+        for node in [*expected.nodes(), 5, -1, 10**30, "x"]:
+            assert (node in graph) == (node in expected)
+        assert CSRGraph.from_graph(graph) is CSRGraph.from_graph(graph)
+        assert not _sets_built(graph)
+
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_other_reads_build_the_sets_once(self, path, relabel):
+        graph = read_edge_list(path, relabel=relabel)
+        expected = _reference(path, relabel)
+        held = CSRGraph.from_graph(graph)
+        node = next(iter(expected.nodes()))
+        assert graph.neighbors(node) == expected.neighbors(node)
+        assert _sets_built(graph)
+        sets = graph._adj
+        assert sorted(graph.edges()) == sorted(expected.edges())
+        assert graph.degrees() == expected.degrees()
+        assert graph.sorted_neighbors(node) == expected.sorted_neighbors(node)
+        assert graph._adj is sets
+        # reading is not mutating: the CSR is still handed back
+        assert CSRGraph.from_graph(graph) is held
+
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_long_file_matches_reference(self, tmp_path, relabel):
+        # long enough for the numpy build wherever numpy is importable
+        rng = random.Random(5)
+        ids = [rng.randrange(-(10**12), 10**12) for _ in range(4000)]
+        lines = [f"{rng.choice(ids)}\t{rng.choice(ids)}" for _ in range(NUMPY_MIN_PAIRS)]
+        path = tmp_path / "long.txt"
+        path.write_text("\n".join(lines) + "\n")
+        graph = read_edge_list(path, relabel=relabel)
+        expected = _reference(str(path), relabel)
+        csr, want = CSRGraph.from_graph(graph), CSRGraph.from_graph(expected)
+        assert (csr.offsets, csr.targets, csr.ids) == (want.offsets, want.targets, want.ids)
+        assert list(graph.nodes()) == list(expected.nodes())
+        assert graph == expected
+
+    def test_renamed_csr_shares_the_buffers(self, path):
+        graph = read_edge_list(path)
+        held = CSRGraph.from_graph(graph)
+        renamed = CSRGraph.from_graph(graph, name="other")
+        assert renamed.name == "other"
+        assert renamed.offsets is held.offsets and renamed.ids is held.ids
+        graph.name = "again"
+        assert CSRGraph.from_graph(graph).name == "again"
+
+    @pytest.mark.parametrize("relabel", [True, False])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_drops_the_csr(self, path, relabel, mutation):
+        graph = read_edge_list(path, relabel=relabel)
+        expected = _reference(path, relabel)
+        before = _buffers(CSRGraph.from_graph(graph))
+        nodes = list(expected.nodes())
+        MUTATIONS[mutation](graph, nodes)
+        MUTATIONS[mutation](expected, nodes)
+        assert list(graph.nodes()) == list(expected.nodes())
+        assert graph == expected
+        assert graph.num_edges == expected.num_edges
+        assert _buffers(CSRGraph.from_graph(graph)) == _buffers(
+            CSRGraph.from_graph(expected)
+        )
+        # the held CSR itself was never written
+        assert _buffers(CSRGraph.from_graph(read_edge_list(path, relabel=relabel))) == before
+
+    @pytest.mark.parametrize("built", [False, True])
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_copy_and_pickle_equal_the_source(self, path, relabel, built):
+        import pickle
+
+        graph = read_edge_list(path, relabel=relabel)
+        if built:
+            graph.neighbors(next(iter(graph.nodes())))
+        for twin in (graph.copy(), pickle.loads(pickle.dumps(graph))):
+            assert type(twin) is Graph
+            assert twin == graph
+            assert list(twin.nodes()) == list(graph.nodes())
+            assert (twin.name, twin.num_edges) == (graph.name, graph.num_edges)
+            assert _buffers(CSRGraph.from_graph(twin)) == _buffers(
+                CSRGraph.from_graph(graph)
+            )
+        # a copy is independent of its source
+        dup = graph.copy()
+        dup.remove_node(next(iter(dup.nodes())))
+        assert graph == read_edge_list(path, relabel=relabel)
+        assert dup.num_nodes == graph.num_nodes - 1
+
+
+class TestNoConsumerWritesTheHeldCSR:
+    """The flat paths run straight on the read graph's CSR buffers, so
+    none of them may write into them."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory) -> str:
+        path = tmp_path_factory.mktemp("held") / "social.txt"
+        write_edge_list(gen.powerlaw_cluster_graph(240, 3, 0.3, seed=5), path)
+        return str(path)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mp on a small graph
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "algorithm, options",
+        [
+            ("one-to-one-flat", {}),
+            ("one-to-many-flat", {"num_hosts": 4}),
+            ("one-to-many-mp", {"num_hosts": 2}),
+        ],
+    )
+    def test_decompose(self, path, algorithm, options, backend):
+        from repro.baselines import batagelj_zaversnik
+        from repro.core.api import decompose
+
+        graph = read_edge_list(path)
+        result = decompose(graph, algorithm, backend=backend, **options)
+        fresh = read_edge_list(path)
+        assert _buffers(CSRGraph.from_graph(graph)) == _buffers(
+            CSRGraph.from_graph(fresh)
+        )
+        assert not _sets_built(graph)
+        assert result.coreness == batagelj_zaversnik(fresh)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_churn_service(self, path, backend):
+        from repro.streaming import ChurnService
+        from repro.workloads.churn import generate_churn_trace
+
+        graph = read_edge_list(path)
+        service = ChurnService(graph, backend=backend, batch_size=16)
+        events = generate_churn_trace(read_edge_list(path), 60.0, seed=3).events
+        assert len(events) >= 16
+        service.submit(events[:16])
+        assert service.batches_applied == 1 and service.verify()
+        assert _buffers(CSRGraph.from_graph(graph)) == _buffers(
+            CSRGraph.from_graph(read_edge_list(path))
+        )
+        assert not _sets_built(graph)

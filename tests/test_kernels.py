@@ -5,8 +5,9 @@ The engine-level bit-identity of the backends is asserted end-to-end in
 the individual kernel primitives are pinned directly — the registry's
 error behaviour, the batched ``computeIndex`` against the scalar
 kernel, the h-index sweep against the pre-kernel reference
-implementation, the worker-traffic counting helper, and the shared
-stats-export utility.
+implementation, the worker-traffic counting helper, the shared
+stats-export utility, and the CSR build from an edge list on both
+backends.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ import random
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.sim.kernels as kernels
 from repro.core.compute_index import compute_index
 from repro.errors import ConfigurationError
 from repro.graph import generators as gen
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import NUMPY_MIN_PAIRS, CSRGraph
+from repro.graph.graph import Graph
 from repro.sim.kernels import (
     DEFAULT_BACKEND,
     KernelBackend,
@@ -33,6 +37,10 @@ from repro.sim.kernels import (
 from repro.sim.metrics import SimulationStats
 
 BACKENDS = available_backends()
+
+requires_numpy = pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def backends():
@@ -552,3 +560,132 @@ class TestDynamicCSRKernels:
         assert list(g.targets[lo:lo + g.used[row]]) == [-1, g.row_of(2)]
         assert g.used[row] == 2        # used counts tombstones
         assert g.degree(0) == 1        # live degree does not
+
+
+# ----------------------------------------------------------------------
+# CSR build from an edge list
+# ----------------------------------------------------------------------
+_edge_ids = st.one_of(
+    st.integers(0, 12),  # dense: duplicates, reverse edges, self-loops
+    st.integers(-40, 40),  # negative
+    st.integers(0, 10**12),  # sparse
+    st.sampled_from([INT64_MIN, INT64_MAX, 1 << 40, -(1 << 40)]),
+)
+
+
+def _endpoints(pairs) -> tuple[array, array]:
+    return array("q", [u for u, _ in pairs]), array("q", [v for _, v in pairs])
+
+
+def _assert_same_buffers(a, b) -> None:
+    """Two ``(offsets, targets, ids)`` triples are identical ``array('q')``s."""
+    for name, ta, tb in zip(("offsets", "targets", "ids"), a, b):
+        assert ta.typecode == tb.typecode == "q", name
+        assert ta == tb, name
+
+
+@requires_numpy
+class TestCsrFromEdgesBackendIdentity:
+    """The numpy ``csr_from_edges`` kernel builds the stdlib kernel's
+    buffers exactly, and both build the CSR of the graph the pairs
+    describe."""
+
+    @given(st.lists(st.tuples(_edge_ids, _edge_ids), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    @example([])
+    @example([(5, 5)])
+    @example([(INT64_MIN, INT64_MAX), (INT64_MAX, INT64_MIN), (0, 0)])
+    def test_generated_edge_lists(self, pairs):
+        us, vs = _endpoints(pairs)
+        stdlib, numpy = resolve_backend("stdlib"), resolve_backend("numpy")
+        assert (stdlib.name, numpy.name) == ("stdlib", "numpy")
+        built = stdlib.csr_from_edges(us, vs)
+        _assert_same_buffers(built, numpy.csr_from_edges(us, vs))
+        ref = CSRGraph.from_graph(Graph.from_edges(pairs))
+        _assert_same_buffers(built, (ref.offsets, ref.targets, ref.ids))
+
+    @pytest.mark.parametrize("name", ["stdlib", "numpy"])
+    def test_inputs_untouched_outputs_fresh(self, name):
+        us = array("q", [3, 1, 3, 9, 9])
+        vs = array("q", [1, 3, 7, 9, 1])
+        before = (array("q", us), array("q", vs))
+        offsets, targets, ids = resolve_backend(name).csr_from_edges(us, vs)
+        assert (us, vs) == before
+        assert list(ids) == [1, 3, 7, 9]
+        assert list(offsets) == [0, 2, 4, 5, 6]
+        assert list(targets) == [1, 3, 0, 2, 1, 0]
+        for out in (offsets, targets, ids):
+            assert type(out) is array and out.typecode == "q"
+            assert out is not us and out is not vs
+
+
+class TestCsrBuildSelection:
+    """``CSRGraph.from_edges`` (and with it ``read_edge_list``) builds on
+    numpy only when numpy is importable and the list is long."""
+
+    @staticmethod
+    def _pairs(count: int) -> list[tuple[int, int]]:
+        rng = random.Random(11)
+        ids = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(count // 4)]
+        return [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
+
+    @staticmethod
+    def _from_edges(pairs, monkeypatch) -> tuple[CSRGraph, list[str]]:
+        resolve = kernels.resolve_backend
+        used: list[str] = []
+
+        def spy(name):
+            used.append(name)
+            return resolve(name)
+
+        monkeypatch.setattr(kernels, "resolve_backend", spy)
+        return CSRGraph.from_edges(pairs), used
+
+    def test_short_list_builds_on_stdlib(self, monkeypatch):
+        pairs = self._pairs(NUMPY_MIN_PAIRS - 1)
+        _, used = self._from_edges(pairs, monkeypatch)
+        assert used == ["stdlib"]
+
+    @requires_numpy
+    def test_long_list_builds_on_numpy(self, monkeypatch):
+        pairs = self._pairs(NUMPY_MIN_PAIRS)
+        csr, used = self._from_edges(pairs, monkeypatch)
+        assert used == ["numpy"]
+        expected = resolve_backend("stdlib").csr_from_edges(*_endpoints(pairs))
+        _assert_same_buffers((csr.offsets, csr.targets, csr.ids), expected)
+
+    def test_without_numpy_builds_on_stdlib(self, monkeypatch):
+        monkeypatch.setattr(kernels, "numpy_available", lambda: False)
+        _, used = self._from_edges(self._pairs(NUMPY_MIN_PAIRS), monkeypatch)
+        assert used == ["stdlib"]
+
+
+@requires_numpy
+class TestDistinct:
+    """The numpy backend's sort-based ``_distinct`` equals ``np.unique``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [4] * 9,
+            list(range(-5, 20)),
+            list(range(20, -5, -1)),
+            random.Random(3).choices(range(-50, 50), k=400),
+            [INT64_MAX, INT64_MIN, 0, INT64_MAX, INT64_MIN],
+        ],
+        ids=["empty", "single", "all-equal", "sorted", "reversed", "random",
+             "extremes"],
+    )
+    def test_matches_np_unique(self, values):
+        import numpy as np
+
+        from repro.sim.kernels.numpy_backend import _distinct
+
+        arr = np.array(values, dtype=np.int64)
+        got = _distinct(arr)
+        want = np.unique(arr)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+        assert arr.tolist() == values  # input untouched

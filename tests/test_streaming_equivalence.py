@@ -188,55 +188,58 @@ class TestChurnGrid:
         assert a.metrics == b.metrics
 
 
-class TestWalkBudgetFallback:
-    """Tripping ``_WALK_BUDGET`` swaps the candidate walk for the
-    level-set bump — coarser but sound, so nothing observable may
-    change except the dirty-node accounting."""
+class TestInsertWalkIsLinear:
+    """The insert walk scans each row's neighbours a bounded number of
+    times, however many candidates reach a rejected high-degree row."""
+
+    LEVEL = 8
+    LEAVES = 300
+
+    def _gadget(self, graph, base: int) -> None:
+        """A clique ``base..base+LEVEL`` (coreness ``LEVEL``) and a hub
+        adjacent to all of it but ``base`` and to ``LEAVES`` leaves: the
+        hub sits at ``LEVEL`` with exactly ``LEVEL`` neighbours there, so
+        the walk rejects it from each of those ``LEVEL`` candidates."""
+        clique = range(base, base + self.LEVEL + 1)
+        for u in clique:
+            for v in clique:
+                if u < v:
+                    graph.add_edge(u, v)
+        hub = base + self.LEVEL + 1
+        for u in clique[1:]:
+            graph.add_edge(hub, u)
+        for leaf in range(hub + 1, hub + 1 + self.LEAVES):
+            graph.add_edge(hub, leaf)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fallback_stays_exact(self, backend):
-        graph = gen.erdos_renyi_graph(50, 0.12, seed=2)
-        events = _script(graph, "mixed", 9, length=48)
+    def test_each_row_scanned_at_most_four_times(self, backend, monkeypatch):
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        graph = gen.empty_graph(0)
+        second = self.LEVEL + 2 + self.LEAVES
+        self._gadget(graph, 0)
+        self._gadget(graph, second)
+        hub = self.LEVEL + 1
+        assert batagelj_zaversnik(graph)[hub] == self.LEVEL
         flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
-        flat._WALK_BUDGET = 1  # force the fallback on every real walk
         oracle = DynamicKCore(graph)
-        _drive(flat, oracle, events)
+
+        scans: Counter = Counter()
+        original = DynamicCSRGraph.neighbors_rows
+
+        def spy(self, row):
+            scans[row] += 1
+            return original(self, row)
+
+        monkeypatch.setattr(DynamicCSRGraph, "neighbors_rows", spy)
+        # both roots at ``LEVEL``: the walk enters both cliques, and
+        # every clique row but the root reaches its hub
+        for engine in (flat, oracle):
+            engine.insert_edge(0, second)
+        assert scans[flat.graph.row_of(hub)] == 1
+        assert max(scans.values()) <= 4
+        assert flat.coreness == oracle.coreness
         assert flat.verify()
-
-    def test_fallback_set_is_the_level_set(self):
-        graph = gen.erdos_renyi_graph(80, 0.1, seed=3)
-        flat = FlatDynamicKCore(graph)
-        flat._WALK_BUDGET = 0
-        core = batagelj_zaversnik(graph)
-        counts = Counter(core.values())
-        level = max(counts, key=lambda k: (counts[k], k))
-        root = next(
-            u for u in sorted(core)
-            if core[u] == level
-            and sum(1 for v in graph.neighbors(u) if core[v] >= level)
-            > level
-        )
-        got = flat._insert_candidates([flat._graph.row_of(root)], level)
-        expected = {
-            r for r in flat._graph.live_rows() if flat._est[r] == level
-        }
-        assert got == expected
-        assert len(got) > 1  # genuinely coarser than the walk would be
-
-    @requires_numpy
-    def test_backends_agree_under_fallback(self):
-        graph = gen.erdos_renyi_graph(50, 0.12, seed=2)
-        events = _script(graph, "insert-only", 4, length=48)
-        engines = []
-        for name in ("stdlib", "numpy"):
-            engine = FlatDynamicKCore(graph, backend=resolve_backend(name))
-            engine._WALK_BUDGET = 1
-            for at in range(0, len(events), BATCH):
-                engine.apply_events(events[at:at + BATCH])
-            engines.append(engine)
-        a, b = engines
-        assert a.coreness == b.coreness
-        assert a.metrics == b.metrics
 
 
 class TestEditEdgeCases:
