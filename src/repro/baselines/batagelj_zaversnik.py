@@ -28,17 +28,24 @@ from repro.graph.graph import Graph
 __all__ = [
     "batagelj_zaversnik",
     "batagelj_zaversnik_csr",
+    "batagelj_zaversnik_order",
     "degeneracy_ordering",
 ]
 
 
-def _peel(csr: CSRGraph, record_order: bool) -> tuple[array, list[int]]:
-    """Shared bucket-peel; returns (core per compact index, visit order)."""
+def _peel(csr: CSRGraph, later: "array | None" = None) -> tuple[array, array]:
+    """Shared bucket-peel; returns (core per compact index, visit order).
+
+    Positions before the cursor never move again, so ``vert`` ends up
+    holding the visit order. With ``later`` (one zeroed slot per node)
+    the ordering path also records each node's remaining degree: the
+    neighbours visited after it (``position[j] > cursor``), at most its
+    core.
+    """
     n = csr.num_nodes
     offsets, targets = csr.offsets, csr.targets
-    order: list[int] = []
     if n == 0:
-        return array("q"), order
+        return array("q"), array("q")
 
     degree = array("q", [0]) * n
     max_degree = 0
@@ -65,27 +72,48 @@ def _peel(csr: CSRGraph, record_order: bool) -> tuple[array, list[int]]:
         fill[d] += 1
 
     core = array("q", degree)
+    if later is None:
+        for cursor in range(n):
+            i = vert[cursor]
+            ci = core[i]
+            for e in range(offsets[i], offsets[i + 1]):
+                j = targets[e]
+                if core[j] > ci:
+                    # move j one bucket down: swap it with the first node
+                    # of its current bucket, then shift the bucket boundary
+                    dj = core[j]
+                    swap_pos = bin_start[dj]
+                    swap_node = vert[swap_pos]
+                    if j != swap_node:
+                        pj = position[j]
+                        vert[pj], vert[swap_pos] = swap_node, j
+                        position[j], position[swap_node] = swap_pos, pj
+                    bin_start[dj] += 1
+                    core[j] -= 1
+        return core, vert
+
+    # the same loop, counting later neighbours on the way (a neighbour
+    # above the current core is always unvisited, so the move nests)
     for cursor in range(n):
         i = vert[cursor]
-        if record_order:
-            order.append(i)
         ci = core[i]
+        after = 0
         for e in range(offsets[i], offsets[i + 1]):
             j = targets[e]
-            if core[j] > ci:
-                # move j one bucket down: swap it with the first node of
-                # its current bucket, then shift the bucket boundary
-                dj = core[j]
-                swap_pos = bin_start[dj]
-                swap_node = vert[swap_pos]
-                if j != swap_node:
-                    pj = position[j]
-                    vert[pj], vert[swap_pos] = swap_node, j
-                    position[j], position[swap_node] = swap_pos, pj
-                bin_start[dj] += 1
-                core[j] -= 1
-
-    return core, order
+            if position[j] > cursor:
+                after += 1
+                if core[j] > ci:
+                    dj = core[j]
+                    swap_pos = bin_start[dj]
+                    swap_node = vert[swap_pos]
+                    if j != swap_node:
+                        pj = position[j]
+                        vert[pj], vert[swap_pos] = swap_node, j
+                        position[j], position[swap_node] = swap_pos, pj
+                    bin_start[dj] += 1
+                    core[j] -= 1
+        later[i] = after
+    return core, vert
 
 
 def batagelj_zaversnik_csr(csr: CSRGraph) -> array:
@@ -94,8 +122,21 @@ def batagelj_zaversnik_csr(csr: CSRGraph) -> array:
     The allocation-free entry point for callers that already hold a
     :class:`CSRGraph` (benchmarks, the flat engine's tests).
     """
-    core, _ = _peel(csr, record_order=False)
+    core, _ = _peel(csr)
     return core
+
+
+def batagelj_zaversnik_order(csr: CSRGraph) -> tuple[array, array, array]:
+    """``(core, order, later)`` per compact index: the coreness, the
+    peel's visit order and each node's neighbours visited after it.
+
+    The order is a *k-order*: cores are non-decreasing along it and
+    ``later[i] <= core[i]`` — the seed of the streaming engine's
+    order-based inserts.
+    """
+    later = array("q", [0]) * csr.num_nodes
+    core, order = _peel(csr, later)
+    return core, order, later
 
 
 def batagelj_zaversnik(graph: "Graph | CSRGraph") -> dict[int, int]:
@@ -115,7 +156,8 @@ def degeneracy_ordering(graph: "Graph | CSRGraph") -> list[int]:
     """Nodes in the order the peeling process removes them.
 
     The visit order of the Batagelj–Zaveršnik run is a *degeneracy
-    ordering*: every node has at most ``k_max`` neighbours among the
+    ordering*: cores are non-decreasing along it and every node has at
+    most its own coreness (so at most ``k_max``) of neighbours among the
     nodes that come after it. Useful downstream for greedy colouring
     and clique enumeration; exposed here because the ordering falls out
     of the algorithm for free.
@@ -125,6 +167,6 @@ def degeneracy_ordering(graph: "Graph | CSRGraph") -> list[int]:
     order), not by the graph's insertion order.
     """
     csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-    _, order = _peel(csr, record_order=True)
+    _, order, _ = batagelj_zaversnik_order(csr)
     ids = csr.ids
     return [ids[i] for i in order]

@@ -420,14 +420,16 @@ class DynamicCSRGraph:
         live = array("q", [0]) * n
         ids = array("q", [0]) * n
         cursor = 0
-        slices: list[list[int]] = []
+        # every row's slice waits here for the new buffer: as arrays
+        # they hold 8 bytes an entry instead of a list of int objects
+        slices: list[array] = []
         for new, (node_id, old) in enumerate(old_rows):
             s = self.starts[old]
-            nbrs = sorted(
+            nbrs = array("q", sorted(
                 mapping[t]
                 for t in self.targets[s:s + self.used[old]]
                 if t >= 0
-            )
+            ))
             cap = _slack_for(len(nbrs))
             ids[new] = node_id
             starts[new] = cursor
@@ -439,7 +441,7 @@ class DynamicCSRGraph:
         targets = array("q", [TOMBSTONE]) * cursor
         for new in range(n):
             s = starts[new]
-            targets[s:s + used[new]] = array("q", slices[new])
+            targets[s:s + used[new]] = slices[new]
         self.ids = ids
         self.alive = bytearray(b"\x01") * n if n else bytearray()
         self.starts = starts

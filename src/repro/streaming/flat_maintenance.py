@@ -12,20 +12,32 @@ flat machinery as every other fast path in the repository.
 * structural edits go through the backend's batched ``csr_insert_slots``
   / ``csr_delete_slots`` kernels (tombstones on delete, slack-slot
   writes on insert);
-* the dirty frontier is seeded exactly as the object engine argues —
-  on **delete** the old coreness already upper-bounds the new one, so
-  only the endpoints are dirty; on **insert** coreness can rise by at
-  most one and only inside the endpoints' *subcore*, so that candidate
-  set is bumped by one. Consecutive delete-type edits share a single
+* the engine keeps a *k-order* of its live rows
+  (:class:`~repro.streaming.korder.KOrder`, seeded from the
+  Batagelj–Zaveršnik peel it runs at construction): levels ascending,
+  a valid peel order within each level, and each row's remaining
+  degree — its live neighbours later in the order, never above its
+  level;
+* on **delete** the old coreness already upper-bounds the new one, so
+  only the endpoints are dirty, and the earlier endpoint loses one
+  remaining degree. Consecutive delete-type edits share a single
   re-convergence (their bounds compose: coreness only falls under
-  deletion); an insertion's subcore argument needs exact coreness, so
+  deletion); an insert needs exact coreness and an exact order, so
   pending deletions are settled first;
+* on **insert** Zhang et al.'s OrderInsert ("A Fast Order-Based
+  Approach for Core Maintenance", ICDE 2017) visits, in k-order, only
+  the rows a candidate reaches from the first endpoint and returns
+  exactly the rows that rise; they move to the next level and, with
+  the endpoints, seed the re-convergence;
 * re-convergence runs on the backend's ``reconverge_from_bounds``
   kernel (synchronous Jacobi rounds — bit-identical across backends,
-  including the round count);
+  including the round count); every row whose level it lowered moves
+  to the tail of its new level in a local peel order, so the k-order
+  stays exact in time proportional to those rows and their neighbours;
 * compaction is checked after every batch: when the dynamic CSR's
   garbage ratio crosses its deterministic threshold, the structure is
-  rebuilt and the estimate table permuted with the returned row map.
+  rebuilt and the estimate table and the k-order permuted with the
+  returned row map.
 
 The result is bit-identical to the object engine and to from-scratch
 Batagelj–Zaveršnik after every batch — the differential churn grid in
@@ -52,15 +64,17 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
+from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr, \
+    batagelj_zaversnik_order
 from repro.errors import ConfigurationError, EdgeError, GraphError, \
     NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic_csr import DynamicCSRGraph
 from repro.sim.kernels import resolve_backend
+from repro.streaming.korder import SHIFT, KOrder
 from repro.telemetry.spans import resolve_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -158,7 +172,8 @@ class FlatDynamicKCore:
             )
             csr = self._downsample(csr)
         self._graph = DynamicCSRGraph.from_csr(csr, self._backend)
-        self._est = array("q", batagelj_zaversnik_csr(csr))
+        self._est, order, later = batagelj_zaversnik_order(csr)
+        self._order = KOrder.from_peel(self._est, order, later)
 
     def _adopt(self, graph) -> CSRGraph:
         """Boundary conversion of any accepted input to a CSR snapshot."""
@@ -319,16 +334,20 @@ class FlatDynamicKCore:
         evaluated sequentially against live state, so intra-batch
         dependencies (join then link to the new node) behave exactly
         like event-at-a-time replay. Returns the number of primitive
-        edits applied; coreness is exact when the call returns.
+        edits applied; coreness is exact when the call returns, and
+        also when an event raises: the edits before it are settled and
+        recorded before the exception propagates.
         """
         self._begin_batch()
         applied = 0
-        with self._tracer.span("churn.apply_batch") as span:
-            for event in events:
-                applied += self._apply_event(event)
-            self._flush()
-            span.note(edits=applied)
-        self._finish_batch(applied)
+        try:
+            with self._tracer.span("churn.apply_batch") as span:
+                for event in events:
+                    applied += self._apply_event(event)
+                self._flush()
+                span.note(edits=applied)
+        finally:
+            self._finish_batch(applied)
         return applied
 
     def _apply_event(self, event) -> int:
@@ -374,12 +393,13 @@ class FlatDynamicKCore:
     def _add_row(self, node: int) -> int:
         row = self._graph.add_node(node)
         self._est.append(0)
+        self._order.add_row()
         self._coreness_cache = None
         return row
 
     def _insert(self, u: int, v: int) -> None:
-        # the subcore argument needs exact coreness: settle pending
-        # delete-type dirt first
+        # OrderInsert needs exact coreness and an exact k-order: settle
+        # pending delete-type dirt first
         self._flush()
         if u == v:
             raise EdgeError(f"self-loop on node {u} is not allowed")
@@ -391,16 +411,11 @@ class FlatDynamicKCore:
         if not self._keeps(u, v):
             return  # ELM lane: the sample never takes this edge
         self._graph.insert_edges([(u, v)])
-        est = self._est
         ru = self._graph.row_of(u)
         rv = self._graph.row_of(v)
-        level = min(est[ru], est[rv])
-        roots = [r for r in (ru, rv) if est[r] == level]
-        candidates = self._insert_candidates(roots, level)
-        for r in candidates:
-            est[r] = level + 1
+        risers = self._order_insert(ru, rv)
         self._coreness_cache = None
-        self._reconverge(sorted(candidates | {ru, rv}))
+        self._reconverge(sorted({*risers, ru, rv}))
 
     def _delete(self, u: int, v: int) -> None:
         if self._approx is not None and not self._graph.has_edge(u, v):
@@ -409,99 +424,183 @@ class FlatDynamicKCore:
                     raise NodeNotFoundError(node)
             return  # ELM lane: the sample never held this edge
         self._graph.delete_edges([(u, v)])
-        self._pending.add(self._graph.row_of(u))
-        self._pending.add(self._graph.row_of(v))
+        ru = self._graph.row_of(u)
+        rv = self._graph.row_of(v)
+        label = self._order.label
+        self._order.later[ru if label[ru] < label[rv] else rv] -= 1
+        self._pending.add(ru)
+        self._pending.add(rv)
         self._coreness_cache = None
 
     def _remove(self, node: int) -> None:
         row = self._graph.row_of(node)
         nbrs = self._graph.remove_node(node)
+        order = self._order
+        label, later = order.label, order.later
+        mine = label[row]
+        for t in nbrs:
+            if label[t] < mine:
+                later[t] -= 1
+        order.unlink((row,))
         self._pending.discard(row)
         self._est[row] = 0
         self._pending.update(nbrs)
         self._coreness_cache = None
 
-    def _insert_candidates(self, roots: Sequence[int], level: int) -> set[int]:
-        """Rows that may rise to ``level + 1`` after the edge insert.
+    def _order_insert(self, ru: int, rv: int) -> list[int]:
+        """Zhang et al.'s OrderInsert for the new edge ``ru``-``rv``.
 
-        Bumping the whole subcore (rows at ``level`` connected to a
-        root through such rows) is sound but degenerate on graphs with
-        a concentrated coreness distribution, where the subcore is most
-        of the graph.  Two classic traversal-insertion refinements keep
-        the candidate set — and with it the warm-start frontier — small
-        without giving up exactness:
+        Returns the rows that rise, in k-order, after moving them to
+        the head of the next level (``est`` included).
 
-        * a row can only rise if strictly more than ``level`` of its
-          neighbours could sit at ``level + 1``: neighbours with a
-          higher estimate always qualify, same-level neighbours only
-          if they are candidates themselves.  Rows failing even the
-          optimistic count (every same-level neighbour assumed to
-          rise) are never enqueued and never expanded through;
-        * the walk is then peeled: a candidate whose support from
-          still-viable neighbours drops to ``level`` or below is
-          evicted, decrementing its candidate neighbours, cascading.
-
-        Every true riser survives both steps — risers are connected
-        to a root through risers, and a riser keeps more than
-        ``level`` viable supporters as long as no riser has been
-        evicted — so bumping the result yields a pointwise upper bound
-        and re-convergence lands on exact coreness.
-
-        The walk is linear in the edges it touches: ``est`` does not
-        change during it, so each row's optimistic count is computed
-        once and cached, and a rejected same-level hub is not
-        re-scanned by each neighbour that reaches it.  Each row's
-        neighbours are scanned at most four times: once for the
-        count, once to expand a candidate, and at most twice in the
-        peel.
+        The endpoint first in the k-order, ``u`` at level ``k``, gains
+        a later neighbour; nothing rises unless that lifts its
+        remaining degree above ``k``. Otherwise the level-``k`` rows
+        after ``u`` are visited in order through a heap, each one only
+        when a candidate before it reaches it. ``dstar`` counts a row's
+        candidate neighbours (all before it), and a row whose ``dstar``
+        plus remaining degree exceeds ``k`` becomes a candidate. A
+        visited non-candidate absorbs its ``dstar`` into its remaining
+        degree, since those candidates will sit after it, and each of
+        them loses it as a later neighbour. A candidate whose support
+        falls to ``k`` is evicted, cascading: it returns to level ``k``
+        right after the visited row (evictees in eviction order), with
+        its support as its remaining degree, and leaves the ``dstar``
+        of later rows and the remaining degree of earlier candidates.
+        Rows keep their labels until the visit ends, so the heap keys
+        and every comparison stay valid. The surviving candidates are
+        exactly the rows that rise, and each visited row's neighbours
+        are scanned at most twice: on its visit and on its eviction.
         """
+        order = self._order
+        label, later = order.label, order.later
         est = self._est
-        g = self._graph
-        counts: dict[int, int] = {}
-
-        def optimistic(r: int) -> int:
-            count = counts.get(r)
-            if count is None:
-                count = sum(1 for t in g.neighbors_rows(r) if est[t] >= level)
-                counts[r] = count
-            return count
-
-        cand: set[int] = set()
-        queue: deque[int] = deque()
-        for r in roots:
-            if r not in cand and optimistic(r) > level:
-                cand.add(r)
-                queue.append(r)
-        while queue:
-            r = queue.popleft()
-            for t in g.neighbors_rows(r):
-                if t in cand or est[t] != level:
-                    continue
-                if optimistic(t) > level:
-                    cand.add(t)
-                    queue.append(t)
-        # Peel: support now counts only higher-level neighbours and
-        # surviving candidates (every candidate sits at ``level``).
-        support = {
-            r: sum(
-                1
-                for t in g.neighbors_rows(r)
-                if est[t] > level or t in cand
-            )
-            for r in sorted(cand)
-        }
-        stack = sorted(r for r in cand if support[r] <= level)
-        while stack:
-            r = stack.pop()
-            if r not in cand:
+        nbrs = self._graph.neighbors_rows
+        if label[rv] < label[ru]:
+            ru, rv = rv, ru
+        later[ru] += 1
+        k = est[ru]
+        if later[ru] <= k:
+            return []
+        cand: dict[int, int] = {}         # candidate -> dstar, in order
+        dstar: dict[int, int] = {ru: 0}   # reached, not yet visited
+        heap = [(label[ru], ru)]
+        evicted: list[tuple[int, list[int]]] = []
+        while heap:
+            w = heappop(heap)[1]
+            dw = dstar.pop(w)
+            if dw + later[w] > k:
+                cand[w] = dw
+                lw = label[w]
+                for t in nbrs(w):
+                    if est[t] == k and label[t] > lw:
+                        if t in dstar:
+                            dstar[t] += 1
+                        else:
+                            dstar[t] = 1
+                            heappush(heap, (label[t], t))
                 continue
-            cand.discard(r)
-            for t in g.neighbors_rows(r):
+            if not dw:
+                continue
+            later[w] += dw
+            stack = []
+            for t in nbrs(w):
                 if t in cand:
-                    support[t] -= 1
-                    if support[t] <= level:
+                    later[t] -= 1
+                    if cand[t] + later[t] <= k:
                         stack.append(t)
-        return cand
+            chain = []
+            while stack:
+                x = stack.pop()
+                if x not in cand:
+                    continue
+                later[x] += cand.pop(x)
+                chain.append(x)
+                lx = label[x]
+                for t in nbrs(x):
+                    if t in cand:
+                        if label[t] > lx:
+                            cand[t] -= 1
+                        else:
+                            later[t] -= 1
+                        if cand[t] + later[t] <= k:
+                            stack.append(t)
+                    elif t in dstar:
+                        dstar[t] -= 1
+            if chain:
+                evicted.append((w, chain))
+        risers = list(cand)
+        order.unlink(risers)
+        for at, chain in evicted:
+            order.unlink(chain)
+            order.insert_after(at, chain)
+        order.prepend(k + 1, risers)
+        for x in risers:
+            est[x] = k + 1
+        return risers
+
+    def _replace(self, changed: list[int]) -> None:
+        """Re-place the rows whose level re-convergence lowered.
+
+        Each moves to the tail of its new level. The rows landing on
+        one level are peeled among themselves, so each has at most its
+        new level of neighbours after it; such an order exists because
+        the new levels are the coreness. A neighbour that stays put
+        flips relative to a moved row only if it sat before the row and
+        above the row's new level: it loses the row as a later
+        neighbour (a moved neighbour's remaining degree is recounted
+        anyway). So the cost is the moved rows and their neighbours.
+        """
+        g = self._graph
+        starts, used, targets = g.starts, g.used, g.targets
+        order = self._order
+        label, later = order.label, order.later
+        est = self._est
+        landing: dict[int, list[int]] = {}
+        for x in changed:
+            landing.setdefault(est[x], []).append(x)
+        # every label compare happens before any row is placed: a
+        # placement may relabel a level
+        count: dict[int, int] = {}
+        slots: dict[int, array] = {}
+        for k, rows in landing.items():
+            group = set(rows) if len(rows) > 1 else ()
+            for x in rows:
+                lx = label[x]
+                c = 0
+                s = starts[x]
+                near = targets[s:s + used[x]]
+                for t in near:  # a tombstone (-1) is in neither set
+                    if t >= 0 and est[t] > k:
+                        c += 1
+                        if label[t] < lx:
+                            later[t] -= 1
+                    elif t in group:
+                        c += 1
+                count[x] = c
+                if group:
+                    slots[x] = near
+        order.unlink(changed)
+        for k, rows in landing.items():
+            placed = rows
+            if len(rows) > 1:
+                # peel: place a row once at most k of its neighbours are
+                # higher ones or rows of this level still to be placed
+                left = set(rows)
+                ready = [x for x in rows if count[x] <= k]
+                placed = []
+                while ready:
+                    x = ready.pop()
+                    left.discard(x)
+                    placed.append(x)
+                    for t in slots[x]:
+                        if t in left:
+                            count[t] -= 1
+                            if count[t] == k:
+                                ready.append(t)
+            for x in placed:
+                later[x] = count[x]
+            order.extend(k, placed)
 
     def _flush(self) -> None:
         if self._pending:
@@ -521,6 +620,8 @@ class FlatDynamicKCore:
                 self._scratch,
             )
             span.note(changed=len(changed), rounds=rounds)
+        if changed:
+            self._replace(changed)
         self._coreness_cache = None
         self._batch_dirty += len(set(frontier) | set(changed))
         self._batch_rounds += rounds
@@ -560,10 +661,55 @@ class FlatDynamicKCore:
                 if new >= 0:
                     new_est[new] = est[old]
             self._est = new_est
+            self._order.permute(mapping, g.num_rows)
         self.metrics["compactions"] += 1
         self._coreness_cache = None
 
     # ------------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Raise :class:`GraphError` if the k-order is broken.
+
+        Test hook, like :meth:`DynamicCSRGraph.check_invariants`: every
+        alive row is linked exactly once, into the list of its level,
+        and no dead row is; labels strictly increase along each list
+        and stay in their level's range, so ``(est, label)`` strictly
+        increases along ``next``; and each remaining degree equals the
+        row's live neighbours later in the order and is at most its
+        level.
+        """
+        g = self._graph
+        order = self._order
+        label, later, est = order.label, order.later, self._est
+        linked = bytearray(g.num_rows)
+        for level in range(len(order.head)):
+            last = -1
+            for row in order.rows(level):
+                if linked[row] or not g.alive[row]:
+                    raise GraphError(f"row {row} linked twice or dead")
+                linked[row] = 1
+                if est[row] != level or label[row] >> SHIFT != level:
+                    raise GraphError(f"row {row} linked into level {level}")
+                if order.prev[row] != last or (
+                    last >= 0 and label[row] <= label[last]
+                ):
+                    raise GraphError(f"row {row} out of order")
+                last = row
+            if order.tail[level] != last:
+                raise GraphError(f"level {level}: tail drifted")
+        for row in range(g.num_rows):
+            if g.alive[row] != linked[row]:
+                raise GraphError(f"alive row {row} not in the k-order")
+            if not linked[row]:
+                continue
+            after = sum(
+                1 for t in g.neighbors_rows(row) if label[t] > label[row]
+            )
+            if later[row] != after or after > est[row]:
+                raise GraphError(
+                    f"row {row}: remaining degree {later[row]}, "
+                    f"{after} later neighbours, level {est[row]}"
+                )
+
     def verify(self) -> bool:
         """Expensive check: maintained estimates equal recomputation.
 

@@ -16,6 +16,7 @@ hypothesis-generated edit scripts in the style of
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -144,6 +145,7 @@ def _drive(flat: FlatDynamicKCore, oracle: DynamicKCore, events,
         assert flat.coreness == oracle.coreness == expected, (
             f"divergence after batch at event {at}"
         )
+        flat.check_invariants()
 
 
 class TestChurnGrid:
@@ -188,41 +190,19 @@ class TestChurnGrid:
         assert a.metrics == b.metrics
 
 
-class TestInsertWalkIsLinear:
-    """The insert walk scans each row's neighbours a bounded number of
-    times, however many candidates reach a rejected high-degree row."""
+class TestOrderInsertWorkBound:
+    """An insert visits the rows that can rise, not the level set.
 
-    LEVEL = 8
-    LEAVES = 300
+    The base is a ladder (``grid_graph(RUNGS, 2)``): thousands of rows
+    at coreness 2, each with more than 2 neighbours at that level, the
+    shape on which a level-set walk expands every row.
+    """
 
-    def _gadget(self, graph, base: int) -> None:
-        """A clique ``base..base+LEVEL`` (coreness ``LEVEL``) and a hub
-        adjacent to all of it but ``base`` and to ``LEAVES`` leaves: the
-        hub sits at ``LEVEL`` with exactly ``LEVEL`` neighbours there, so
-        the walk rejects it from each of those ``LEVEL`` candidates."""
-        clique = range(base, base + self.LEVEL + 1)
-        for u in clique:
-            for v in clique:
-                if u < v:
-                    graph.add_edge(u, v)
-        hub = base + self.LEVEL + 1
-        for u in clique[1:]:
-            graph.add_edge(hub, u)
-        for leaf in range(hub + 1, hub + 1 + self.LEAVES):
-            graph.add_edge(hub, leaf)
+    K = 2
+    RUNGS = 1500
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_each_row_scanned_at_most_four_times(self, backend, monkeypatch):
+    def _spy(self, monkeypatch) -> Counter:
         from repro.graph.dynamic_csr import DynamicCSRGraph
-
-        graph = gen.empty_graph(0)
-        second = self.LEVEL + 2 + self.LEAVES
-        self._gadget(graph, 0)
-        self._gadget(graph, second)
-        hub = self.LEVEL + 1
-        assert batagelj_zaversnik(graph)[hub] == self.LEVEL
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
-        oracle = DynamicKCore(graph)
 
         scans: Counter = Counter()
         original = DynamicCSRGraph.neighbors_rows
@@ -232,14 +212,147 @@ class TestInsertWalkIsLinear:
             return original(self, row)
 
         monkeypatch.setattr(DynamicCSRGraph, "neighbors_rows", spy)
-        # both roots at ``LEVEL``: the walk enters both cliques, and
-        # every clique row but the root reaches its hub
+        return scans
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_scan_when_the_first_endpoint_has_room(self, backend,
+                                                      monkeypatch):
+        from repro.baselines import degeneracy_ordering
+
+        graph = gen.grid_graph(self.RUNGS, 2)
+        assert set(batagelj_zaversnik(graph).values()) == {self.K}
+        # the engine seeds its k-order from this peel: pick a first
+        # endpoint with fewer than K neighbours after it
+        order = degeneracy_ordering(graph)
+        pos = {x: i for i, x in enumerate(order)}
+        later = {
+            x: sum(1 for y in graph.neighbors(x) if pos[y] > pos[x])
+            for x in order
+        }
+        u = next(x for x in order if later[x] < self.K)
+        v = next(
+            y for y in reversed(order)
+            if pos[y] > pos[u] + 1 and not graph.has_edge(u, y)
+        )
+        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        oracle = DynamicKCore(graph)
+        scans = self._spy(monkeypatch)
         for engine in (flat, oracle):
-            engine.insert_edge(0, second)
-        assert scans[flat.graph.row_of(hub)] == 1
-        assert max(scans.values()) <= 4
+            engine.insert_edge(u, v)
+        assert not scans, f"{len(scans)} rows scanned"
         assert flat.coreness == oracle.coreness
+        flat.check_invariants()
         assert flat.verify()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_rising_insert_visits_the_risers(self, backend, monkeypatch):
+        # K4 minus the edge {a, b}, bridged to a ladder corner: the
+        # insert of {a, b} raises exactly the four gadget rows, and the
+        # bridge connects them to the whole coreness-2 ladder
+        graph = gen.grid_graph(self.RUNGS, 2)
+        a, b, c, d = range(2 * self.RUNGS, 2 * self.RUNGS + 4)
+        for x, y in ((a, c), (a, d), (b, c), (b, d), (c, d), (c, 0)):
+            graph.add_edge(x, y)
+        assert set(batagelj_zaversnik(graph).values()) == {self.K}
+        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        oracle = DynamicKCore(graph)
+        before = dict(flat.coreness)
+        scans = self._spy(monkeypatch)
+        for engine in (flat, oracle):
+            engine.insert_edge(a, b)
+        seen = Counter(scans)  # before the checks below scan rows too
+        risers = {x for x, k in flat.coreness.items() if k != before[x]}
+        assert risers == {a, b, c, d}
+        row = flat.graph.row_of
+        reached = {row(x) for x in risers} | {
+            row(y) for x in risers for y in flat.graph.neighbors(x)
+            if before[y] == self.K
+        }
+        assert set(seen) <= reached
+        assert max(seen.values()) <= 2
+        assert flat.coreness == oracle.coreness
+        flat.check_invariants()
+        assert flat.verify()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_evicted_rows_are_scanned_at_most_twice(self, backend,
+                                                    monkeypatch):
+        # random chords on the ladder: a first endpoint already at K
+        # later neighbours becomes a candidate, finds no support among
+        # the rows it reaches and is evicted; nothing rises
+        graph = gen.grid_graph(self.RUNGS, 2)
+        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        oracle = DynamicKCore(graph)
+        scans = self._spy(monkeypatch)
+        rng = random.Random(3)
+        evictions = 0
+        for _ in range(40):
+            u, v = rng.sample(range(2 * self.RUNGS), 2)
+            if flat.has_edge(u, v):
+                continue
+            scans.clear()
+            for engine in (flat, oracle):
+                engine.insert_edge(u, v)
+            assert max(scans.values(), default=0) <= 2
+            evictions += sum(1 for n in scans.values() if n == 2)
+        assert evictions > 0
+        assert set(flat.coreness.values()) == {self.K}
+        assert flat.coreness == oracle.coreness
+        flat.check_invariants()
+        assert flat.verify()
+
+
+class TestKOrderSeed:
+    """The engine seeds its k-order from the Batagelj–Zaveršnik peel."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_degeneracy_ordering_is_a_k_order(self, family):
+        from repro.baselines import degeneracy_ordering
+        from repro.baselines.batagelj_zaversnik import (
+            batagelj_zaversnik_order,
+        )
+        from repro.graph.csr import CSRGraph
+
+        graph = FAMILIES[family]()
+        core = batagelj_zaversnik(graph)
+        order = degeneracy_ordering(graph)
+        assert sorted(order) == sorted(graph.nodes())
+        pos = {x: i for i, x in enumerate(order)}
+        levels = [core[x] for x in order]
+        assert levels == sorted(levels)
+        for x in order:
+            after = sum(1 for y in graph.neighbors(x) if pos[y] > pos[x])
+            assert after <= core[x]
+        # the ordering path's remaining degrees are those counts
+        csr = CSRGraph.from_graph(graph)
+        peel_core, peel_order, later = batagelj_zaversnik_order(csr)
+        ids = csr.ids
+        assert [ids[i] for i in peel_order] == order
+        assert [peel_core[i] for i in range(len(ids))] == [
+            core[x] for x in ids
+        ]
+        for i in range(len(ids)):
+            assert later[i] == sum(
+                1 for y in graph.neighbors(ids[i]) if pos[y] > pos[ids[i]]
+            )
+
+    def test_mid_level_inserts_relabel_when_the_gap_closes(self):
+        from repro.streaming.korder import GAP, SHIFT, KOrder
+
+        # rows 0-2 at level 1; more level-0 rows than halvings of GAP
+        n = 3 + GAP.bit_length() + 2
+        core = array("q", [1, 1, 1] + [0] * (n - 3))
+        order = array("q", sorted(range(n), key=lambda r: (core[r], r)))
+        korder = KOrder.from_peel(core, order, array("q", [0]) * n)
+        korder.unlink(range(3, n))
+        for row in range(3, n):  # each insert halves the gap after 0
+            korder.insert_after(0, (row,))
+        rows = list(korder.rows(1))
+        assert rows == [0, *reversed(range(3, n)), 1, 2]
+        labels = [korder.label[r] for r in rows]
+        assert labels == sorted(set(labels))
+        assert all(label >> SHIFT == 1 for label in labels)
+        assert list(korder.rows(0)) == []
 
 
 class TestEditEdgeCases:
@@ -294,6 +407,40 @@ class TestEditEdgeCases:
         flat = FlatDynamicKCore()
         with pytest.raises(ConfigurationError, match="merge"):
             flat.apply_events([Bogus()])
+
+
+class TestBatchThatRaises:
+    """A batch whose event raises still settles the edits before it."""
+
+    EVENTS = (
+        ChurnEvent(0.0, "unlink", (0, 1)),
+        ChurnEvent(1.0, "join", (2, 0)),  # node 2 already present
+    )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_engine(self, backend):
+        flat = FlatDynamicKCore(gen.clique_graph(4),
+                                backend=resolve_backend(backend))
+        with pytest.raises(GraphError, match="already present"):
+            flat.apply_events(self.EVENTS)
+        expected = batagelj_zaversnik(flat.graph.to_graph())
+        assert flat.coreness_of(0) == expected[0] == 2
+        assert flat.coreness == expected
+        assert flat.metrics["edits_applied"] == 1
+        flat.check_invariants()
+        assert flat.verify()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_service(self, backend):
+        service = ChurnService(gen.clique_graph(4),
+                               backend=resolve_backend(backend))
+        service.submit(self.EVENTS)
+        with pytest.raises(GraphError, match="already present"):
+            service.coreness_of(0)
+        expected = batagelj_zaversnik(service.engine.graph.to_graph())
+        assert service.coreness_of(0) == expected[0] == 2
+        assert service.coreness() == expected
+        assert service.verify()
 
 
 class TestGeneratedTraces:
@@ -402,6 +549,7 @@ class TestApproxLane:
                     engine.insert_edge(u, v)
                 except EdgeError:
                     pass  # unsampled duplicate of a full-graph edge
+            engine.check_invariants()
         assert engine.verify()
 
     def test_scaling_is_applied(self):
@@ -449,4 +597,5 @@ class TestPropertyBased:
             elif a != b:
                 events.append(ChurnEvent(float(t), kind, (a, b)))
         _drive(flat, oracle, events, batch=5)
+        flat.check_invariants()
         assert flat.verify() and oracle.verify()
