@@ -44,7 +44,6 @@ sys.path.insert(
 )
 
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many  # noqa: E402
-from repro.core.one_to_many_mp import run_one_to_many_mp  # noqa: E402
 from repro.graph import generators as gen  # noqa: E402
 from repro.sim.checkpoint import CheckpointPolicy  # noqa: E402
 from repro.sim.faults import Fault, FaultPlan  # noqa: E402
@@ -73,7 +72,7 @@ def _mp(graph, workers, start_method, checkpoint=None, fault_plan=None,
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = run_one_to_many_mp(graph, config, fault_plan=fault_plan)
+        result = run_one_to_many(graph, config, fault_plan=fault_plan)
     return time.perf_counter() - start, result
 
 

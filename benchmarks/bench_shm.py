@@ -49,7 +49,7 @@ sys.path.insert(
 )
 
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many  # noqa: E402
-from repro.core.one_to_many_mp import MP_SMALL_RUN_NODES_PER_WORKER  # noqa: E402
+from repro.core.one_to_many import MP_SMALL_RUN_NODES_PER_WORKER  # noqa: E402
 from repro.graph import generators as gen  # noqa: E402
 
 FAMILIES = {

@@ -19,12 +19,10 @@ Quickstart::
 
 from repro.core.api import ALGORITHMS, coreness, decompose
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
-from repro.core.one_to_one_flat import run_one_to_one_flat
-from repro.core.one_to_many import OneToManyConfig, run_one_to_many
-from repro.core.one_to_many_flat import run_one_to_many_flat
-from repro.core.one_to_many_mp import (
+from repro.core.one_to_many import (
+    OneToManyConfig,
     resume_from_checkpoint,
-    run_one_to_many_mp,
+    run_one_to_many,
 )
 from repro.core.result import DecompositionResult
 from repro.sim.checkpoint import CheckpointPolicy
@@ -64,10 +62,7 @@ __all__ = [
     "read_edge_list",
     "resume_from_checkpoint",
     "run_one_to_many",
-    "run_one_to_many_flat",
-    "run_one_to_many_mp",
     "run_one_to_one",
-    "run_one_to_one_flat",
     "write_edge_list",
     "__version__",
 ]

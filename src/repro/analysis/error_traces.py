@@ -13,8 +13,10 @@ both series; :func:`run_with_error_trace` is the convenience wrapper.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik
-from repro.core.one_to_one import KCoreNode, OneToOneConfig, build_node_processes
+from repro.core.one_to_one import KCoreNode, OneToOneConfig, run_one_to_one
 from repro.core.result import DecompositionResult
 from repro.graph.graph import Graph
 from repro.sim.engine import RoundEngine
@@ -62,27 +64,16 @@ def run_with_error_trace(
     config: OneToOneConfig | None = None,
     truth: dict[int, int] | None = None,
 ) -> tuple[DecompositionResult, ErrorTraceObserver]:
-    """Run the one-to-one protocol while recording the Figure-4 series."""
+    """Run the one-to-one protocol on the round engine while recording
+    the Figure-4 series."""
     config = config or OneToOneConfig()
     truth = truth if truth is not None else batagelj_zaversnik(graph)
     observer = ErrorTraceObserver(truth)
-    processes = build_node_processes(graph, config.optimize_sends)
-    engine = RoundEngine(
-        processes,
-        mode=config.mode,
-        seed=config.seed,
-        max_rounds=(
-            config.fixed_rounds
-            if config.fixed_rounds is not None
-            else config.max_rounds
+    result = run_one_to_one(
+        graph,
+        dataclasses.replace(
+            config, engine="round", observers=(*config.observers, observer)
         ),
-        strict=config.strict and config.fixed_rounds is None,
-        observers=[observer],
     )
-    stats = engine.run()
-    result = DecompositionResult(
-        coreness={pid: p.core for pid, p in processes.items()},
-        stats=stats,
-        algorithm="one-to-one/error-trace",
-    )
+    result.algorithm = "one-to-one/error-trace"
     return result, observer

@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from repro.core.api import ALGORITHMS, decompose
-from repro.errors import ConfigurationError, GraphIOError
+from repro.errors import ConfigurationError, DatasetError, GraphIOError
 from repro.graph.io import read_edge_list
 from repro.graph.stats import compute_stats
 from repro.utils.tables import format_table
@@ -235,21 +235,14 @@ def _print_result(result, top: int) -> None:
     ))
 
 
-#: Algorithms whose configs accept ``telemetry`` / ``trace_out``.
-_TELEMETRY_ALGORITHMS = (
-    "one-to-one", "one-to-one-flat",
-    "one-to-many", "one-to-many-flat", "one-to-many-mp",
-)
-
-
-def _make_tracer(args: argparse.Namespace, engine_is_mp: bool):
+def _make_tracer(args: argparse.Namespace, fleet: bool):
     """The CLI's tracer (or ``None``): built here, not in the config
     layer, so the summary table can be printed after the run."""
     if not (args.telemetry or args.trace_out):
         return None
     from repro.telemetry import Tracer
 
-    return Tracer(lane="coordinator" if engine_is_mp else "main")
+    return Tracer(lane="coordinator" if fleet else "main")
 
 
 def _print_telemetry(tracer, trace_out: "str | None") -> None:
@@ -262,25 +255,102 @@ def _print_telemetry(tracer, trace_out: "str | None") -> None:
         print(f"trace written: {trace_out}")
 
 
+def _setting_flags(args: argparse.Namespace) -> "list[tuple[str, str, object]]":
+    """``(flag, option, value)`` for every flag that sets an option of
+    the run; ``--workers`` is the fleet's host count."""
+    checkpoint = None
+    if args.checkpoint_every is not None or args.checkpoint_dir is not None:
+        checkpoint = (args.checkpoint_every, args.checkpoint_dir)
+    return [
+        ("--hosts", "num_hosts", args.hosts),
+        ("--engine", "engine", args.engine),
+        ("--workers", "num_hosts", args.workers),
+        ("--backend", "backend", args.backend),
+        ("--mode", "mode", args.mode),
+        ("--communication", "communication", args.communication),
+        ("--policy", "policy", args.policy),
+        ("--transport", "mp_transport", args.transport),
+        ("--checkpoint-every/--checkpoint-dir", "checkpoint", checkpoint),
+    ]
+
+
+def _flag_taken(path, flag: str, option: str) -> bool:
+    """Whether table row ``path`` takes ``flag``: ``--workers`` sets
+    ``num_hosts``, but only as the fleet's process count."""
+    return path.fleet if flag == "--workers" else path.takes(option)
+
+
+def _decompose_options(args: argparse.Namespace, algorithm: str):
+    """The ``decompose`` options the flags set. A flag the table row
+    it selects does not take is rejected by name — the CLI never drops
+    a flag the user typed; value conflicts (``--mode`` on an engine
+    without that mode, ...) are left to ``decompose``."""
+    from repro.core.paths import PATHS, select
+
+    engine = args.engine
+    rows = [p for p in PATHS if p.algorithm == algorithm]
+    if engine == "round" and all(p.engine != "round" for p in rows):
+        # --engine round names an algorithm's object engine, which
+        # pregel calls "object"
+        engine = next((p.engine for p in rows if p.engine), engine)
+    path = select(algorithm, engine)
+    options: dict[str, object] = {}
+    if path.takes("seed"):
+        options["seed"] = args.seed
+    for flag, option, value in _setting_flags(args):
+        if value is None:
+            continue
+        if flag == "--hosts" and path.takes("num_workers"):
+            option = "num_workers"
+        if not _flag_taken(path, flag, option):
+            takers = [p.engine for p in rows if _flag_taken(p, flag, option)]
+            where = f"algorithm {algorithm!r}"
+            if path.engine is not None:
+                where += f" on engine={path.engine!r}"
+            hint = f"; it needs --engine {' or '.join(takers)}" if takers else ""
+            raise ConfigurationError(f"{flag} has no meaning for {where}{hint}")
+        options[option] = value
+    if args.workers is not None and args.hosts not in (None, args.workers):
+        raise ConfigurationError(
+            f"--hosts {args.hosts} conflicts with --workers {args.workers}: "
+            "the mp engine runs one OS process per host shard, so they "
+            "name the same number — pass just one"
+        )
+    if engine is not None:
+        options["engine"] = engine
+    if "checkpoint" in options:
+        every, directory = args.checkpoint_every, args.checkpoint_dir
+        if every is None or directory is None:
+            raise ConfigurationError(
+                "--checkpoint-every and --checkpoint-dir name one policy "
+                "(how often, where) and must be passed together"
+            )
+        from repro.sim.checkpoint import CheckpointPolicy
+
+        options["checkpoint"] = CheckpointPolicy(
+            every_n_rounds=every, dir=directory
+        )
+    if args.telemetry or args.trace_out:
+        if not path.takes("telemetry"):
+            raise ConfigurationError(
+                "--telemetry/--trace-out have no meaning for algorithm "
+                f"{algorithm!r}: span tracing instruments the engines that "
+                "run in rounds"
+            )
+        options["telemetry"] = _make_tracer(args, path.fleet)
+        options["trace_out"] = args.trace_out
+    return options
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.resume is not None:
         # everything about a resumed run — graph, algorithm, engine
         # settings — is fixed by the checkpoint manifest; a flag that
         # tried to change any of it would be silently ignored, so
         # reject instead
-        for flag, value in (
-            ("--algorithm", args.algorithm),
-            ("--hosts", args.hosts),
-            ("--engine", args.engine),
-            ("--workers", args.workers),
-            ("--backend", args.backend),
-            ("--mode", args.mode),
-            ("--communication", args.communication),
-            ("--policy", args.policy),
-            ("--transport", args.transport),
-            ("--checkpoint-every", args.checkpoint_every),
-            ("--checkpoint-dir", args.checkpoint_dir),
-        ):
+        for flag, _option, value in [
+            ("--algorithm", "", args.algorithm), *_setting_flags(args)
+        ]:
             if value is not None:
                 raise ConfigurationError(
                     f"{flag} cannot be combined with --resume: a resumed "
@@ -288,12 +358,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                     "manifest (further checkpoints keep landing in the "
                     "same directory)"
                 )
-        from repro.core.one_to_many_mp import resume_from_checkpoint
+        from repro.core.one_to_many import resume_from_checkpoint
 
         # --telemetry/--trace-out are deliberately allowed with
         # --resume: spans are observations, not checkpointed protocol
         # state, so tracing the resumed portion changes nothing
-        tracer = _make_tracer(args, engine_is_mp=True)
+        tracer = _make_tracer(args, fleet=True)
         result = resume_from_checkpoint(
             args.resume, telemetry=tracer, trace_out=args.trace_out
         )
@@ -304,197 +374,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         _print_result(result, args.top)
         _print_telemetry(tracer, args.trace_out)
         return 0
-    if args.algorithm is None:
-        args.algorithm = "one-to-one"
+    algorithm = args.algorithm or "one-to-one"
+    options = _decompose_options(args, algorithm)
     graph = _load_graph(args)
-    # conflicting combinations (--engine async with --mode, --engine on
-    # a -flat algorithm, ...) are forwarded as given: the config layer
-    # rejects them with a precise ConfigurationError instead of the CLI
-    # silently dropping a flag the user typed
-    options: dict[str, object] = {}
-    if args.engine is not None and args.algorithm in ("bz", "peeling", "hindex"):
-        raise ConfigurationError(
-            f"--engine has no meaning for algorithm {args.algorithm!r}: "
-            "the sequential baselines have a single implementation"
-        )
-    if args.mode is not None and args.algorithm in (
-        "bz", "peeling", "hindex", "pregel",
-    ):
-        raise ConfigurationError(
-            f"--mode has no meaning for algorithm {args.algorithm!r}: "
-            "activation modes belong to the one-to-one/one-to-many engines"
-        )
-    if args.workers is not None and args.algorithm not in (
-        "one-to-many", "one-to-many-flat", "one-to-many-mp",
-    ):
-        raise ConfigurationError(
-            f"--workers has no meaning for algorithm {args.algorithm!r}: "
-            "it sets the process count of the one-to-many mp engine "
-            "(one OS process per host shard)"
-        )
-    if args.transport is not None and args.algorithm not in (
-        "one-to-many", "one-to-many-flat", "one-to-many-mp",
-    ):
-        raise ConfigurationError(
-            f"--transport has no meaning for algorithm {args.algorithm!r}: "
-            "it selects the one-to-many mp engine's estimate transport"
-        )
-    if (
-        args.checkpoint_every is not None or args.checkpoint_dir is not None
-    ) and args.algorithm not in (
-        "one-to-many", "one-to-many-flat", "one-to-many-mp",
-    ):
-        raise ConfigurationError(
-            "--checkpoint-every/--checkpoint-dir have no meaning for "
-            f"algorithm {args.algorithm!r}: they configure the "
-            "one-to-many mp fleet's snapshots"
-        )
-    if args.algorithm == "one-to-one":
-        options["seed"] = args.seed
-        options["engine"] = args.engine or "round"
-        if args.mode is not None:
-            options["mode"] = args.mode
-    elif args.algorithm == "one-to-one-flat":
-        options["seed"] = args.seed
-        if args.engine is not None:
-            options["engine"] = args.engine
-        if args.mode is not None:
-            options["mode"] = args.mode
-    elif args.algorithm in (
-        "one-to-many", "one-to-many-flat", "one-to-many-mp",
-    ):
-        options.update(seed=args.seed, num_hosts=args.hosts or 4)
-        if args.algorithm == "one-to-many":
-            options["engine"] = args.engine or "round"
-        elif args.engine is not None:
-            options["engine"] = args.engine
-        engine_is_mp = (
-            options.get("engine") == "mp"
-            or args.algorithm == "one-to-many-mp"
-        )
-        if args.workers is not None:
-            # one OS process per host shard: --workers IS the host count
-            if not engine_is_mp:
-                raise ConfigurationError(
-                    "--workers sets the process count of --engine mp "
-                    "(one OS process per host shard); for the "
-                    "in-process engines use --hosts"
-                )
-            if args.hosts is not None and args.hosts != args.workers:
-                raise ConfigurationError(
-                    f"--hosts {args.hosts} conflicts with --workers "
-                    f"{args.workers}: the mp engine runs one OS process "
-                    "per host shard, so they name the same number — "
-                    "pass just one"
-                )
-            options["num_hosts"] = args.workers
-        if args.transport is not None:
-            if not engine_is_mp:
-                raise ConfigurationError(
-                    "--transport selects the estimate transport of "
-                    "--engine mp; the in-process engines move no bytes "
-                    "between processes"
-                )
-            options["mp_transport"] = args.transport
-        if engine_is_mp and args.mode is None:
-            # the only mode a process fleet can replay; an explicit
-            # --mode peersim still reaches the config layer's rejection
-            options["mode"] = "lockstep"
-        if args.checkpoint_every is not None or args.checkpoint_dir is not None:
-            if args.checkpoint_every is None or args.checkpoint_dir is None:
-                raise ConfigurationError(
-                    "--checkpoint-every and --checkpoint-dir name one "
-                    "policy (how often, where) and must be passed "
-                    "together"
-                )
-            if not engine_is_mp:
-                raise ConfigurationError(
-                    "--checkpoint-every/--checkpoint-dir configure the "
-                    "mp fleet's snapshots and need --engine mp (or "
-                    "--algorithm one-to-many-mp): the in-process "
-                    "engines cannot lose a worker"
-                )
-            from repro.sim.checkpoint import CheckpointPolicy
-
-            options["checkpoint"] = CheckpointPolicy(
-                every_n_rounds=args.checkpoint_every,
-                dir=args.checkpoint_dir,
-            )
-        if args.mode is not None:
-            options["mode"] = args.mode
-        if args.communication is not None:
-            options["communication"] = args.communication
-        if args.policy is not None:
-            options["policy"] = args.policy
-    elif args.algorithm == "pregel":
-        options["num_workers"] = args.hosts or 4
-        if args.engine is not None:
-            # the pregel paths are "object" (the BSP master) and
-            # "flat"; map the shared --engine vocabulary onto them and
-            # let the config layer reject what has no meaning there
-            options["engine"] = (
-                "object" if args.engine == "round" else args.engine
-            )
-    if args.backend is not None:
-        if args.algorithm in (
-            "one-to-one",
-            "one-to-one-flat",
-            "one-to-many",
-            "one-to-many-flat",
-            "hindex",
-            "pregel",
-        ):
-            options["backend"] = args.backend
-        else:
-            # bz/peeling take no options at all; dropping the flag
-            # silently would misreport what executed
-            raise ConfigurationError(
-                f"--backend has no meaning for algorithm "
-                f"{args.algorithm!r}: it selects flat-kernel backends "
-                "and the sequential baselines run no kernels"
-            )
-    tracer = None
-    if args.telemetry or args.trace_out:
-        if args.algorithm not in _TELEMETRY_ALGORITHMS:
-            raise ConfigurationError(
-                "--telemetry/--trace-out have no meaning for algorithm "
-                f"{args.algorithm!r}: span tracing instruments the "
-                "one-to-one/one-to-many engines "
-                f"({', '.join(_TELEMETRY_ALGORITHMS)})"
-            )
-        tracer = _make_tracer(
-            args,
-            engine_is_mp=(
-                options.get("engine") == "mp"
-                or args.algorithm == "one-to-many-mp"
-            ),
-        )
-        options["telemetry"] = tracer
-        options["trace_out"] = args.trace_out
-    result = decompose(graph, args.algorithm, **options)
+    result = decompose(graph, algorithm, **options)
     print(
         f"graph: {graph.name or 'stdin'}  nodes={graph.num_nodes} "
         f"edges={graph.num_edges}"
     )
-    print(
-        f"algorithm: {result.algorithm}  k_max={result.max_coreness}  "
-        f"k_avg={result.average_coreness:.2f}"
-    )
-    if result.stats.rounds_executed:
-        print(
-            f"rounds={result.stats.execution_time}  "
-            f"messages={result.stats.total_messages}"
-        )
-    rows = [
-        (node, result.coreness[node])
-        for node in result.top_spreaders(args.top)
-    ]
-    print(format_table(("node", "coreness"), rows, title="top nodes"))
-    shells = result.shell_sizes()
-    print(format_table(
-        ("k", "shell size"), sorted(shells.items()), title="shell sizes"
-    ))
-    _print_telemetry(tracer, args.trace_out)
+    _print_result(result, args.top)
+    _print_telemetry(options.get("telemetry"), args.trace_out)
     return 0
 
 
@@ -666,7 +555,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except GraphIOError as exc:
+    except (GraphIOError, DatasetError) as exc:
         # bad input is a usage error: one line, argparse's exit code
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

@@ -2,34 +2,21 @@
 
 Most users want "give me the coreness of this graph, computed the way
 the paper computes it". :func:`decompose` dispatches to any of the
-implemented algorithms; :func:`coreness` returns just the map.
+implemented algorithms through the table of execution paths
+(:mod:`repro.core.paths`); :func:`coreness` returns just the map.
 """
 
 from __future__ import annotations
 
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik
 from repro.baselines.peeling import peeling_coreness
-from repro.core.assignment import Assignment
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
+from repro.core.paths import ALGORITHMS, resolve
 from repro.core.result import DecompositionResult, wrap_coreness
-from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 
 __all__ = ["decompose", "coreness", "ALGORITHMS"]
-
-#: Algorithms accepted by :func:`decompose`.
-ALGORITHMS = (
-    "one-to-one",
-    "one-to-one-flat",
-    "one-to-many",
-    "one-to-many-flat",
-    "one-to-many-mp",
-    "bz",
-    "peeling",
-    "hindex",
-    "pregel",
-)
 
 
 def decompose(
@@ -73,75 +60,53 @@ def decompose(
     The distributed protocols and the flat baselines take a
     ``backend`` option (``"stdlib"`` default / ``"numpy"`` optional)
     selecting the :mod:`repro.sim.kernels` backend on their flat
-    engines; results are bit-identical across backends.
+    engines; results are bit-identical across backends. An option the
+    selected path does not take raises
+    :class:`~repro.errors.ConfigurationError`.
 
     >>> from repro.graph.generators import figure2_example
     >>> decompose(figure2_example(), "bz").coreness[0]
     1
     """
-    if algorithm == "one-to-one":
+    path = resolve(algorithm, options)
+    if path.engine is not None:
+        options.setdefault("engine", path.engine)
+    if path.modes:
+        options.setdefault("mode", path.modes[0])
+    if path.algorithm == "one-to-one":
         return run_one_to_one(graph, OneToOneConfig(**options))  # type: ignore[arg-type]
-    if algorithm == "one-to-one-flat":
-        options.setdefault("mode", "lockstep")
-        if options.setdefault("engine", "flat") != "flat":
-            raise ConfigurationError(
-                "algorithm 'one-to-one-flat' implies engine='flat'; "
-                f"got engine={options['engine']!r} — use algorithm "
-                "'one-to-one' to pick an engine explicitly"
-            )
-        return run_one_to_one(graph, OneToOneConfig(**options))  # type: ignore[arg-type]
-    if algorithm in ("one-to-many", "one-to-many-flat", "one-to-many-mp"):
+    if path.algorithm == "one-to-many":
         assignment = options.pop("assignment", None)
-        if assignment is not None and not isinstance(assignment, Assignment):
-            raise ConfigurationError(
-                "assignment must be a repro.core.assignment.Assignment "
-                f"instance, got {type(assignment).__name__}"
-            )
-        if algorithm == "one-to-many-flat":
-            if options.setdefault("engine", "flat") != "flat":
-                raise ConfigurationError(
-                    "algorithm 'one-to-many-flat' implies engine='flat'; "
-                    f"got engine={options['engine']!r} — use algorithm "
-                    "'one-to-many' to pick an engine explicitly"
-                )
-        elif algorithm == "one-to-many-mp":
-            if options.setdefault("engine", "mp") != "mp":
-                raise ConfigurationError(
-                    "algorithm 'one-to-many-mp' implies engine='mp'; "
-                    f"got engine={options['engine']!r} — use algorithm "
-                    "'one-to-many' to pick an engine explicitly"
-                )
-            # lockstep is the only mode a process fleet can replay; an
-            # explicit mode="peersim" still reaches the config layer's
-            # loud rejection
-            options.setdefault("mode", "lockstep")
         return run_one_to_many(
             graph,
             OneToManyConfig(**options),  # type: ignore[arg-type]
-            assignment=assignment,
+            assignment=assignment,  # type: ignore[arg-type]
         )
-    if algorithm == "bz":
-        return wrap_coreness(batagelj_zaversnik(graph), "batagelj-zaversnik")
-    if algorithm == "peeling":
-        return wrap_coreness(peeling_coreness(graph), "peeling")
-    if algorithm == "hindex":
-        from repro.baselines.hindex import hindex_iteration
+    return path.load()(graph, **options)
 
-        values, sweeps = hindex_iteration(graph, **options)  # type: ignore[arg-type]
-        result = wrap_coreness(values, "hindex")
-        # the baseline exchanges no messages, so the round/message
-        # stats stay trivial (like bz/peeling); the Jacobi iteration
-        # count — which equals the lockstep engine's convergence
-        # rounds — travels in extra
-        result.stats.extra["sweeps"] = sweeps
-        return result
-    if algorithm == "pregel":
-        from repro.pregel.kcore import run_pregel_kcore
 
-        return run_pregel_kcore(graph, **options)  # type: ignore[arg-type]
-    raise ConfigurationError(
-        f"unknown algorithm {algorithm!r}; options: {list(ALGORITHMS)}"
-    )
+def run_bz(graph: Graph) -> DecompositionResult:
+    """Row runner of ``"bz"``."""
+    return wrap_coreness(batagelj_zaversnik(graph), "batagelj-zaversnik")
+
+
+def run_peeling(graph: Graph) -> DecompositionResult:
+    """Row runner of ``"peeling"``."""
+    return wrap_coreness(peeling_coreness(graph), "peeling")
+
+
+def run_hindex(graph: Graph, **options: object) -> DecompositionResult:
+    """Row runner of ``"hindex"``."""
+    from repro.baselines.hindex import hindex_iteration
+
+    values, sweeps = hindex_iteration(graph, **options)  # type: ignore[arg-type]
+    result = wrap_coreness(values, "hindex")
+    # the baseline exchanges no messages, so the round/message stats
+    # stay trivial (like bz/peeling); the Jacobi iteration count —
+    # which equals the lockstep engine's convergence rounds — travels
+    # in extra
+    result.stats.extra["sweeps"] = sweeps
+    return result
 
 
 def coreness(graph: Graph, algorithm: str = "bz") -> dict[int, int]:

@@ -26,6 +26,8 @@ reported as ``stats.extra["estimates_sent_per_node"]``.
 
 from __future__ import annotations
 
+import pickle
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,15 +36,27 @@ from repro.core.compute_index import (
     improve_estimate_naive,
     improve_estimate_worklist,
 )
+from repro.core.paths import run
 from repro.core.result import DecompositionResult
 from repro.errors import ConfigurationError
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.sim.checkpoint import CheckpointPolicy
+from repro.graph.sharded import ShardedCSR
+from repro.sim.checkpoint import CheckpointPolicy, load_checkpoint
 from repro.sim.engine import Observer, RoundEngine
+from repro.sim.faults import FaultPlan
+from repro.sim.kernels import resolve_backend
 from repro.sim.node import Context, Message, Process
 from repro.telemetry import finish_run_telemetry, run_tracer
 
-__all__ = ["KCoreHost", "OneToManyConfig", "run_one_to_many", "build_host_processes"]
+__all__ = [
+    "KCoreHost",
+    "OneToManyConfig",
+    "run_one_to_many",
+    "build_host_processes",
+    "resume_from_checkpoint",
+    "MP_SMALL_RUN_NODES_PER_WORKER",
+]
 
 #: Integer stand-in for the paper's +∞ estimate (any value > max degree works).
 INFINITY_INT = 2**62
@@ -237,13 +251,13 @@ class OneToManyConfig:
     policy: str = "modulo"
     communication: str = "broadcast"
     mode: str = "peersim"
-    #: ``"round"`` (default), ``"flat"``, ``"mp"`` or ``"async"``.
-    #: ``"flat"`` routes to the sharded CSR fast path
-    #: (:mod:`repro.core.one_to_many_flat`) — an exact replay of the
-    #: round engine (identical coreness, rounds, message counts and
-    #: ``estimates_sent`` per seed), just faster; it rejects
-    #: ``observers``. ``"mp"`` spawns one OS process per host shard
-    #: (:mod:`repro.core.one_to_many_mp`) with host-to-host batches
+    #: ``"round"`` (default), ``"flat"``, ``"mp"`` or ``"async"``;
+    #: which fields each engine takes is one row of
+    #: :mod:`repro.core.paths`. ``"flat"`` runs the sharded CSR fast
+    #: path — an exact replay of the round engine (identical coreness,
+    #: rounds, message counts and ``estimates_sent`` per seed), just
+    #: faster; it rejects generic ``observers``. ``"mp"`` spawns one OS
+    #: process per host shard with host-to-host batches
     #: over real pipes — an exact replay of the flat lockstep path; it
     #: requires ``mode="lockstep"`` and >= 2 hosts and rejects
     #: ``observers``. ``"async"`` runs the host processes under
@@ -353,76 +367,82 @@ def build_host_processes(
 
 
 def run_one_to_many(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     config: OneToManyConfig | None = None,
     assignment: Assignment | None = None,
+    fault_plan: "FaultPlan | None" = None,
 ) -> DecompositionResult:
     """Run Algorithms 3-5 over ``graph`` distributed on hosts.
 
     Returns the same coreness as the one-to-one protocol; the
     interesting output is ``stats``: rounds, engine-level messages, and
     ``stats.extra["estimates_sent_per_node"]`` — the Figure-5 overhead.
+
+    ``config.engine`` and ``config.mode`` select a row of the table of
+    execution paths (:mod:`repro.core.paths`), which rejects every field
+    that row does not take. ``assignment`` reuses a placement (it
+    overrides ``num_hosts``/``policy``); the flat and mp rows also accept
+    a prebuilt :class:`CSRGraph` with one. ``fault_plan`` injects
+    scripted failures into the mp fleet
+    (:class:`~repro.sim.faults.FaultPlan`).
     """
-    config = config or OneToManyConfig()
-    if config.engine != "mp":
-        for knob in (
-            "mp_start_method",
-            "mp_reply_timeout",
-            "mp_transport",
-            "checkpoint",
-        ):
-            if getattr(config, knob) is not None:
-                raise ConfigurationError(
-                    f"{knob}={getattr(config, knob)!r} configures the "
-                    "multiprocessing fleet and applies to engine='mp' "
-                    f"only, not engine={config.engine!r}; no other "
-                    "engine spawns processes"
-                )
-    if config.engine == "flat":
-        from repro.core.one_to_many_flat import run_one_to_many_flat
+    return run(
+        "one-to-many", graph, config or OneToManyConfig(),
+        assignment=assignment, fault_plan=fault_plan,
+    )
 
-        return run_one_to_many_flat(graph, config, assignment)
-    if config.engine == "mp":
-        from repro.core.one_to_many_mp import run_one_to_many_mp
 
-        return run_one_to_many_mp(graph, config, assignment)
-    if config.backend != "stdlib":
-        # kernel backends belong to the flat engine; silently ignoring
-        # the knob would misreport what actually executed
+def _placement(
+    graph: "Graph | CSRGraph", config: OneToManyConfig,
+    assignment: "Assignment | None",
+) -> Assignment:
+    """``assignment`` if given, else ``config.policy`` over ``graph``.
+
+    A prebuilt :class:`CSRGraph` needs an explicit assignment: the
+    placement policies are defined over the node ids of a :class:`Graph`.
+    """
+    if assignment is not None:
+        if not isinstance(assignment, Assignment):
+            raise ConfigurationError(
+                "assignment must be a repro.core.assignment.Assignment "
+                f"instance, got {type(assignment).__name__}"
+            )
+        return assignment
+    if isinstance(graph, CSRGraph):
         raise ConfigurationError(
-            f"backend={config.backend!r} selects a flat-kernel backend "
-            f"and applies to the kernel engines ('flat', 'mp') only, "
-            f"not engine={config.engine!r}; the object engines run "
-            "Process objects, not kernels"
+            "a prebuilt CSRGraph carries no placement policy input; "
+            "pass an explicit assignment (from repro.core.assignment."
+            "assign on the source Graph)"
         )
-    if config.engine == "async":
-        # the async engine has no rounds: silently ignoring round-engine
-        # knobs would report misleading results, so reject them instead
-        if config.fixed_rounds is not None:
-            raise ConfigurationError(
-                "fixed_rounds has no meaning under engine='async' "
-                "(there are no rounds)"
-            )
-        if config.mode == "lockstep":
-            raise ConfigurationError(
-                "mode='lockstep' has no meaning under engine='async'; "
-                "activation modes belong to the round engines"
-            )
-        if config.observers:
-            raise ConfigurationError(
-                "observers are round-engine hooks and are not invoked "
-                "by engine='async'; use engine='round' for traced runs"
-            )
-        if config.telemetry or config.trace_out:
-            raise ConfigurationError(
-                "telemetry spans bracket rounds and kernel phases, "
-                "which engine='async' does not have; use engine='round', "
-                "'flat' or 'mp' for traced runs"
-            )
-    if assignment is None:
-        assignment = assign(
-            graph, config.num_hosts, policy=config.policy, seed=config.seed
-        )
+    return assign(graph, config.num_hosts, policy=config.policy, seed=config.seed)
+
+
+def _export_extra(
+    stats, estimates_sent: int, num_nodes: int, num_hosts: int,
+    cut_edges: int, policy: "str | None",
+) -> None:
+    """The Figure-5 and partition keys every one-to-many row exports.
+
+    ``cut_edges_after_refine`` appears only when the placement came from
+    ``policy="refined"``, mirroring the metric registry's source
+    annotation.
+    """
+    stats.extra["estimates_sent_total"] = estimates_sent
+    stats.extra["estimates_sent_per_node"] = (
+        estimates_sent / num_nodes if num_nodes else 0.0
+    )
+    stats.extra["num_hosts"] = num_hosts
+    stats.extra["cut_edges"] = cut_edges
+    if policy == "refined":
+        stats.extra["cut_edges_after_refine"] = cut_edges
+
+
+def run_objects(
+    graph: Graph, config: OneToManyConfig, tracer: object,
+    assignment: "Assignment | None" = None,
+) -> DecompositionResult:
+    """Row runner of the object engines (``round`` and ``async``)."""
+    assignment = _placement(graph, config, assignment)
     processes = build_host_processes(
         graph,
         assignment,
@@ -430,50 +450,252 @@ def run_one_to_many(
         use_worklist=config.use_worklist,
         p2p_filter=config.p2p_filter,
     )
-    tracer = run_tracer(config.telemetry, config.trace_out)
     if config.engine == "async":
         from repro.sim.async_engine import AsyncEngine
 
-        async_engine = AsyncEngine(
+        stats = AsyncEngine(
             processes, seed=config.seed, strict=config.strict
-        )
-        stats = async_engine.run()
-    elif config.engine == "round":
-        max_rounds = config.max_rounds
-        strict = config.strict
-        if config.fixed_rounds is not None:
-            max_rounds = config.fixed_rounds
-            strict = False
-        engine = RoundEngine(
+        ).run()
+    else:
+        stats = RoundEngine(
             processes,
             mode=config.mode,
             seed=config.seed,
-            max_rounds=max_rounds,
-            strict=strict,
+            max_rounds=config.max_rounds,
+            strict=config.strict,
             observers=config.observers,
             telemetry=tracer,
-        )
-        stats = engine.run()
-    else:
-        raise ConfigurationError(f"unknown engine {config.engine!r}")
-
+        ).run()
     coreness: dict[int, int] = {}
     estimates_sent = 0
     for host in processes.values():
         estimates_sent += host.estimates_sent
         for u in host.owned:
             coreness[u] = host.est[u]
-    stats.extra["estimates_sent_total"] = estimates_sent
-    stats.extra["estimates_sent_per_node"] = (
-        estimates_sent / graph.num_nodes if graph.num_nodes else 0.0
+    _export_extra(
+        stats, estimates_sent, graph.num_nodes, assignment.num_hosts,
+        assignment.cut_edges(graph), assignment.policy,
     )
-    stats.extra["num_hosts"] = assignment.num_hosts
-    stats.extra["cut_edges"] = assignment.cut_edges(graph)
-    if assignment.policy == "refined":
-        stats.extra["cut_edges_after_refine"] = stats.extra["cut_edges"]
-    finish_run_telemetry(tracer, config.trace_out, stats)
     return DecompositionResult(
         coreness=coreness,
         stats=stats,
         algorithm=f"one-to-many/{config.communication}/{assignment.policy}",
     )
+
+
+def _shard(
+    graph: "Graph | CSRGraph", config: OneToManyConfig,
+    assignment: "Assignment | None",
+) -> "tuple[ShardedCSR, Assignment]":
+    """Place (before the CSR build, so a shared ``Random`` seed is
+    consumed in the object path's order) and partition the graph."""
+    assignment = _placement(graph, config, assignment)
+    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    return ShardedCSR(csr, assignment), assignment
+
+
+def run_flat(
+    graph: "Graph | CSRGraph", config: OneToManyConfig, tracer: object,
+    assignment: "Assignment | None" = None,
+) -> DecompositionResult:
+    """Row runner of the sharded flat engine.
+
+    An exact replay of the object path per (mode, communication,
+    policy, seed); the cut comes from the shard build instead of an
+    O(m) sweep. ``use_worklist`` selects nothing here: the flat cascade
+    is always a worklist, and both object variants compute the same
+    fixpoint and changed set.
+    """
+    from repro.sim.flat_many_engine import FlatOneToManyEngine
+
+    # resolved before any shard work, so a missing numpy fails first
+    backend = resolve_backend(config.backend)
+    sharded, assignment = _shard(graph, config, assignment)
+    engine = FlatOneToManyEngine(
+        sharded,
+        communication=config.communication,
+        mode=config.mode,
+        seed=config.seed,
+        p2p_filter=config.p2p_filter,
+        max_rounds=config.max_rounds,
+        strict=config.strict,
+        backend=backend,
+        telemetry=tracer,
+        recorders=tuple(config.observers),
+    )
+    stats = engine.run()
+    _export_extra(
+        stats, engine.estimates_sent_total(), sharded.csr.num_nodes,
+        sharded.num_hosts, sharded.cut_edges, assignment.policy,
+    )
+    return DecompositionResult(
+        coreness=engine.coreness(),
+        stats=stats,
+        algorithm=(
+            f"one-to-many/{config.communication}/{assignment.policy}-flat"
+        ),
+    )
+
+
+#: Below this many owned nodes per worker the IPC bill (process spawn,
+#: shard pickling, per-round batch serialization) dominates the actual
+#: protocol work and the in-process flat engine is strictly better; the
+#: mp runner emits a RuntimeWarning pointing there.
+MP_SMALL_RUN_NODES_PER_WORKER = 512
+
+
+def run_mp(
+    graph: "Graph | CSRGraph", config: OneToManyConfig, tracer: object,
+    assignment: "Assignment | None" = None,
+    fault_plan: "FaultPlan | None" = None,
+) -> DecompositionResult:
+    """Row runner of the mp fleet: one OS process per host shard.
+
+    An exact replay of the flat lockstep path, plus the transport keys
+    (``pipe_bytes_*``, ``shard_payload_bytes``, ``workers``,
+    ``start_method``, ``transport``, and ``shm_bytes_*`` on the shm
+    transport). ``config.checkpoint`` makes the fleet snapshot every N
+    rounds and recover a lost worker in flight; ``fault_plan`` scripts
+    the failures. A run too small to amortize the process fan-out warns
+    (``RuntimeWarning``) once the configuration is known to be valid.
+    """
+    from repro.sim.mp_engine import MultiProcessOneToManyEngine
+
+    sharded, assignment = _shard(graph, config, assignment)
+    engine = MultiProcessOneToManyEngine(
+        sharded,
+        communication=config.communication,
+        mode=config.mode,
+        seed=config.seed,
+        p2p_filter=config.p2p_filter,
+        max_rounds=config.max_rounds,
+        strict=config.strict,
+        backend=config.backend,
+        start_method=config.mp_start_method or "spawn",
+        transport=config.mp_transport or "queue",
+        reply_timeout=config.mp_reply_timeout,
+        checkpoint=config.checkpoint,
+        fault_plan=fault_plan,
+        telemetry=tracer,
+        recorders=tuple(config.observers),
+    )
+    # persisted into checkpoint manifests so a resumed run packages the
+    # same label and placement keys without the original Graph or
+    # Assignment
+    engine.checkpoint_meta = {
+        "algorithm": (
+            f"one-to-many/{config.communication}/{assignment.policy}-mp"
+        ),
+        "policy": assignment.policy,
+    }
+    num_nodes = sharded.csr.num_nodes
+    workers = sharded.num_hosts
+    if num_nodes < MP_SMALL_RUN_NODES_PER_WORKER * workers:
+        warnings.warn(
+            f"engine='mp' spawns {workers} OS processes for "
+            f"{num_nodes} nodes ({num_nodes / workers:.0f} per worker); "
+            "process startup and pipe serialization will dominate below "
+            f"~{MP_SMALL_RUN_NODES_PER_WORKER} nodes/worker — results "
+            "are identical either way, but engine='flat' is faster at "
+            "this size",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return _package_fleet(engine, engine.run())
+
+
+def _package_fleet(engine, stats) -> DecompositionResult:
+    """Result packaging shared by fresh and resumed fleets.
+
+    The label and the placement policy come from
+    ``engine.checkpoint_meta`` — the fields a checkpoint manifest
+    persists — so a resumed run reports exactly the keys of an
+    uninterrupted one. The recovery keys appear whenever they could be
+    nonzero.
+    """
+    sharded = engine.sharded
+    meta = engine.checkpoint_meta
+    _export_extra(
+        stats, engine.estimates_sent_total(), sharded.csr.num_nodes,
+        sharded.num_hosts, sharded.cut_edges, meta.get("policy"),
+    )
+    stats.extra["workers"] = sharded.num_hosts
+    stats.extra["start_method"] = engine.start_method
+    stats.extra["pipe_bytes_total"] = engine.pipe_bytes_total
+    stats.extra["pipe_bytes_per_round"] = list(engine.pipe_bytes_per_round)
+    stats.extra["shard_payload_bytes"] = list(engine.shard_payload_bytes)
+    stats.extra["transport"] = engine.transport
+    if engine.transport == "shm":
+        stats.extra["shm_bytes_total"] = engine.shm_bytes_total
+        stats.extra["shm_bytes_per_round"] = list(engine.shm_bytes_per_round)
+    if (
+        engine.checkpoint is not None
+        or engine.fault_plan is not None
+        or engine.resilient
+        or engine.resumed_from_round is not None
+    ):
+        stats.extra["recoveries"] = list(engine.recoveries)
+        stats.extra["checkpoint_bytes"] = engine.checkpoint_bytes
+        stats.extra["resumed_from_round"] = engine.resumed_from_round
+    return DecompositionResult(
+        coreness=engine.coreness(), stats=stats, algorithm=meta["algorithm"]
+    )
+
+
+def resume_from_checkpoint(
+    dir: str,
+    max_rounds: "int | None" = None,
+    strict: "bool | None" = None,
+    telemetry: object = None,
+    trace_out: "str | None" = None,
+) -> DecompositionResult:
+    """Restart a whole mp fleet from the checkpoint committed in ``dir``.
+
+    The recovery path for *coordinator* death (in-flight recovery only
+    covers a lost worker): a fresh coordinator loads the verified
+    checkpoint (:func:`repro.sim.checkpoint.load_checkpoint` — checksum
+    + format-version enforced), rebuilds the fleet from the pickled
+    :class:`~repro.graph.sharded.ShardedCSR`, restores every worker from
+    its snapshot, and continues the lockstep loop from the checkpointed
+    round. The completed run is bit-identical to one that was never
+    interrupted: same coreness, rounds, per-round send counts and
+    ``estimates_sent`` (cumulative counters are restored from the
+    manifest, not reset).
+
+    ``max_rounds`` / ``strict`` override the checkpointed values (the
+    original run may have been truncated deliberately via
+    ``fixed_rounds``); everything else — communication policy, backend,
+    start method, checkpoint cadence (further checkpoints keep being
+    written to ``dir``) — comes from the manifest. ``telemetry`` /
+    ``trace_out`` trace the resumed portion of the run (spans are not
+    checkpointed — they are observations, not protocol state).
+    """
+    from repro.sim.mp_engine import MultiProcessOneToManyEngine
+
+    ckpt = load_checkpoint(dir)
+    cfg = ckpt.config
+    tracer = run_tracer(telemetry, trace_out, lane="coordinator")
+    engine = MultiProcessOneToManyEngine(
+        pickle.loads(ckpt.fleet_blob),
+        communication=cfg["communication"],
+        mode="lockstep",
+        p2p_filter=cfg["p2p_filter"],
+        max_rounds=cfg["max_rounds"] if max_rounds is None else max_rounds,
+        strict=cfg["strict"] if strict is None else strict,
+        backend=cfg["backend"],
+        start_method=cfg["start_method"],
+        transport=cfg.get("transport", "queue"),
+        checkpoint=CheckpointPolicy(
+            every_n_rounds=cfg["checkpoint_every"], dir=dir
+        ),
+        telemetry=tracer,
+    )
+    # .get: manifests written before the policy was persisted resume
+    # without the refined-cut gauge, as they always did
+    engine.checkpoint_meta = {
+        "algorithm": cfg["algorithm"], "policy": cfg.get("policy"),
+    }
+    engine._resume = ckpt
+    result = _package_fleet(engine, engine.run())
+    finish_run_telemetry(tracer, trace_out, result.stats)
+    return result

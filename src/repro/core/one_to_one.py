@@ -31,13 +31,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.compute_index import compute_index
+from repro.core.paths import run
 from repro.core.result import DecompositionResult
-from repro.errors import ConfigurationError
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.sim.async_engine import AsyncEngine
 from repro.sim.engine import Observer, RoundEngine
+from repro.sim.kernels import resolve_backend
 from repro.sim.node import Context, Message, Process
-from repro.telemetry import finish_run_telemetry, run_tracer
 
 __all__ = ["KCoreNode", "OneToOneConfig", "run_one_to_one", "build_node_processes"]
 
@@ -135,11 +136,12 @@ class OneToOneConfig:
         :mod:`repro.sim.flat_engine`; supports both ``mode`` values, no
         observers, bit-identical results — including the RNG-driven
         activation order under ``mode="peersim"`` — to
-        ``engine="round"`` with the same mode and seed).
-        The async engine has no rounds and no activation modes, so
+        ``engine="round"`` with the same mode and seed). Which fields
+        each engine takes is one row of :mod:`repro.core.paths`: the
+        async engine has no rounds and no activation modes, so
         combining it with ``fixed_rounds``, ``mode="lockstep"`` or
         ``observers`` raises :class:`ConfigurationError`; likewise
-        ``latency`` is async-only.
+        ``latency`` and ``async_max_time`` are async-only.
     backend:
         Kernel backend for ``engine="flat"`` (see
         :mod:`repro.sim.kernels`): ``"stdlib"`` (canonical, default)
@@ -202,95 +204,93 @@ def build_node_processes(
 
 
 def run_one_to_one(
-    graph: Graph, config: OneToOneConfig | None = None
+    graph: "Graph | CSRGraph", config: OneToOneConfig | None = None
 ) -> DecompositionResult:
     """Run Algorithm 1 over ``graph`` and return the decomposition.
+
+    ``config.engine`` and ``config.mode`` select a row of the table of
+    execution paths (:mod:`repro.core.paths`), which rejects every field
+    that row does not take. The flat rows also accept a prebuilt
+    :class:`CSRGraph` (conversion amortised by the caller).
 
     >>> from repro.graph.generators import clique_graph
     >>> run_one_to_one(clique_graph(4)).coreness
     {0: 3, 1: 3, 2: 3, 3: 3}
     """
-    config = config or OneToOneConfig()
+    return run("one-to-one", graph, config or OneToOneConfig())
 
-    if config.engine == "async":
-        # the async engine has no rounds: silently ignoring round-engine
-        # knobs would report misleading results, so reject them instead
-        if config.fixed_rounds is not None:
-            raise ConfigurationError(
-                "fixed_rounds has no meaning under engine='async' "
-                "(there are no rounds); bound the run with "
-                "async_max_time instead"
-            )
-        if config.mode == "lockstep":
-            raise ConfigurationError(
-                "mode='lockstep' has no meaning under engine='async'; "
-                "activation modes belong to the round engines"
-            )
-        if config.observers:
-            raise ConfigurationError(
-                "observers are round-engine hooks and are not invoked "
-                "by engine='async'; use engine='round' for traced runs"
-            )
-        if config.telemetry or config.trace_out:
-            raise ConfigurationError(
-                "telemetry spans bracket rounds and kernel phases, "
-                "which engine='async' does not have; use engine='round' "
-                "or engine='flat' for traced runs"
-            )
-    elif config.latency is not None:
-        raise ConfigurationError(
-            f"latency applies to engine='async' only, not "
-            f"engine={config.engine!r}"
-        )
 
-    if config.backend != "stdlib" and config.engine != "flat":
-        # kernel backends belong to the flat engines; silently ignoring
-        # the knob would misreport what actually executed
-        raise ConfigurationError(
-            f"backend={config.backend!r} selects a flat-kernel backend "
-            f"and applies to engine='flat' only, not "
-            f"engine={config.engine!r}; the object engines run "
-            "Process objects, not kernels"
-        )
-
-    if config.engine == "flat":
-        from repro.core.one_to_one_flat import run_one_to_one_flat
-
-        return run_one_to_one_flat(graph, config)
-
+def run_objects(
+    graph: Graph, config: OneToOneConfig, tracer: object
+) -> DecompositionResult:
+    """Row runner of the object engines (``round`` and ``async``)."""
     processes = build_node_processes(graph, config.optimize_sends)
-
     if config.engine == "async":
-        async_engine = AsyncEngine(
+        stats = AsyncEngine(
             processes,
             latency=config.latency,
             seed=config.seed,
             max_time=config.async_max_time,
             strict=config.strict,
-        )
-        stats = async_engine.run()
+        ).run()
         label = "one-to-one/async"
-    elif config.engine == "round":
-        max_rounds = config.max_rounds
-        strict = config.strict
-        if config.fixed_rounds is not None:
-            max_rounds = config.fixed_rounds
-            strict = False
-        tracer = run_tracer(config.telemetry, config.trace_out)
-        round_engine = RoundEngine(
+    else:
+        stats = RoundEngine(
             processes,
             mode=config.mode,
             seed=config.seed,
-            max_rounds=max_rounds,
-            strict=strict,
+            max_rounds=config.max_rounds,
+            strict=config.strict,
             observers=config.observers,
             telemetry=tracer,
-        )
-        stats = round_engine.run()
-        finish_run_telemetry(tracer, config.trace_out, stats)
+        ).run()
         label = f"one-to-one/{config.mode}"
-    else:
-        raise ConfigurationError(f"unknown engine {config.engine!r}")
-
     coreness = {pid: proc.core for pid, proc in processes.items()}
     return DecompositionResult(coreness=coreness, stats=stats, algorithm=label)
+
+
+def run_flat(
+    graph: "Graph | CSRGraph", config: OneToOneConfig, tracer: object
+) -> DecompositionResult:
+    """Row runner of the flat engines: ``mode="lockstep"`` on
+    :class:`~repro.sim.flat_engine.FlatOneToOneEngine` (the Section-4
+    synchronous model), ``mode="peersim"`` on
+    :class:`~repro.sim.flat_engine.FlatPeerSimEngine` (RNG-identical to
+    the object engine for every seed). ``config.observers`` holds only
+    :class:`~repro.sim.tracing.TraceRecorder` instances here, fed
+    through the engines' array-diff recording path.
+    """
+    from repro.sim.flat_engine import FlatOneToOneEngine, FlatPeerSimEngine
+
+    # resolved before any array work, so a missing numpy fails first
+    backend = resolve_backend(config.backend)
+    if isinstance(graph, CSRGraph):
+        csr = graph
+        activation_ids = None
+    else:
+        csr = CSRGraph.from_graph(graph)
+        # the object engine shuffles pids in process-dict insertion
+        # order == graph.nodes() order; replaying the RNG stream
+        # bit-exactly requires starting from that same base sequence
+        activation_ids = (
+            list(graph.nodes()) if config.mode == "peersim" else None
+        )
+    common = dict(
+        optimize_sends=config.optimize_sends,
+        max_rounds=config.max_rounds,
+        strict=config.strict,
+        telemetry=tracer,
+        recorders=tuple(config.observers),
+    )
+    if config.mode == "peersim":
+        engine: "FlatOneToOneEngine | FlatPeerSimEngine" = FlatPeerSimEngine(
+            csr, seed=config.seed, activation_ids=activation_ids, **common
+        )
+    else:
+        engine = FlatOneToOneEngine(csr, backend=backend, **common)
+    stats = engine.run()
+    return DecompositionResult(
+        coreness=engine.coreness(),
+        stats=stats,
+        algorithm=f"one-to-one/{config.mode}-flat",
+    )

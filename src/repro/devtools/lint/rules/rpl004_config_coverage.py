@@ -12,10 +12,11 @@ not correspond to the requested configuration.
 
 This rule requires every dataclass field of a config class to be
 *referenced* in the validation layer: the module defining the class
-(whose ``run_*`` entry point performs the rejection cascade) or
-``core/api.py`` (the cross-algorithm dispatch). A reference is an
-attribute access ``<x>.<field>`` or the field name as a string literal
-(the ``getattr(config, knob)`` rejection-loop idiom).
+(whose row runners consume it), ``core/paths.py`` (the table of
+execution paths, whose rows name every option they take, and its one
+check) or ``core/api.py`` (the cross-algorithm dispatch). A reference
+is an attribute access ``<x>.<field>`` or the field name as a string
+literal (a table row's option tuple).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ CONFIG_CLASSES = ("OneToOneConfig", "OneToManyConfig")
 
 #: Modules that participate in validation for *every* config class, on
 #: top of the module defining the class itself.
-_SHARED_VALIDATION_SUFFIXES = ("core/api.py",)
+_SHARED_VALIDATION_SUFFIXES = ("core/api.py", "core/paths.py")
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -94,8 +95,8 @@ def check(files: Sequence[SourceFile]) -> Iterable[Finding]:
         ]
         if not config_classes:
             continue
-        # the defining module is the primary validation site: its run_*
-        # entry point performs the rejection cascade over every knob
+        # the defining module's row runners consume the knobs; the
+        # table in core/paths.py names them and rejects the rest
         local_refs = _references(src) | shared_refs
         for cls in config_classes:
             for name, line, col in _fields(cls):
@@ -112,8 +113,9 @@ def check(files: Sequence[SourceFile]) -> Iterable[Finding]:
                         line,
                         col,
                         f"config knob {cls.name}.{name} is never referenced "
-                        "by the validation layer (defining module or "
-                        "core/api.py): without a rejection path the knob "
+                        "by the validation layer (defining module, "
+                        "core/paths.py or core/api.py): without a "
+                        "rejection path the knob "
                         "can be set and silently ignored on engines that "
                         "do not honour it",
                     )

@@ -33,7 +33,7 @@ The directory layout (all inside ``CheckpointPolicy.dir``)::
 
 Consumers: :class:`~repro.sim.mp_engine.MultiProcessOneToManyEngine`
 writes checkpoints when a :class:`CheckpointPolicy` is configured;
-:func:`repro.core.one_to_many_mp.resume_from_checkpoint` restarts a
+:func:`repro.core.one_to_many.resume_from_checkpoint` restarts a
 whole fleet from the directory after a coordinator death.
 """
 

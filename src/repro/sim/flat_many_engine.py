@@ -64,7 +64,7 @@ and ``tests/test_backend_equivalence.py`` asserts stdlib/numpy
 bit-identity on the same grid.
 
 **When is it selected?** ``run_one_to_many(engine="flat")`` routes here
-via :mod:`repro.core.one_to_many_flat`. Generic observers are not
+via the flat row of :mod:`repro.core.paths`. Generic observers are not
 supported — use the object engine for arbitrary per-round callbacks —
 but the two sanctioned pure observers are: ``telemetry=`` brackets
 rounds and per-shard kernel phases in :mod:`repro.telemetry` spans, and

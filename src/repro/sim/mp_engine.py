@@ -109,7 +109,7 @@ build on that (all off unless configured; see
   per round under every policy — so replayed re-sends are harmless.
   The recovered run is bit-identical to a fault-free one;
 * **whole-fleet resume**
-  (:func:`repro.core.one_to_many_mp.resume_from_checkpoint`): after a
+  (:func:`repro.core.one_to_many.resume_from_checkpoint`): after a
   coordinator death, a new coordinator restores every worker from the
   checkpoint directory and continues the loop — the snapshot's drained
   mailbox backlog is exactly the in-flight state a restart needs.
@@ -123,7 +123,7 @@ through a queue ``put`` holding the queue lock — use
 ``resume_from_checkpoint`` for those.
 
 **When is it selected?** ``run_one_to_many(engine="mp")`` routes here
-via :mod:`repro.core.one_to_many_mp`; ``decompose("one-to-many-mp")``
+via the mp row of :mod:`repro.core.paths`; ``decompose("one-to-many-mp")``
 and the CLI's ``--engine mp --workers N`` are the one-call forms. For
 the graphs this repository benchmarks, the in-process flat engine is
 faster — IPC serialization costs real time (see ``BENCH_mp.json``) —
@@ -541,7 +541,6 @@ def _die(inboxes, host: int) -> None:
 
 def _worker_main(
     host: int,
-    shard_blob: bytes,
     num_hosts: int,
     communication: str,
     p2p_filter: bool,
@@ -551,19 +550,18 @@ def _worker_main(
     inbox,
     inboxes,
     resilient: bool,
-    faults_blob: "bytes | None",
-    restore_blob: "bytes | None",
     telemetry: bool = False,
-    record_blob: "bytes | None" = None,
     shm_info: "tuple | None" = None,
 ) -> None:
     """Worker process entry point (module-level: spawn-picklable).
 
-    ``shard_blob`` is the coordinator's pickled :class:`HostShard` —
-    shipped as bytes so the one serialization pass also yields the
-    ``shard_payload_bytes`` metric (re-pickling a ``bytes`` payload for
-    process startup costs only a memcpy). ``restore_blob`` (respawned
-    replacements and whole-fleet resumes) is a prior
+    The spawn arguments are small handles only. The worker's first act
+    is a ``("ready",)`` reply; the coordinator then sends the boot
+    message ``(shard_blob, faults_blob, restore_blob, record_blob)``
+    over the control pipe. ``shard_blob`` is the coordinator's pickled
+    :class:`HostShard` — shipped as bytes so the one serialization pass
+    also yields the ``shard_payload_bytes`` metric. ``restore_blob``
+    (respawned replacements and whole-fleet resumes) is a prior
     :meth:`_ShardWorker.snapshot` to adopt before the command loop;
     ``faults_blob`` is this worker's slice of a
     :class:`~repro.sim.faults.FaultPlan`.
@@ -591,6 +589,8 @@ def _worker_main(
     """
     mailbox = None
     try:
+        conn.send(("ready",))
+        shard_blob, faults_blob, restore_blob, record_blob = conn.recv()
         faults = pickle.loads(faults_blob) if faults_blob else None
         tracer = Tracer(lane=f"worker-{host}") if telemetry else NULL_TRACER
         worker = _ShardWorker(
@@ -922,32 +922,25 @@ class MultiProcessOneToManyEngine:
         return sum(self.estimates_sent)
 
     # ------------------------------------------------------------------
-    def _spawn_worker(
-        self, x: int, restore_blob: "bytes | None", with_faults: bool
-    ) -> None:
-        """(Re)spawn worker ``x``; fills ``_conns[x]`` / ``_procs[x]``."""
-        shard = self.sharded.shards[x]
-        blob = pickle.dumps(shard, protocol=pickle.HIGHEST_PROTOCOL)
-        if x == len(self.shard_payload_bytes):
-            self.shard_payload_bytes.append(len(blob))
-        faults_blob = None
-        if with_faults and self.fault_plan is not None:
-            mine = self.fault_plan.for_worker(x)
-            if mine is not None:
-                faults_blob = pickle.dumps(
-                    mine, protocol=pickle.HIGHEST_PROTOCOL
-                )
+    def _start_worker(self, x: int) -> None:
+        """Start worker ``x`` on small handles; fills ``_conns[x]`` /
+        ``_procs[x]``.
+
+        The shard travels in :meth:`_boot_worker`, not in the spawn
+        arguments: CPython keeps the child's end of the spawn pipe open
+        in the parent until ``start()`` has written them, so a worker
+        that died while bootstrapping (an import error, a script
+        without a ``__main__`` guard) would leave a large write blocked
+        forever, before any failure detector runs.
+        """
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                x, blob, self.sharded.num_hosts, self.communication,
+                x, self.sharded.num_hosts, self.communication,
                 self.p2p_filter, self.backend_name, self._infinity,
                 child_conn, self._inboxes[x], self._inboxes,
-                self.resilient, faults_blob, restore_blob,
-                self.tracer.enabled,
-                None if self._record_blobs is None else self._record_blobs[x],
-                self._shm_info,
+                self.resilient, self.tracer.enabled, self._shm_info,
             ),
             daemon=True,
             name=f"kcore-shard-{x}",
@@ -962,6 +955,35 @@ class MultiProcessOneToManyEngine:
         self._all_procs.append(proc)
         child_conn.close()
 
+    def _boot_worker(
+        self, x: int, restore_blob: "bytes | None", with_faults: bool
+    ) -> None:
+        """Await started worker ``x``'s first reply (under :meth:`_recv`'s
+        timeout and EOF checks), then send its shard, restore, fault and
+        recorder blobs over the control pipe."""
+        blob = pickle.dumps(
+            self.sharded.shards[x], protocol=pickle.HIGHEST_PROTOCOL
+        )
+        if x == len(self.shard_payload_bytes):
+            self.shard_payload_bytes.append(len(blob))
+        faults_blob = None
+        if with_faults and self.fault_plan is not None:
+            mine = self.fault_plan.for_worker(x)
+            if mine is not None:
+                faults_blob = pickle.dumps(
+                    mine, protocol=pickle.HIGHEST_PROTOCOL
+                )
+        record_blob = (
+            None if self._record_blobs is None else self._record_blobs[x]
+        )
+        self._recv(x, 0)
+        try:
+            self._conns[x].send((blob, faults_blob, restore_blob, record_blob))
+        except OSError:
+            raise _WorkerLost(
+                x, f"mp worker {x} died before taking its shard", wedged=False
+            ) from None
+
     # ------------------------------------------------------------------
     def _recv(self, x: int, rnd: int, timeout: "float | None" = None) -> tuple:
         """One worker reply, with a failure detector instead of a hang.
@@ -975,13 +997,14 @@ class MultiProcessOneToManyEngine:
         """
         conn = self._conns[x]
         wait = self.reply_timeout if timeout is None else timeout
+        when = f"at round {rnd}" if rnd else "during start-up"
         if not conn.poll(wait):
             proc = self._procs[x]
             alive = proc.is_alive()
             raise _WorkerLost(
                 x,
-                f"mp worker {x} sent no reply within {wait:.0f}s at round "
-                f"{rnd} (alive={alive}, exitcode={proc.exitcode})",
+                f"mp worker {x} sent no reply within {wait:.0f}s {when} "
+                f"(alive={alive}, exitcode={proc.exitcode})",
                 wedged=alive,
             )
         try:
@@ -992,7 +1015,7 @@ class MultiProcessOneToManyEngine:
             self._procs[x].join(timeout=5.0)
             raise _WorkerLost(
                 x,
-                f"mp worker {x} died without a reply at round {rnd} "
+                f"mp worker {x} died without a reply {when} "
                 f"(exitcode={self._procs[x].exitcode})",
                 wedged=False,
             ) from None
@@ -1073,7 +1096,8 @@ class MultiProcessOneToManyEngine:
         )
         # replacements carry no fault plan: a recovered worker does not
         # re-crash on replay (crash-stop model)
-        self._spawn_worker(x, restore_blob, with_faults=False)
+        self._start_worker(x)
+        self._boot_worker(x, restore_blob, with_faults=False)
         # survivors replay the missed estimate batches from their
         # resend buffers (everything since the last checkpoint)
         resent_batches = 0
@@ -1342,8 +1366,12 @@ class MultiProcessOneToManyEngine:
                     layout,
                 )
             with tracer.span("spawn", workers=num_hosts):
+                # every worker bootstraps in parallel before the first
+                # boot reply is awaited
                 for x in all_hosts:
-                    self._spawn_worker(
+                    self._start_worker(x)
+                for x in all_hosts:
+                    self._boot_worker(
                         x,
                         restore_blob=(
                             resume.worker_blobs[x]

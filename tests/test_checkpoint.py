@@ -11,7 +11,7 @@ Three contracts from :mod:`repro.sim.checkpoint`:
   mismatched load fails loudly in *both* skew directions (newer file /
   older code and vice versa);
 * **exact resume** — a fleet restarted from a checkpoint
-  (:func:`repro.core.one_to_many_mp.resume_from_checkpoint`, the
+  (:func:`repro.core.one_to_many.resume_from_checkpoint`, the
   coordinator-death path) finishes bit-identical to a never-interrupted
   run: coreness, rounds, per-round send counts, per-host messages and
   Figure-5 ``estimates_sent``, because cumulative counters are restored
@@ -26,10 +26,10 @@ import warnings
 
 import pytest
 
-from repro.core.one_to_many import OneToManyConfig, run_one_to_many
-from repro.core.one_to_many_mp import (
+from repro.core.one_to_many import (
+    OneToManyConfig,
     resume_from_checkpoint,
-    run_one_to_many_mp,
+    run_one_to_many,
 )
 from repro.errors import (
     CheckpointError,
@@ -63,7 +63,7 @@ def _mp_checkpointed(graph, dir, every=2, **kw):
     start_method = kw.pop("start_method", "fork")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_one_to_many_mp(
+        return run_one_to_many(
             graph,
             OneToManyConfig(
                 engine="mp", mode="lockstep", num_hosts=4,

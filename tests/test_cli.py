@@ -188,6 +188,23 @@ class TestDecompose:
                  "--workers", "2", "--mode", "peersim"]
             )
 
+    def test_mp_alias_takes_numpy_backend(self, edge_file, capsys):
+        """The CLI form of decompose(g, "one-to-many-mp", backend="numpy")."""
+        import warnings
+
+        from repro.sim.kernels import numpy_available
+
+        if not numpy_available():
+            pytest.skip("numpy not installed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(
+                ["decompose", "--edges", edge_file,
+                 "--algorithm", "one-to-many-mp", "--workers", "2",
+                 "--backend", "numpy"]
+            ) == 0
+        assert "one-to-many/broadcast/modulo-mp" in capsys.readouterr().out
+
     def test_checkpoint_and_resume_roundtrip(self, edge_file, tmp_path,
                                              capsys):
         import warnings
@@ -279,8 +296,8 @@ class TestDecompose:
 
 
 class TestBadInput:
-    """A bad or missing ``--edges`` file is a usage error: one stderr
-    line and exit code 2, no traceback."""
+    """A bad or missing ``--edges`` file, or an unknown ``--dataset``,
+    is a usage error: one stderr line and exit code 2, no traceback."""
 
     @pytest.mark.parametrize("command", ["decompose", "stats"])
     def test_bad_line(self, tmp_path, capsys, command):
@@ -302,6 +319,16 @@ class TestBadInput:
         assert captured.err == (
             f"repro-kcore: error: {path}: No such file or directory\n"
         )
+
+    @pytest.mark.parametrize("command", ["decompose", "stats"])
+    def test_unknown_dataset(self, capsys, command):
+        assert main([command, "--dataset", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro-kcore: error: unknown dataset 'nosuch'; options: "
+        )
+        assert captured.err.count("\n") == 1
 
     def test_gzipped_edge_list_with_comments(self, tmp_path, capsys):
         import gzip

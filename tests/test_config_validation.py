@@ -109,6 +109,38 @@ class TestOneToManyAsyncCombos:
         assert result.stats.converged
 
 
+class TestOptionsThePathDoesNotTake:
+    """Every option a path does not take raises a ConfigurationError
+    naming the option and the algorithm — never a TypeError, never a
+    silent drop."""
+
+    @pytest.mark.parametrize(
+        "algorithm,option,value",
+        [
+            ("bz", "backend", "numpy"),
+            ("bz", "num_hosts", 9),
+            ("bz", "bogus", 1),
+            ("peeling", "seed", 1),
+            ("hindex", "seed", 4),
+            ("hindex", "engine", "flat"),
+            ("pregel", "mode", "lockstep"),
+            ("pregel", "communication", "p2p"),
+            ("one-to-one", "num_hosts", 4),
+            ("one-to-one", "mp_transport", "shm"),
+            ("one-to-one-flat", "policy", "block"),
+            ("one-to-many", "latency", 0.5),
+            ("one-to-many-flat", "async_max_time", 5.0),
+            ("one-to-many-mp", "num_workers", 2),
+        ],
+    )
+    def test_rejected_by_name(self, small_graph, algorithm, option, value):
+        from repro.core.api import decompose
+
+        with pytest.raises(ConfigurationError, match=option) as excinfo:
+            decompose(small_graph, algorithm, **{option: value})
+        assert repr(algorithm) in str(excinfo.value)
+
+
 class TestBackendValidation:
     """The ``backend`` knob is validated in the config layer."""
 
@@ -220,18 +252,26 @@ class TestBackendValidation:
             ("--engine", "flat", "bz"),
             ("--mode", "peersim", "hindex"),
             ("--mode", "lockstep", "pregel"),
+            ("--hosts", "8", "one-to-one"),
+            ("--policy", "block", "one-to-one"),
+            ("--communication", "p2p", "one-to-one-flat"),
+            ("--hosts", "8", "bz"),
+            ("--policy", "block", "peeling"),
+            ("--communication", "p2p", "hindex"),
+            ("--policy", "block", "pregel"),
+            ("--communication", "p2p", "pregel"),
         ],
     )
     def test_cli_rejects_engine_and_mode_on_nonconsumers(
         self, tmp_path, flag, value, algorithm
     ):
         # the CLI must not silently drop a flag the user typed: every
-        # algorithm that cannot honour --engine/--mode rejects them
+        # algorithm path that cannot honour a flag rejects it by name
         from repro.cli import main
 
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n")
-        with pytest.raises(ConfigurationError, match=flag):
+        with pytest.raises(ConfigurationError, match=flag) as excinfo:
             main(
                 [
                     "decompose",
@@ -243,3 +283,4 @@ class TestBackendValidation:
                     value,
                 ]
             )
+        assert repr(algorithm) in str(excinfo.value)

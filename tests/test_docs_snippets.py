@@ -129,17 +129,63 @@ def test_readme_has_cli_coverage():
     assert len(_cli_lines(REPO / "README.md")) >= 3
 
 
+def _readme_table(header: str) -> list[list[str]]:
+    """The cells of each body row of the README table whose header row
+    starts with ``header``."""
+    rows: list[list[str]] = []
+    inside = False
+    for line in (REPO / "README.md").read_text().splitlines():
+        if line.startswith(header):
+            inside = True
+        elif inside and not line.startswith("|"):
+            break
+        elif inside and not line.startswith("|---"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert rows, f"README table {header!r} not found"
+    return rows
+
+
+def _ticked(cell: str) -> list[str]:
+    return re.findall(r"`([^`=]+)`", cell)
+
+
+def _default(cell: str) -> "str | None":
+    match = re.search(r"`([^`]+)` \((?:default|implied)\)", cell)
+    return match.group(1) if match else None
+
+
 class TestSupportMatrixMatchesConfigLayer:
-    """The tables in README.md are claims about the config layer."""
+    """The tables in README.md are claims about the table of execution
+    paths (``repro.core.paths``), checked cell by cell."""
 
     def test_every_algorithm_is_documented(self):
-        from repro.core.api import ALGORITHMS
+        """One README row per algorithm; its engine and mode cells list
+        exactly the engines and modes of the algorithm's table rows,
+        with the table's default marked."""
+        from repro.core.paths import ALGORITHMS, PATHS, select
 
-        readme = (REPO / "README.md").read_text()
+        documented = {
+            row[0].strip("`"): row for row in _readme_table("| algorithm |")
+        }
+        assert sorted(documented) == sorted(ALGORITHMS)
         for algorithm in ALGORITHMS:
-            assert f"`{algorithm}`" in readme, (
-                f"algorithm {algorithm!r} missing from the README matrix"
+            _name, _what, engines, modes, _faults = documented[algorithm]
+            start = select(algorithm)
+            rows = [
+                p for p in PATHS
+                if p.algorithm == start.algorithm
+                and (start.alias != algorithm or p.engine == start.engine)
+            ]
+            assert set(_ticked(engines)) == {
+                p.engine for p in rows if p.engine
+            }, algorithm
+            assert _default(engines) == start.engine, algorithm
+            assert set(_ticked(modes)) == {m for p in rows for m in p.modes}, (
+                algorithm
             )
+            assert _default(modes) == (
+                start.modes[0] if start.modes else None
+            ), algorithm
 
     def test_every_backend_is_documented(self):
         from repro.sim.kernels import BACKEND_NAMES
@@ -149,54 +195,52 @@ class TestSupportMatrixMatchesConfigLayer:
             assert f"`{backend}`" in readme
 
     def test_documented_rejections_hold(self, small_social):
-        """Each 'no / n/a' cell in the backend table is a real loud
-        rejection, and each 'yes' cell is accepted (numpy present)."""
-        from repro.core.one_to_many import OneToManyConfig, run_one_to_many
-        from repro.core.one_to_one import OneToOneConfig, run_one_to_one
-        from repro.errors import ConfigurationError
-        from repro.sim.kernels import numpy_available
+        """Each backend row that names ``decompose`` forms covers table
+        rows: a "yes"/"default" cell is a backend the row runs exactly
+        (numpy present), and each "no"/"n/a" cell is a loud rejection
+        through ``decompose``. Every table row that takes a backend is
+        covered."""
+        import itertools
 
-        # no: numpy × one-to-one peersim
-        with pytest.raises(ConfigurationError):
-            run_one_to_one(
-                small_social,
-                OneToOneConfig(engine="flat", mode="peersim",
-                               backend="numpy"),
-            )
-        # n/a: backend on the object engines
-        with pytest.raises(ConfigurationError):
-            run_one_to_one(
-                small_social,
-                OneToOneConfig(engine="round", backend="numpy"),
-            )
-        with pytest.raises(ConfigurationError):
-            run_one_to_many(
-                small_social,
-                OneToManyConfig(engine="round", backend="numpy"),
-            )
-        # mp: lockstep only
-        with pytest.raises(ConfigurationError):
-            run_one_to_many(
-                small_social,
-                OneToManyConfig(engine="mp", mode="peersim", num_hosts=2),
-            )
-        if not numpy_available():  # pragma: no cover - numpy-less envs
-            return
-        # yes: numpy on flat lockstep paths and on the mp engine
-        oo = run_one_to_one(
-            small_social,
-            OneToOneConfig(engine="flat", mode="lockstep", backend="numpy"),
-        )
-        om = run_one_to_many(
-            small_social,
-            OneToManyConfig(engine="flat", mode="lockstep", num_hosts=3,
-                            backend="numpy"),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            omp = run_one_to_many(
-                small_social,
-                OneToManyConfig(engine="mp", mode="lockstep", num_hosts=2,
-                                backend="numpy", mp_start_method="fork"),
-            )
-        assert oo.coreness == om.coreness == omp.coreness
+        from repro.baselines import batagelj_zaversnik
+        from repro.core.api import decompose
+        from repro.core.paths import ALGORITHMS, PATHS, resolve
+        from repro.errors import ConfigurationError
+        from repro.sim.kernels import BACKEND_NAMES, available_backends
+
+        exact = batagelj_zaversnik(small_social)
+        covered = set()
+        for first, *cells in _readme_table("| execution path |"):
+            algorithms = [t for t in _ticked(first) if t in ALGORITHMS]
+            if not algorithms:
+                continue  # a kernel consumer outside decompose
+            pairs: dict[str, list[str]] = {}
+            for key, value in re.findall(r'`(\w+)="([^"]+)"`', first):
+                pairs.setdefault(key, []).append(value)
+            for algorithm, values in itertools.product(
+                algorithms, itertools.product(*pairs.values())
+            ):
+                options = dict(zip(pairs, values))
+                path = resolve(algorithm, options)  # a real path
+                covered.add(path)
+                for backend, cell in zip(BACKEND_NAMES, cells):
+                    if cell.startswith(("yes", "default")):
+                        assert backend in path.backends, (first, backend)
+                        if backend not in available_backends():
+                            continue  # pragma: no cover - numpy-less envs
+                        fleet = {"mp_start_method": "fork"} if path.fleet else {}
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", RuntimeWarning)
+                            result = decompose(
+                                small_social, algorithm, backend=backend,
+                                **options, **fleet,
+                            )
+                        assert result.coreness == exact, (first, backend)
+                        continue
+                    assert cell.startswith(("no", "n/a")), cell
+                    with pytest.raises(ConfigurationError):
+                        decompose(
+                            small_social, algorithm,
+                            backend=backend, **options,
+                        )
+        assert covered == {p for p in PATHS if p.backends}

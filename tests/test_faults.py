@@ -21,12 +21,15 @@ last barrier timestamp).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many
-from repro.core.one_to_many_mp import run_one_to_many_mp
 from repro.errors import ConfigurationError, FleetTimeoutError
 from repro.graph import generators as gen
 from repro.sim.faults import KILL_EXIT_CODE, Fault, FaultPlan, WorkerFaults
@@ -64,7 +67,7 @@ def flat_reference(graph):
 def _mp_fault(graph, plan, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_one_to_many_mp(
+        return run_one_to_many(
             graph,
             OneToManyConfig(
                 engine="mp", mode="lockstep", num_hosts=4,
@@ -297,6 +300,54 @@ class TestAbortPath:
         assert all(not proc.is_alive() for proc in engine._all_procs)
 
 
+#: A script without a ``__main__`` guard: under spawn and forkserver
+#: every worker re-runs it and dies while bootstrapping. The shard
+#: payload is far larger than a pipe buffer.
+GUARDLESS_SCRIPT = """
+import multiprocessing
+import sys
+
+from repro import decompose
+from repro.graph import generators as gen
+
+graph = gen.erdos_renyi_graph(3000, 10 / 3000, seed=1)
+try:
+    decompose(
+        graph, "one-to-many-mp", num_hosts=2,
+        mp_start_method=sys.argv[1], mp_reply_timeout=5.0,
+    )
+finally:
+    print("live children:", len(multiprocessing.active_children()),
+          file=sys.stderr)
+"""
+
+
+class TestBootstrapDeath:
+    """A worker that dies before its first reply fails the run within
+    the reply timeout: spawn arguments carry only small handles, and the
+    shard follows over the control pipe under the failure detector."""
+
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_guardless_script_exits_nonzero(self, tmp_path, start_method):
+        script = tmp_path / "guardless.py"
+        script.write_text(GUARDLESS_SCRIPT)
+        shm = Path("/dev/shm")
+        before = set(os.listdir(shm)) if shm.is_dir() else set()
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", str(script), start_method],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert "mp worker 0" in proc.stderr
+        assert "live children: 0" in proc.stderr
+        after = set(os.listdir(shm)) if shm.is_dir() else set()
+        assert after <= before
+
+
 class TestReplyTimeout:
     """The round-aware failure-detector default (satellite)."""
 
@@ -343,7 +394,7 @@ class TestRunnerRejections:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ConfigurationError, match="CheckpointPolicy"):
-                run_one_to_many_mp(
+                run_one_to_many(
                     graph,
                     OneToManyConfig(
                         engine="mp", mode="lockstep", num_hosts=4,

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik, batagelj_zaversnik_csr
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
-from repro.core.one_to_one_flat import run_one_to_one_flat
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -160,7 +159,9 @@ class TestEdgeCases:
     def test_accepts_prebuilt_csr(self):
         g = gen.figure1_example()
         csr = CSRGraph.from_graph(g)
-        result = run_one_to_one_flat(csr)
+        result = run_one_to_one(
+            csr, OneToOneConfig(mode="lockstep", engine="flat")
+        )
         assert result.coreness == batagelj_zaversnik(g)
 
 

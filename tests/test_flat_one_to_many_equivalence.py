@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.baselines import batagelj_zaversnik
 from repro.core.assignment import assign
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many
-from repro.core.one_to_many_flat import run_one_to_many_flat
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -266,12 +265,12 @@ class TestEdgeCases:
     def test_prebuilt_csr_requires_assignment(self):
         csr = CSRGraph.from_graph(gen.path_graph(5))
         with pytest.raises(ConfigurationError, match="assignment"):
-            run_one_to_many_flat(csr, OneToManyConfig(engine="flat"))
+            run_one_to_many(csr, OneToManyConfig(engine="flat"))
 
     def test_prebuilt_csr_with_assignment(self):
         g = gen.figure1_example()
         assignment = assign(g, 3)
-        flat = run_one_to_many_flat(
+        flat = run_one_to_many(
             CSRGraph.from_graph(g),
             OneToManyConfig(engine="flat", seed=4),
             assignment=assignment,

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
-from repro.core.one_to_one_flat import run_one_to_one_flat
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -164,7 +163,7 @@ class TestEdgeCases:
         g = gen.figure1_example()
         csr = CSRGraph.from_graph(g)
         config = OneToOneConfig(mode="peersim", engine="flat", seed=9)
-        flat = run_one_to_one_flat(csr, config)
+        flat = run_one_to_one(csr, config)
         obj = _object(g, seed=9)
         assert flat.coreness == obj.coreness
         assert flat.stats.sends_per_round == obj.stats.sends_per_round

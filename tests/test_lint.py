@@ -396,7 +396,7 @@ class TestRPL004ConfigCoverage:
         # the real config modules + api must satisfy the rule as shipped
         batch = []
         for rel in ("src/repro/core/one_to_many.py", "src/repro/core/one_to_one.py",
-                    "src/repro/core/api.py"):
+                    "src/repro/core/api.py", "src/repro/core/paths.py"):
             batch.append((rel, (REPO / rel).read_text()))
         assert [f for f in lint_sources(batch) if f.rule == "RPL004"] == []
 

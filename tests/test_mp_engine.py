@@ -30,7 +30,6 @@ import pytest
 from repro.baselines import batagelj_zaversnik
 from repro.core.assignment import assign
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many
-from repro.core.one_to_many_mp import run_one_to_many_mp
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -219,7 +218,7 @@ class TestVariants:
         assignment = assign(g, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            mp_run = run_one_to_many_mp(
+            mp_run = run_one_to_many(
                 CSRGraph.from_graph(g),
                 OneToManyConfig(engine="mp", mode="lockstep", seed=4,
                                 mp_start_method="fork"),
@@ -354,7 +353,7 @@ class TestRejections:
     def test_prebuilt_csr_requires_assignment(self):
         csr = CSRGraph.from_graph(gen.path_graph(5))
         with pytest.raises(ConfigurationError, match="assignment"):
-            run_one_to_many_mp(
+            run_one_to_many(
                 csr, OneToManyConfig(engine="mp", mode="lockstep")
             )
 

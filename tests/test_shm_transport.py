@@ -32,8 +32,12 @@ from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
 from repro.core.assignment import assign, refine_assignment
-from repro.core.one_to_many import INFINITY_INT, OneToManyConfig, run_one_to_many
-from repro.core.one_to_many_mp import resume_from_checkpoint
+from repro.core.one_to_many import (
+    INFINITY_INT,
+    OneToManyConfig,
+    resume_from_checkpoint,
+    run_one_to_many,
+)
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -283,11 +287,9 @@ class TestRecovery:
         return gen.preferential_attachment_graph(300, 3, seed=1)
 
     def _mp_fault(self, graph, plan, **kw):
-        from repro.core.one_to_many_mp import run_one_to_many_mp
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return run_one_to_many_mp(
+            return run_one_to_many(
                 graph,
                 OneToManyConfig(
                     engine="mp", mode="lockstep", num_hosts=4,
