@@ -27,29 +27,47 @@ read it. Mutation workloads stay on :class:`Graph` and convert with
 Edge lists become CSR buffers through one code path, the kernel layer's
 ``csr_from_edges`` (:mod:`repro.sim.kernels`): :meth:`from_edges` and
 the SNAP reader :func:`repro.graph.io.read_edge_list` both go through
-:meth:`CSRGraph._from_endpoints`, which runs it on numpy when numpy is
-importable and the list has at least :data:`NUMPY_MIN_PAIRS` pairs, and
-on the stdlib otherwise. Both build identical ``array('q')`` buffers, so
-the choice is invisible to every reader.
+:meth:`CSRGraph._from_endpoints`. The per-edge companion arrays the flat
+engines read, :meth:`edge_owners` and :meth:`mirror`, come from one
+``csr_companions`` kernel call on first use of either, never at build
+time (most readers of a file never ask for them). Both kernels run on
+numpy when numpy is importable and the input has at least
+:data:`NUMPY_MIN_PAIRS` pairs or slots, and on the stdlib otherwise
+(:func:`_build_backend`). Both backends build identical ``array('q')``
+buffers, so the choice is invisible to every reader.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain
-from typing import Iterable, Iterator
+from operator import sub
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import GraphError, NodeNotFoundError
 from repro.graph.graph import Graph
 
+if TYPE_CHECKING:
+    from repro.sim.kernels import KernelBackend
+
 __all__ = ["CSRGraph"]
 
-#: Edge lists shorter than this build on the stdlib kernel even where
-#: numpy is importable. Importing numpy costs a process about 14 MB
-#: resident and 0.1-0.2 s, more than the numpy build saves below this
-#: size (1-2 us per pair), and a short list is often the only thing in
-#: the process that would import it.
+#: Edge lists shorter than this, and CSRs with fewer slots, build on the
+#: stdlib kernels even where numpy is importable. Importing numpy costs
+#: a process about 14 MB resident and 0.1-0.2 s, more than the numpy
+#: build saves below this size (1-2 us per pair), and a small graph is
+#: often the only thing in the process that would import it.
 NUMPY_MIN_PAIRS = 1 << 16
+
+
+def _build_backend(size: int) -> "KernelBackend":
+    """The kernel backend that builds ``size`` pairs or slots."""
+    # deferred: importing the kernel layer at module scope would close a
+    # cycle through repro.sim (whose engines import this)
+    from repro.sim.kernels import numpy_available, resolve_backend
+
+    large = size >= NUMPY_MIN_PAIRS
+    return resolve_backend("numpy" if large and numpy_available() else "stdlib")
 
 
 class CSRGraph:
@@ -69,6 +87,7 @@ class CSRGraph:
         "_index_of",
         "_mirror",
         "_edge_owners",
+        "_base",
         "name",
     )
 
@@ -86,6 +105,9 @@ class CSRGraph:
         self._index_of: dict[int, int] | None = None
         self._mirror: array | None = None
         self._edge_owners: array | None = None
+        # a renamed view of another CSR's buffers (from_graph) takes the
+        # lazy caches from that CSR, so they are built once for both
+        self._base: CSRGraph | None = None
 
     # ------------------------------------------------------------------
     # pickling — a CSRGraph crosses process boundaries (the
@@ -103,6 +125,7 @@ class CSRGraph:
         self._index_of = None
         self._mirror = None
         self._edge_owners = None
+        self._base = None
 
     # ------------------------------------------------------------------
     # construction
@@ -112,15 +135,18 @@ class CSRGraph:
         """Compact a :class:`Graph`; nodes are ordered by ascending id.
 
         A graph read from a file hands back the CSR it holds (see
-        :mod:`repro.graph.graph`) until its first mutation; nothing is
-        copied, so callers must not write its buffers.
+        :mod:`repro.graph.graph`) until its first mutation, or a view of
+        it under the graph's other name that shares its lazy caches;
+        nothing is copied, so callers must not write its buffers.
         """
         label = graph.name if name is None else name
         held = graph._csr
         if held is not None:
             if held.name == label:
                 return held
-            return cls(held.offsets, held.targets, held.ids, name=label)
+            view = cls(held.offsets, held.targets, held.ids, name=label)
+            view._base = held
+            return view
         node_ids = sorted(graph.nodes())
         ids = array("q", node_ids)
         n = len(node_ids)
@@ -176,13 +202,7 @@ class CSRGraph:
         ``relabel`` numbers the nodes ``0..n-1`` in ascending order of
         their ids instead of keeping the ids.
         """
-        # deferred: importing the kernel layer at module scope would
-        # close a cycle through repro.sim (whose engines import this)
-        from repro.sim.kernels import numpy_available, resolve_backend
-
-        large = len(us) >= NUMPY_MIN_PAIRS
-        kb = resolve_backend("numpy" if large and numpy_available() else "stdlib")
-        offsets, targets, ids = kb.csr_from_edges(us, vs)
+        offsets, targets, ids = _build_backend(len(us)).csr_from_edges(us, vs)
         if relabel:
             ids = array("q", range(len(ids)))
         return cls(offsets, targets, ids, name=name)
@@ -219,6 +239,8 @@ class CSRGraph:
 
     def index(self, node: int) -> int:
         """Compact index of original id ``node``."""
+        if self._base is not None:
+            return self._base.index(node)
         if self._index_of is None:
             self._index_of = {u: i for i, u in enumerate(self.ids)}
         try:
@@ -241,10 +263,7 @@ class CSRGraph:
     def max_degree(self) -> int:
         """The paper's ``Δ`` (0 for an empty graph)."""
         offsets = self.offsets
-        return max(
-            (offsets[i + 1] - offsets[i] for i in range(len(self.ids))),
-            default=0,
-        )
+        return max(map(sub, offsets[1:], offsets[:-1]), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as compact ``(min, max)`` pairs."""
@@ -261,36 +280,28 @@ class CSRGraph:
     def edge_owners(self) -> array:
         """``owner[e]`` — the compact node whose slice contains edge ``e``."""
         if self._edge_owners is None:
-            owners = array("q", [0]) * len(self.targets)
-            offsets = self.offsets
-            for i in range(len(self.ids)):
-                lo = offsets[i]
-                hi = offsets[i + 1]
-                if hi > lo:
-                    owners[lo:hi] = array("q", [i]) * (hi - lo)
-            self._edge_owners = owners
+            self._edge_owners, self._mirror = self._companions()
         return self._edge_owners
 
     def mirror(self) -> array:
         """``mirror[e]`` — index of the reverse directed edge of ``e``.
 
         If ``e`` sits in ``u``'s slice and points at ``v``, ``mirror[e]``
-        sits in ``v``'s slice and points back at ``u``. Built in one
-        O(m) cursor pass: scanning edges in (owner, target) order visits
-        the in-edges of each node ``v`` with owners ascending — exactly
-        ``v``'s (sorted) slice order — so each reverse position is the
-        next unfilled slot of ``v``'s slice.
+        sits in ``v``'s slice and points back at ``u``.
         """
         if self._mirror is None:
-            offsets, targets = self.offsets, self.targets
-            mirror = array("q", [0]) * len(targets)
-            cursor = array("q", offsets[:len(self.ids)])
-            for e, v in enumerate(targets):
-                slot = cursor[v]
-                cursor[v] = slot + 1
-                mirror[e] = slot
-            self._mirror = mirror
+            self._edge_owners, self._mirror = self._companions()
         return self._mirror
+
+    def _companions(self) -> tuple[array, array]:
+        """``(edge_owners, mirror)`` from one ``csr_companions`` kernel
+        call, or from the CSR this one is a renamed view of."""
+        base = self._base
+        if base is not None:
+            return base.edge_owners(), base.mirror()
+        return _build_backend(len(self.targets)).csr_companions(
+            self.offsets, self.targets
+        )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -147,9 +147,8 @@ class FlatOneToOneEngine:
     # ------------------------------------------------------------------
     def coreness(self) -> dict[int, int]:
         """``{original node id: coreness}`` after :meth:`run`."""
-        ids = self.csr.ids
-        core = self.core
-        return {ids[i]: int(core[i]) for i in range(len(ids))}
+        # tolist() gives builtin ints on either backend's container
+        return dict(zip(self.csr.ids, self.core.tolist()))
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationStats:
@@ -345,9 +344,7 @@ class FlatPeerSimEngine:
     # ------------------------------------------------------------------
     def coreness(self) -> dict[int, int]:
         """``{original node id: coreness}`` after :meth:`run`."""
-        ids = self.csr.ids
-        core = self.core
-        return {ids[i]: core[i] for i in range(len(ids))}
+        return dict(zip(self.csr.ids, self.core.tolist()))
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationStats:

@@ -43,6 +43,8 @@ communication policies incl. p2p_filter)     yes        yes
 (``shard_tables`` kernel)                    yes [3]_   yes [3]_
 CSR build from an edge list
 (``csr_from_edges`` kernel)                  yes [3]_   yes [3]_
+CSR companion build (``csr_companions``
+kernel: ``mirror()`` / ``edge_owners()``)    yes [3]_   yes [3]_
 object engines (``round`` / ``async``)       n/a [2]_   n/a [2]_
 ===========================================  =========  =========
 
@@ -54,17 +56,20 @@ object engines (``round`` / ``async``)       n/a [2]_   n/a [2]_
 .. [2] The object engines run ``Process`` subclasses, not kernels; a
    non-default ``backend`` on them is rejected by the config layer.
 .. [3] Not configurable: ``ShardedCSR(csr, assignment)`` builds on
-   numpy whenever :func:`numpy_available`, and ``read_edge_list`` /
+   numpy whenever :func:`numpy_available`, ``read_edge_list`` /
    ``CSRGraph.from_edges`` do when it is and the edge list has at
-   least ``repro.graph.csr.NUMPY_MIN_PAIRS`` pairs; stdlib otherwise.
-   The buffers are identical ``array('q')`` tables either way, so the
-   engines' own ``backend`` stays independent of the build.
+   least ``repro.graph.csr.NUMPY_MIN_PAIRS`` pairs, and
+   ``CSRGraph.mirror()`` / ``edge_owners()`` build both companions in
+   one call when it is and the CSR has at least that many slots;
+   stdlib otherwise. The buffers are identical ``array('q')`` tables
+   either way, so the engines' own ``backend`` stays independent of
+   the build.
 
 Vectorisation boundary: the numpy backend vectorises *within* a batch
 (a lockstep round's frontier, one host activation's fold + cascade +
 routing, a Jacobi sweep, one shard's table build, one edge list's CSR
-build); activation order, RNG streams and mailbox delivery stay in the
-engines, byte-identical across backends.
+build, one CSR's companion arrays); activation order, RNG streams and
+mailbox delivery stay in the engines, byte-identical across backends.
 """
 
 from __future__ import annotations

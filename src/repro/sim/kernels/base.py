@@ -7,8 +7,9 @@ the sup-counter recompute skip, frontier recomputation + send emission
 (Algorithm 1's periodic block), the shard-local cascade (Algorithm 4)
 with its changed-flag bookkeeping, batched ``computeIndex`` (Algorithm
 2), the bulk-synchronous h-index sweep, the CSR build from an edge
-list (:meth:`KernelBackend.csr_from_edges`), and the two loops over the
-partition's delivery table: building every host's tables
+list (:meth:`KernelBackend.csr_from_edges`) and its per-edge companion
+arrays (:meth:`KernelBackend.csr_companions`), and the two loops over
+the partition's delivery table: building every host's tables
 (:meth:`KernelBackend.shard_tables`) and routing a host's changed
 estimates along them (:meth:`KernelBackend.route_updates`). Engines
 orchestrate rounds and messages; backends execute the per-round array
@@ -49,6 +50,7 @@ between rounds — backends that do not need them accept and ignore them
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Any, Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 __all__ = ["KernelBackend", "ShardTables", "Table", "export_send_counts"]
@@ -88,7 +90,7 @@ class ShardTables(NamedTuple):
     cut_to: dict[int, int]
 
 
-def export_send_counts(stats, sent: Sequence[int], ids=None) -> None:
+def export_send_counts(stats, sent: Table, ids=None) -> None:
     """Fold flat per-process send counters into a stats object.
 
     The one shared stats-export helper for all flat engines (previously
@@ -96,22 +98,15 @@ def export_send_counts(stats, sent: Sequence[int], ids=None) -> None:
     ``sent[i]`` messages are attributed to process ``ids[i]`` (or to
     ``i`` itself when ``ids`` is ``None`` — host pids are already
     ``0..H-1``). Zero counters stay out of ``sent_per_process``,
-    matching the object engines, and values are coerced to builtin
-    ``int`` so numpy-backed runs export the same payload types.
+    matching the object engines, and values are builtin ``int`` so
+    numpy-backed runs export the same payload types.
     """
-    per_process = stats.sent_per_process
-    total = 0
-    if ids is None:
-        for i, count in enumerate(sent):
-            if count:
-                per_process[i] = int(count)
-                total += count
-    else:
-        for i, count in enumerate(sent):
-            if count:
-                per_process[ids[i]] = int(count)
-                total += count
-    stats.total_messages = int(total)
+    # one tolist() (array('q') and ndarray both have it) turns the
+    # counters into builtin ints; the passes below then run in C
+    counts = sent if isinstance(sent, list) else sent.tolist()
+    keys = range(len(counts)) if ids is None else ids
+    stats.sent_per_process.update(compress(zip(keys, counts), counts))
+    stats.total_messages = sum(counts)
 
 
 @runtime_checkable
@@ -329,7 +324,7 @@ class KernelBackend(Protocol):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # CSR build (SNAP ingest, CSRGraph.from_edges)
+    # CSR build (SNAP ingest, CSRGraph.from_edges, CSRGraph.mirror)
     # ------------------------------------------------------------------
     def csr_from_edges(self, us: array, vs: array) -> tuple[array, array, array]:
         """Build the CSR of the simple undirected graph on ``(us[k], vs[k])``.
@@ -354,6 +349,25 @@ class KernelBackend(Protocol):
         of the graph the pairs describe, and the buffers are
         bit-identical across backends (``tests/test_kernels.py``
         asserts it on generated inputs).
+        """
+        raise NotImplementedError
+
+    def csr_companions(self, offsets: array, targets: array) -> tuple[array, array]:
+        """The per-edge companion arrays of a CSR: ``(owners, mirror)``.
+
+        Pre: ``offsets`` / ``targets`` are ``array('q')`` buffers of a
+        symmetric CSR whose slices are strictly ascending (what
+        :meth:`csr_from_edges` builds). Post: fresh ``array('q')``
+        buffers of ``len(targets)`` entries each, with no reference into
+        the inputs:
+
+        * ``owners[e]`` — the node whose slice holds slot ``e``;
+        * ``mirror[e]`` — the slot of the reverse edge: if ``e`` sits
+          in ``u``'s slice and points at ``v``, ``mirror[e]`` sits in
+          ``v``'s slice and points back at ``u``.
+
+        The buffers are bit-identical across backends
+        (``tests/test_kernels.py`` asserts it on generated inputs).
         """
         raise NotImplementedError
 

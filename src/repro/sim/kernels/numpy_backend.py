@@ -337,9 +337,13 @@ class NumpyBackend(KernelBackend):
         vs = self.graph_array(vs)
         ids = _distinct(np.concatenate((us, vs)))
         n = len(ids)
-        # compact indices; self-loops only testify that a node exists
-        src = np.searchsorted(ids, us)
-        dst = np.searchsorted(ids, vs)
+        # compact indices (ids already 0..n-1 are their own); self-loops
+        # only testify that a node exists
+        if n and (ids[0] != 0 or ids[-1] != n - 1):
+            src = np.searchsorted(ids, us)
+            dst = np.searchsorted(ids, vs)
+        else:
+            src, dst = us, vs
         proper = src != dst
         src = src[proper]
         dst = dst[proper]
@@ -350,6 +354,20 @@ class NumpyBackend(KernelBackend):
         src = keys // n
         offsets = _csr_offsets(np.bincount(src, minlength=n))
         return _to_q(offsets), _to_q(keys - src * n), _to_q(ids)
+
+    def csr_companions(self, offsets, targets):
+        offsets = self.graph_array(offsets)
+        targets = self.graph_array(targets)
+        n = len(offsets) - 1
+        owners = np.repeat(np.arange(n, dtype=_I64), np.diff(offsets))
+        # the forward keys owners * n + targets ascend in slot order, and
+        # each slot's reverse key targets * n + owners is the forward key
+        # of its reverse slot: sorting the reverse keys therefore lists,
+        # at position j, the slot whose reverse is j — the mirror, which
+        # is an involution. The keys are distinct, so any sort agrees
+        # (n < 2**31.5, so the keys fit in i64).
+        mirror = np.argsort(targets * n + owners)
+        return _to_q(owners), _to_q(mirror)
 
     # ------------------------------------------------------------------
     # partition tables

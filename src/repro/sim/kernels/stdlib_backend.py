@@ -267,6 +267,26 @@ class StdlibBackend(KernelBackend):
             offsets.append(len(targets))
         return offsets, targets, array("q", ids)
 
+    def csr_companions(self, offsets, targets):
+        n = len(offsets) - 1
+        owners = array("q", [0]) * len(targets)
+        for i in range(n):
+            lo = offsets[i]
+            hi = offsets[i + 1]
+            if hi > lo:
+                owners[lo:hi] = array("q", [i]) * (hi - lo)
+        # one O(m) cursor pass: scanning edges in (owner, target) order
+        # visits the in-edges of each node v with owners ascending —
+        # exactly v's (sorted) slice order — so each reverse position is
+        # the next unfilled slot of v's slice
+        mirror = array("q", [0]) * len(targets)
+        cursor = array("q", offsets[:n])
+        for e, v in enumerate(targets):
+            slot = cursor[v]
+            cursor[v] = slot + 1
+            mirror[e] = slot
+        return owners, mirror
+
     # ------------------------------------------------------------------
     # partition tables
     # ------------------------------------------------------------------

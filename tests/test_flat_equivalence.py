@@ -215,13 +215,16 @@ class TestCSRGraph:
         assert [csr.node_id(j) for j in nbrs] == [1, 2, 3]
 
     def test_mirror_is_involution(self):
-        csr = CSRGraph.from_graph(gen.powerlaw_cluster_graph(60, 3, 0.2, seed=2))
-        mirror = csr.mirror()
-        owner = csr.edge_owners()
-        for e in range(len(csr.targets)):
-            assert mirror[mirror[e]] == e
-            assert csr.targets[mirror[e]] == owner[e]
-            assert owner[mirror[e]] == csr.targets[e]
+        # the larger graph has more than NUMPY_MIN_PAIRS slots, so its
+        # companions build on numpy wherever numpy is importable
+        for n in (60, 11_000):
+            csr = CSRGraph.from_graph(gen.powerlaw_cluster_graph(n, 3, 0.2, seed=2))
+            mirror = csr.mirror()
+            owner = csr.edge_owners()
+            for e in range(len(csr.targets)):
+                assert mirror[mirror[e]] == e
+                assert csr.targets[mirror[e]] == owner[e]
+                assert owner[mirror[e]] == csr.targets[e]
 
     def test_bz_csr_matches_dict_oracle(self):
         g = gen.preferential_attachment_graph(120, 4, seed=8).shuffled(seed=1)

@@ -400,6 +400,33 @@ class TestReadGraphHoldsCSR:
         graph.name = "again"
         assert CSRGraph.from_graph(graph).name == "again"
 
+    def test_renamed_graph_builds_companions_once(self, path, monkeypatch):
+        from repro.baselines import batagelj_zaversnik
+        from repro.core.api import decompose
+        from repro.sim.kernels import StdlibBackend
+
+        build = StdlibBackend.csr_companions
+        builds: list[int] = []
+
+        def spy(self, offsets, targets):
+            builds.append(len(targets))
+            return build(self, offsets, targets)
+
+        monkeypatch.setattr(StdlibBackend, "csr_companions", spy)
+        graph = read_edge_list(path)
+        renamed = graph.copy(name="renamed")
+        runs = [decompose(renamed, "one-to-one-flat").coreness for _ in range(3)]
+        assert runs[0] == runs[1] == runs[2] == batagelj_zaversnik(_reference(path, True))
+        assert len(builds) == 1
+        # every view of the held CSR reads the same companions and index
+        held, view = CSRGraph.from_graph(graph), CSRGraph.from_graph(renamed)
+        assert view.name == "renamed" and view is not held
+        assert view.mirror() is held.mirror()
+        assert view.edge_owners() is held.edge_owners()
+        assert held._index_of is None
+        assert view.index(3) == 3 and held._index_of is not None
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("relabel", [True, False])
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutation_drops_the_csr(self, path, relabel, mutation):

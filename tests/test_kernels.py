@@ -6,8 +6,8 @@ the individual kernel primitives are pinned directly — the registry's
 error behaviour, the batched ``computeIndex`` against the scalar
 kernel, the h-index sweep against the pre-kernel reference
 implementation, the worker-traffic counting helper, the shared
-stats-export utility, and the CSR build from an edge list on both
-backends.
+stats-export utility, and the CSR build from an edge list and its
+companion arrays on both backends.
 """
 
 from __future__ import annotations
@@ -595,6 +595,11 @@ class TestCsrFromEdgesBackendIdentity:
     @example([])
     @example([(5, 5)])
     @example([(INT64_MIN, INT64_MAX), (INT64_MAX, INT64_MIN), (0, 0)])
+    # both sides of the test that skips compaction for ids 0..n-1
+    @example([(0, 1), (2, 1), (3, 0), (1, 0)])  # exactly 0..n-1
+    @example([(0, 1), (1, 3), (3, 4), (4, 0)])  # 0..n-1 with 2 missing
+    @example([(1, 2), (2, 3), (3, 1)])  # ids start at 1
+    @example([(0, 0), (1, 2), (2, 1)])  # 0 exists only through a self-loop
     def test_generated_edge_lists(self, pairs):
         us, vs = _endpoints(pairs)
         stdlib, numpy = resolve_backend("stdlib"), resolve_backend("numpy")
@@ -617,6 +622,79 @@ class TestCsrFromEdgesBackendIdentity:
         for out in (offsets, targets, ids):
             assert type(out) is array and out.typecode == "q"
             assert out is not us and out is not vs
+
+
+class TestCsrCompanions:
+    """``csr_companions`` builds the same fresh ``(owners, mirror)``
+    buffers on every backend, and they are the CSR's companions."""
+
+    @given(st.lists(st.tuples(_edge_ids, _edge_ids), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    @example([])
+    @example([(3, 3), (7, 7), (1, 2)])  # isolated nodes
+    @example([(0, 0), (1, 2), (2, 3)])  # 0 exists only through a self-loop
+    @example([(0, k) for k in range(1, 9)])  # star
+    @example([(u, v) for u in range(6) for v in range(6)])  # clique
+    @example([(INT64_MIN, INT64_MAX), (INT64_MAX, 0), (0, INT64_MIN)])
+    def test_generated_edge_lists(self, pairs):
+        offsets, targets, _ = resolve_backend("stdlib").csr_from_edges(*_endpoints(pairs))
+        before = (array("q", offsets), array("q", targets))
+        built = [kb.csr_companions(offsets, targets) for kb in backends()]
+        assert (offsets, targets) == before
+        owners, mirror = built[0]
+        for other in built:
+            for ref, out in zip(built[0], other):
+                assert type(out) is array and out.typecode == "q"
+                assert out == ref
+                assert out is not offsets and out is not targets
+        assert len(owners) == len(mirror) == len(targets)
+        for e in range(len(targets)):
+            assert offsets[owners[e]] <= e < offsets[owners[e] + 1]
+            assert targets[mirror[e]] == owners[e]
+            assert mirror[mirror[e]] == e
+
+
+class TestCompanionBuildSelection:
+    """``CSRGraph.mirror()`` / ``edge_owners()`` build both companions in
+    one kernel call, on numpy only when numpy is importable and the CSR
+    has at least ``NUMPY_MIN_PAIRS`` slots."""
+
+    @staticmethod
+    def _cycle(slots: int) -> CSRGraph:
+        n = slots // 2
+        return CSRGraph.from_edges((i, (i + 1) % n) for i in range(n))
+
+    @staticmethod
+    def _companions(csr, monkeypatch) -> list[str]:
+        resolve = kernels.resolve_backend
+        used: list[str] = []
+
+        def spy(name):
+            used.append(name)
+            return resolve(name)
+
+        monkeypatch.setattr(kernels, "resolve_backend", spy)
+        mirror, owners = csr.mirror(), csr.edge_owners()
+        assert (mirror, owners) == (csr.mirror(), csr.edge_owners())
+        expected = resolve("stdlib").csr_companions(csr.offsets, csr.targets)
+        assert (owners, mirror) == expected
+        return used
+
+    def test_small_csr_builds_on_stdlib(self, monkeypatch):
+        csr = self._cycle(NUMPY_MIN_PAIRS - 2)
+        assert len(csr.targets) < NUMPY_MIN_PAIRS
+        assert self._companions(csr, monkeypatch) == ["stdlib"]
+
+    @requires_numpy
+    def test_large_csr_builds_on_numpy(self, monkeypatch):
+        csr = self._cycle(NUMPY_MIN_PAIRS)
+        assert len(csr.targets) == NUMPY_MIN_PAIRS
+        assert self._companions(csr, monkeypatch) == ["numpy"]
+
+    def test_without_numpy_builds_on_stdlib(self, monkeypatch):
+        csr = self._cycle(NUMPY_MIN_PAIRS)
+        monkeypatch.setattr(kernels, "numpy_available", lambda: False)
+        assert self._companions(csr, monkeypatch) == ["stdlib"]
 
 
 class TestCsrBuildSelection:

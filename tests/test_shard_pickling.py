@@ -133,18 +133,23 @@ class TestShardedCSR:
 
 class TestCSRGraph:
     def test_roundtrip_and_cache_drop(self):
-        g = gen.erdos_renyi_graph(70, 0.07, seed=1)
-        csr = CSRGraph.from_graph(g)
-        expected_mirror = csr.mirror()
-        expected_owners = csr.edge_owners()
-        copy = _roundtrip(csr)
-        assert copy.offsets == csr.offsets
-        assert copy.targets == csr.targets
-        assert copy.ids == csr.ids
-        assert copy.name == csr.name
-        assert copy._mirror is None and copy._edge_owners is None
-        assert copy.mirror() == expected_mirror
-        assert copy.edge_owners() == expected_owners
+        # the larger graph has more than NUMPY_MIN_PAIRS slots, so its
+        # companions build on numpy wherever numpy is importable
+        for g in (
+            gen.erdos_renyi_graph(70, 0.07, seed=1),
+            gen.preferential_attachment_graph(11_000, 3, seed=1),
+        ):
+            csr = CSRGraph.from_graph(g)
+            expected_mirror = csr.mirror()
+            expected_owners = csr.edge_owners()
+            copy = _roundtrip(csr)
+            assert copy.offsets == csr.offsets
+            assert copy.targets == csr.targets
+            assert copy.ids == csr.ids
+            assert copy.name == csr.name
+            assert copy._mirror is None and copy._edge_owners is None
+            assert copy.mirror() == expected_mirror
+            assert copy.edge_owners() == expected_owners
 
     def test_sparse_ids_index_rebuilds(self):
         csr = CSRGraph.from_edges([(5, 18), (18, 31), (31, 5)])
