@@ -35,8 +35,8 @@ that, once, from a ``CSRGraph`` plus an
   the per-edge Python loop over the object graph.
 
 The tables are built by the kernel layer's ``shard_tables``
-(:mod:`repro.sim.kernels`): on the numpy backend whenever numpy is
-importable, on the stdlib backend otherwise. Both build identical
+(:mod:`repro.sim.kernels`) on the backend the CSR build's size rule
+picks (:func:`repro.graph.csr._build_backend`). Both build identical
 ``array('q')`` tables, so the choice is invisible to every reader.
 
 The structure is immutable by convention, like ``CSRGraph``: builders
@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.assignment import Assignment
 from repro.errors import ConfigurationError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _build_backend
 from repro.graph.graph import Graph
 
 if TYPE_CHECKING:
@@ -257,10 +257,6 @@ class ShardedCSR:
                  "cut_edges")
 
     def __init__(self, csr: CSRGraph, assignment: Assignment) -> None:
-        # deferred: importing the kernel layer at module scope would
-        # close a cycle through repro.sim (whose engines import this)
-        from repro.sim.kernels import numpy_available, resolve_backend
-
         self.csr = csr
         self.assignment = assignment
         self.num_hosts = assignment.num_hosts
@@ -281,7 +277,7 @@ class ShardedCSR:
             ) from None
         self.host_of_index = host_idx
 
-        kb = resolve_backend("numpy" if numpy_available() else "stdlib")
+        kb = _build_backend(len(csr.targets))
         self.shards = [
             HostShard(x, tables)
             for x, tables in enumerate(

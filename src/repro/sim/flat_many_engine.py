@@ -23,10 +23,10 @@ in flat per-shard arrays —
 * host-to-host mailboxes reuse the mailbox-slot scheme of the flat
   one-to-one engines, lifted from (node, node) edges to (host, host)
   channels: a transmission appends ``(ext-slot, value)`` pairs into the
-  destination shard's slot/value lists — folding a mailbox is pure
-  array reads, and because estimates only decrease, sequential min-fold
-  over the pairs reproduces the object engine's fold of every pending
-  payload.
+  destination shard's slot/value ``array('q')`` buffers — folding a
+  mailbox is pure array reads, and because estimates only decrease,
+  sequential min-fold over the pairs reproduces the object engine's
+  fold of every pending payload.
 
 The host program itself — seeding, mailbox fold, cascade and the
 broadcast / p2p routing with its Figure-5 accounting — is one
@@ -239,20 +239,21 @@ class FlatOneToManyEngine:
         est_list = self._est = [step.est for step in steps]
         sent_msgs = array("q", [0]) * num_hosts
 
-        # Mailboxes: parallel (ext-slot, value) lists per destination
-        # host, plus an engine-message counter (the object engine's
-        # quiescence check and on_messages gating count *messages*, one
-        # per transmission, possibly carrying zero relevant pairs).
+        # Mailboxes: parallel (ext-slot, value) array('q') buffers per
+        # destination host, plus an engine-message counter (the object
+        # engine's quiescence check and on_messages gating count
+        # *messages*, one per transmission, possibly carrying zero
+        # relevant pairs).
         # peersim delivers into the live buffer; lockstep into the next
         # buffer, swapped at round start (RoundEngine's double buffer).
-        mb_slots: list[list[int]] = [[] for _ in range(num_hosts)]
-        mb_vals: list[list[int]] = [[] for _ in range(num_hosts)]
+        mb_slots = [array("q") for _ in range(num_hosts)]
+        mb_vals = [array("q") for _ in range(num_hosts)]
         mb_msgs = array("q", [0]) * num_hosts
         if peersim:
             in_slots, in_vals, in_msgs = mb_slots, mb_vals, mb_msgs
         else:
-            in_slots = [[] for _ in range(num_hosts)]
-            in_vals = [[] for _ in range(num_hosts)]
+            in_slots = [array("q") for _ in range(num_hosts)]
+            in_vals = [array("q") for _ in range(num_hosts)]
             in_msgs = array("q", [0]) * num_hosts
         pending = 0
         sends = 0
@@ -284,8 +285,8 @@ class FlatOneToManyEngine:
             slots = mb_slots[x]
             vals = mb_vals[x]
             updates = steps[x].fold(slots, vals)
-            slots.clear()
-            vals.clear()
+            del slots[:]
+            del vals[:]
             if updates:
                 emit(x, updates)
 

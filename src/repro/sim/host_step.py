@@ -10,7 +10,7 @@ backend's ``route_updates`` kernel does the broadcast and p2p routing
 over the shard's delivery table. The drivers only decide when a host
 runs and how its batches travel:
 :class:`~repro.sim.flat_many_engine.FlatOneToManyEngine` hands
-:meth:`HostStep.emit` its live mailbox lists, and
+:meth:`HostStep.emit` its live ``array('q')`` mailbox buffers, and
 :class:`~repro.sim.mp_engine.MultiProcessOneToManyEngine` ships the
 batches it fills over a queue or a shared-memory ring. So the mp replay
 of the flat lockstep engine cannot drift on a policy branch or on the
@@ -144,9 +144,10 @@ class HostStep:
     def fold(self, slots, vals, **span_args) -> list[int]:
         """Fold one activation's mail, cascade; returns the changes.
 
-        ``slots`` / ``vals`` are parallel builtin lists of received
-        ``(ext-slot, value)`` pairs in sender-pid order. Extra keyword
-        arguments are attached to the ``kernel.fold_mailbox`` span.
+        ``slots`` / ``vals`` are parallel ``array('q')`` mailbox buffers
+        (or lists of ints) of received ``(ext-slot, value)`` pairs in
+        sender-pid order. Extra keyword arguments are attached to the
+        ``kernel.fold_mailbox`` span.
         """
         with self.tracer.span(
             "kernel.fold_mailbox", **self.span_args, **span_args
@@ -161,17 +162,17 @@ class HostStep:
     def emit(
         self,
         updates: list[int],
-        out_slots: list[list[int]],
-        out_vals: list[list[int]],
+        out_slots: Sequence[array],
+        out_vals: Sequence[array],
     ) -> Sequence[int]:
         """Route ``updates`` (Algorithm 3's S / Algorithm 5's subsets).
 
-        Appends each delivered ``(dest slot, value)`` pair to
-        ``out_slots[y]`` / ``out_vals[y]`` and returns the destination
-        hosts that receive a message this activation, in ascending
-        order for broadcast and the filter and in first-touch order for
-        plain p2p. Charges the Figure-5 overhead to
-        :attr:`estimates_sent`.
+        Appends each delivered ``(dest slot, value)`` pair to the
+        ``array('q')`` buffers ``out_slots[y]`` / ``out_vals[y]`` and
+        returns the destination hosts that receive a message this
+        activation, in ascending order for broadcast and the filter and
+        in first-touch order for plain p2p. Charges the Figure-5
+        overhead to :attr:`estimates_sent`.
         """
         shard = self.shard
         if not self.p2p_filter:

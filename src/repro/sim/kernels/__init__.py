@@ -55,15 +55,14 @@ object engines (``round`` / ``async``)       n/a [2]_   n/a [2]_
    rather than silently falling back.
 .. [2] The object engines run ``Process`` subclasses, not kernels; a
    non-default ``backend`` on them is rejected by the config layer.
-.. [3] Not configurable: ``ShardedCSR(csr, assignment)`` builds on
-   numpy whenever :func:`numpy_available`, ``read_edge_list`` /
-   ``CSRGraph.from_edges`` do when it is and the edge list has at
-   least ``repro.graph.csr.NUMPY_MIN_PAIRS`` pairs, and
-   ``CSRGraph.mirror()`` / ``edge_owners()`` build both companions in
-   one call when it is and the CSR has at least that many slots;
-   stdlib otherwise. The buffers are identical ``array('q')`` tables
-   either way, so the engines' own ``backend`` stays independent of
-   the build.
+.. [3] Not configurable: ``read_edge_list`` / ``CSRGraph.from_edges``
+   build on numpy when :func:`numpy_available` and the edge list has
+   at least ``repro.graph.csr.NUMPY_MIN_PAIRS`` pairs, and
+   ``CSRGraph.mirror()`` / ``edge_owners()`` (both companions in one
+   call) and ``ShardedCSR(csr, assignment)`` do when it is and the CSR
+   has at least that many slots; stdlib otherwise. The buffers are
+   identical ``array('q')`` tables either way, so the engines' own
+   ``backend`` stays independent of the build.
 
 Vectorisation boundary: the numpy backend vectorises *within* a batch
 (a lockstep round's frontier, one host activation's fold + cascade +

@@ -315,10 +315,12 @@ class KernelBackend(Protocol):
     ):
         """Fold received ``(ext-slot, value)`` pairs into a shard.
 
-        ``slots`` / ``vals`` are parallel builtin lists (the engine's
-        mailbox buffers). Min-folds each external slot, decrements the
-        support of watchers whose level the drop crosses, and returns
-        the dirty worklist (watchers starved below their estimate) for
+        ``slots`` / ``vals`` are the engine's parallel ``array('q')``
+        mailbox buffers (lists of ints are accepted too); nothing
+        returned may alias them, as the engine clears them next.
+        Min-folds each external slot, decrements the support of
+        watchers whose level the drop crosses, and returns the dirty
+        worklist (watchers starved below their estimate) for
         :meth:`cascade`.
         """
         raise NotImplementedError
@@ -427,10 +429,10 @@ class KernelBackend(Protocol):
         estimates ``est[u]`` changed; ``deliver_*`` are the shard's
         delivery CSR adopted through :meth:`graph_array`. For each
         ``u`` in ``nodes`` order, for each ``(y, s)`` in ``u``'s
-        delivery segment order, ``s`` is appended to ``out_slots[y]``
-        and ``est[u]`` (a builtin ``int``) to ``out_vals[y]`` — so the
-        caller's per-destination lists come out in the same order on
-        every backend. Returns ``(dests, sent)``:
+        delivery segment order, ``s`` is appended to the ``array('q')``
+        buffer ``out_slots[y]`` and ``est[u]`` to ``out_vals[y]`` — so
+        the caller's per-destination buffers come out in the same order
+        on every backend. Returns ``(dests, sent)``:
 
         * no nodes or no ``neighbor_hosts``: ``((), 0)`` — nothing has
           to be sent to another host (Figure 5), nothing is appended;
@@ -442,8 +444,8 @@ class KernelBackend(Protocol):
           number of pairs appended (one unit per estimate and
           destination).
 
-        ``host_counts`` is caller-owned per-host scratch that must be
-        all-zero between calls (vectorised backends ignore it).
+        ``host_counts`` is caller-owned per-host scratch, all-zero
+        between calls (vectorised backends read only its length).
         """
         raise NotImplementedError
 

@@ -41,6 +41,7 @@ from repro.sim.kernels.base import KernelBackend, ShardTables
 __all__ = ["NumpyBackend"]
 
 _I64 = np.int64
+_UNSEEN = np.iinfo(_I64).max  # an untouched _first_seen scratch entry
 
 
 def _csr_offsets(counts):
@@ -76,6 +77,26 @@ def _distinct(values):
         np.not_equal(out[1:], out[:-1], out=keep[1:])
         out = out[keep]
     return out
+
+
+def _sort_key(values, bound: int):
+    """``values`` (all in ``[0, bound)``) as a stable-sort key: uint16
+    when they fit, which numpy radix-sorts several times faster."""
+    return values.astype(np.uint16) if bound <= 1 << 16 else values
+
+
+def _first_seen(values, scratch):
+    """The distinct ``values`` in first-encounter order, found by a
+    position min-fold instead of a sort, and each value's index into
+    them. ``scratch`` is ``_UNSEEN`` wherever ``values`` index it, on
+    entry and on exit."""
+    pos = np.arange(len(values), dtype=_I64)
+    np.minimum.at(scratch, values, pos)
+    distinct = values[scratch[values] == pos]
+    scratch[distinct] = np.arange(len(distinct), dtype=_I64)
+    rank = scratch[values]
+    scratch[distinct] = _UNSEEN
+    return distinct, rank
 
 
 def _to_q(values) -> array:
@@ -303,23 +324,25 @@ class NumpyBackend(KernelBackend):
         self, slots, vals, n_owned, est, sup, watch_offsets, watch_targets, queued
     ):
         empty = np.zeros(0, dtype=_I64)
-        if not slots:
+        if not len(slots):
             return empty
-        slots = np.asarray(slots, dtype=_I64)
-        vals = np.asarray(vals, dtype=_I64)
-        # min-fold duplicates first: estimates only decrease, so the
-        # sequential fold's net effect per slot is the pairwise min
-        uniq, inverse = np.unique(slots, return_inverse=True)
-        mins = np.full(len(uniq), np.iinfo(_I64).max, dtype=_I64)
-        np.minimum.at(mins, inverse, vals)
-        old = est[n_owned + uniq]
-        lowered = mins < old
-        if not lowered.any():
+        # view array('q') mailboxes (np.asarray would keep their "q"
+        # dtype, off ufunc.at's fast path); nothing returned aliases
+        # them, as the engine clears them next
+        as_i64 = np.frombuffer if isinstance(slots, array) else np.asarray
+        slots = as_i64(slots, dtype=_I64)
+        vals = as_i64(vals, dtype=_I64)
+        ext = est[n_owned:]
+        lowering = vals < ext[slots]
+        if not lowering.any():
             return empty
-        uniq = uniq[lowered]
-        new = mins[lowered]
-        old = old[lowered]
-        est[n_owned + uniq] = new
+        slots = slots[lowering]
+        uniq = _distinct(slots)
+        old = ext[uniq]
+        # estimates only decrease, so the sequential fold's net effect
+        # per slot is the pairwise min
+        np.minimum.at(ext, slots, vals[lowering])
+        new = ext[uniq]
         seg, idx, _, _ = _segments(watch_offsets, uniq)
         watchers = watch_targets[idx]
         levels = est[watchers]  # owned estimates are untouched by folds
@@ -378,11 +401,14 @@ class NumpyBackend(KernelBackend):
         host = self.graph_array(host_of)
         n = len(host)
         # owned nodes grouped by host, ascending within each (stable)
-        order = np.argsort(host, kind="stable")
+        order = np.argsort(_sort_key(host, num_hosts), kind="stable")
         bounds = _csr_offsets(np.bincount(host, minlength=num_hosts))
         # local rank of every node within its owning shard
         local_of = np.empty(n, dtype=_I64)
         local_of[order] = np.arange(n, dtype=_I64) - bounds[host[order]]
+        # first-encounter scratch shared by all shards (see _first_seen)
+        node_seen = np.full(n, _UNSEEN, dtype=_I64)
+        host_seen = np.full(num_hosts, _UNSEEN, dtype=_I64)
 
         # one shard at a time, so the temporaries stay bounded by one
         # shard's edges; each shard's tables leave as array('q') copies
@@ -395,37 +421,30 @@ class NumpyBackend(KernelBackend):
             ext = host[t] != x
             ext_t = t[ext]
             # ext slots number the external nodes by first encounter
-            uniq, first, inverse = np.unique(
-                ext_t, return_index=True, return_inverse=True
-            )
-            by_first = np.argsort(first)
-            slot_of = np.empty(len(uniq), dtype=_I64)
-            slot_of[by_first] = np.arange(len(uniq), dtype=_I64)
-            slot = slot_of[inverse]
-            ext_global = uniq[by_first]
+            ext_global, slot = _first_seen(ext_t, node_seen)
+            n_ext = len(ext_global)
             loc = local_of[t]
             loc[ext] = n_owned + slot
             # watchers: the owners of the edges into each slot, in
             # scan order (stable sort by slot)
-            watch_targets = seg[ext][np.argsort(slot, kind="stable")]
-            watch_counts = np.bincount(slot, minlength=len(uniq))
+            watch_targets = seg[ext][np.argsort(_sort_key(slot, n_ext), kind="stable")]
+            watch_counts = np.bincount(slot, minlength=n_ext)
+            ext_host = host[ext_global]
             # directed cut per host, keyed in first-encounter order
-            ys, y_first, y_count = np.unique(
-                host[ext_t], return_index=True, return_counts=True
-            )
-            y_order = np.argsort(y_first)
+            ys, y_rank = _first_seen(ext_host, host_seen)
+            y_count = np.bincount(y_rank[slot], minlength=len(ys))
             built.append(ShardTables(
                 owned_global=_to_q(owned),
                 offsets=_to_q(starts),
                 targets=_to_q(loc),
                 ext_global=_to_q(ext_global),
-                ext_host=_to_q(host[ext_global]),
+                ext_host=_to_q(ext_host),
                 watch_offsets=_to_q(_csr_offsets(watch_counts)),
                 watch_targets=_to_q(watch_targets),
                 deliver_offsets=array("q", [0]),
                 deliver_hosts=array("q"),
                 deliver_slots=array("q"),
-                cut_to=dict(zip(ys[y_order].tolist(), y_count[y_order].tolist())),
+                cut_to=dict(zip(ys.tolist(), y_count.tolist())),
             ))
 
         # delivery side, as in the stdlib kernel: count each node's
@@ -478,16 +497,17 @@ class NumpyBackend(KernelBackend):
         if sent:
             # group the pairs by destination; the stable sort keeps
             # update order inside each group, as the stdlib loop appends
-            by_host = np.argsort(deliver_hosts[idx], kind="stable")
-            pairs = idx[by_host]
-            hosts = deliver_hosts[pairs]
-            slots = deliver_slots[pairs].tolist()
-            vals = est[nodes[seg[by_host]]].tolist()
+            hosts = deliver_hosts[idx]
+            by_host = np.argsort(_sort_key(hosts, len(host_counts)), kind="stable")
+            hosts = hosts[by_host]
+            # raw i64 bytes: each group leaves with one frombytes
+            slots = deliver_slots[idx[by_host]].view(np.uint8)
+            vals = est[nodes[seg[by_host]]].view(np.uint8)
             starts = [0, *(np.flatnonzero(np.diff(hosts)) + 1).tolist()]
             dests = hosts[starts]
             for y, lo, hi in zip(dests.tolist(), starts, starts[1:] + [sent]):
-                out_slots[y].extend(slots[lo:hi])
-                out_vals[y].extend(vals[lo:hi])
+                out_slots[y].frombytes(slots[8 * lo:8 * hi])
+                out_vals[y].frombytes(vals[8 * lo:8 * hi])
         if broadcast:
             return neighbor_hosts, len(nodes)
         if not sent:

@@ -317,13 +317,13 @@ class _ShardWorker:
         """Receive one payload from this worker's inbox.
 
         With recovery enabled the wait is a non-blocking poll loop
-        instead of a blocking ``get()``: a blocked ``get`` holds the
-        queue's reader lock for its whole wait, so terminating a wedged
-        worker there would poison the lock for its replacement (which
-        reuses the queue). Polling holds the lock only for microseconds
-        per probe, so the coordinator's ``terminate()`` lands in the
-        sleep with overwhelming probability; the residual window is the
-        documented out-of-scope kill-inside-a-queue-operation case.
+        instead of a blocking ``get()``, which would hold the queue's
+        reader lock for its whole wait. A ``terminate()`` that lands
+        inside a probe still leaves the lock held; the coordinator
+        frees it before the replacement, which reuses the queue,
+        starts (``_recover_worker``). The residual window is a
+        terminate during a payload read, which cannot happen while a
+        wedged worker waits on mail that never comes.
         """
         if not self.resilient:
             return inbox.get()
@@ -378,8 +378,8 @@ class _ShardWorker:
         self, deliver_round: int, updates: list[int], transport: bool = True
     ) -> tuple:
         num_hosts = self.num_hosts
-        out_slots: list[list[int]] = [[] for _ in range(num_hosts)]
-        out_vals: list[list[int]] = [[] for _ in range(num_hosts)]
+        out_slots = [array("q") for _ in range(num_hosts)]
+        out_vals = [array("q") for _ in range(num_hosts)]
         dests = self.step.emit(updates, out_slots, out_vals)
         if not dests:
             return (), 0, 0
@@ -390,10 +390,10 @@ class _ShardWorker:
         span_name = "emit.serialize" if mailbox is None else "emit.shm_write"
         with self.tracer.span(span_name, dests=len(dests)) as span:
             for y in dests:
-                # a broadcast to a host with no border pair is an empty
-                # message; it travels as ``()`` on the wire
-                slots = out_slots[y] or ()
-                vals = out_vals[y] or ()
+                # on the wire a batch is a list of ints, and a broadcast
+                # to a host with no border pair an empty message, ``()``
+                slots = out_slots[y].tolist() or ()
+                vals = out_vals[y].tolist() or ()
                 # the emitting round is deliver_round - 1 (lockstep)
                 send = transport and (
                     faults is None
@@ -445,11 +445,11 @@ class _ShardWorker:
         # restore the flat engine's mailbox order: senders append in
         # activation (pid) order, one batch per sender per round
         batches.sort(key=lambda b: b[1])
-        slots: list[int] = []
-        vals: list[int] = []
+        slots, vals = array("q"), array("q")
         for _rnd, _sender, bslots, bvals in batches:
-            slots.extend(bslots)
-            vals.extend(bvals)
+            if bslots:  # a list of ints, or ``()`` when empty
+                slots.fromlist(bslots)
+                vals.fromlist(bvals)
         updates = self.step.fold(slots, vals, batches=len(batches))
         return self._ship(deliver_round, updates, transport)
 
@@ -1090,6 +1090,11 @@ class MultiProcessOneToManyEngine:
             self._conns[x].close()
         except OSError:  # pragma: no cover - already closed
             pass
+        # a terminate inside the dead worker's inbox probe leaves the
+        # queue's reader lock held; nobody reads that queue now, so take
+        # and drop the lock (frees a held lock, else a no-op)
+        self._inboxes[x]._rlock.acquire(block=False)
+        self._inboxes[x]._rlock.release()
         from_round = self._ckpt_round
         restore_blob = (
             self._ckpt_blobs[x] if self._ckpt_blobs is not None else None

@@ -36,6 +36,7 @@ from repro.sim.faults import KILL_EXIT_CODE, Fault, FaultPlan, WorkerFaults
 from repro.sim.kernels import numpy_available
 from repro.sim.mp_engine import (
     MultiProcessOneToManyEngine,
+    _ShardWorker,
     default_reply_timeout,
 )
 
@@ -215,6 +216,31 @@ class TestTransportFaults:
         (event,) = run.stats.extra["recoveries"]
         assert event["worker"] == 3  # the *receiver* is what wedges
         assert "alive=True" in event["reason"]
+
+    def test_wedged_worker_holding_its_inbox_lock_recovers(
+        self, graph, flat_reference, monkeypatch
+    ):
+        """A terminate that lands while the wedged worker holds its
+        inbox's reader lock must not starve the replacement, which
+        reuses that queue. Workers that carry a fault plan wait in a
+        blocking ``get()``, which holds the lock for the whole wait;
+        under ``fork`` they inherit the patch, and replacements carry no
+        plan. The receiver gets a plan of its own through a 1 ms stall."""
+        polling = _ShardWorker._inbox_get
+
+        def blocking(self, inbox):
+            if self.faults is not None:
+                return inbox.get()
+            return polling(self, inbox)
+
+        monkeypatch.setattr(_ShardWorker, "_inbox_get", blocking)
+        plan = FaultPlan([
+            Fault.drop_batch(0, 4, dest=3), Fault.slow(3, 1, seconds=0.001),
+        ])
+        run = _mp_fault(graph, plan, mp_reply_timeout=3.0)
+        assert_bit_identical(run, flat_reference["broadcast"])
+        (event,) = run.stats.extra["recoveries"]
+        assert event["worker"] == 3
 
     def test_delayed_batch_needs_no_recovery(self, graph, flat_reference):
         plan = FaultPlan([Fault.delay_batch(0, 4, dest=3, seconds=0.5)])

@@ -9,6 +9,8 @@ the Figure-5 difference the paper measures.
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.core.assignment import assign
@@ -31,11 +33,18 @@ def _step(communication="p2p", p2p_filter=False, backend="stdlib"):
     )
 
 
-def _emit(step, updates, out_slots=None):
-    out_slots = out_slots or [[] for _ in range(HOSTS)]
-    out_vals = [[0] * len(slots) for slots in out_slots]
+def _emit(step, updates, queued=None):
+    """``step.emit`` into fresh ``array('q')`` buffers; the lists come
+    back for comparison. ``queued`` pre-fills the slot buffers."""
+    out_slots = [array("q", q) for q in queued or [[]] * HOSTS]
+    out_vals = [array("q", [0] * len(slots)) for slots in out_slots]
     dests = step.emit(updates, out_slots, out_vals)
-    return list(dests), out_slots, out_vals
+    for buf in out_slots + out_vals:
+        assert all(type(v) is int for v in buf)
+    return (
+        list(dests), [b.tolist() for b in out_slots],
+        [b.tolist() for b in out_vals],
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

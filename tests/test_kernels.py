@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -254,8 +255,9 @@ def _reference_route(updates, pairs, neighbor_hosts, broadcast, out_slots, out_v
 
 class TestRouteUpdates:
     """``route_updates`` replays the reference routing loop exactly:
-    per-destination list contents and order, destinations (first-touch
-    order under p2p) and the Figure-5 count, on every backend."""
+    per-destination ``array('q')`` buffer contents and order,
+    destinations (first-touch order under p2p) and the Figure-5 count,
+    on every backend."""
 
     HOSTS = 5
 
@@ -271,12 +273,12 @@ class TestRouteUpdates:
         return ShardedCSR.from_graph(g, assign(g, self.HOSTS, policy="random", seed=2))
 
     def _route(self, backend, shard, nodes, values, broadcast, queued=()):
-        """Run the kernel on fresh out lists that already hold ``queued``."""
+        """Run the kernel on fresh out buffers that already hold ``queued``."""
         est = backend.full(shard.n_owned + shard.n_ext, -1)
         for u, k in zip(nodes, values):
             est[u] = k
-        out_slots = [list(queued) for _ in range(self.HOSTS)]
-        out_vals = [list(queued) for _ in range(self.HOSTS)]
+        out_slots = [array("q", queued) for _ in range(self.HOSTS)]
+        out_vals = [array("q", queued) for _ in range(self.HOSTS)]
         scratch = array("q", [0]) * self.HOSTS
         dests, sent = backend.route_updates(
             list(nodes), est,
@@ -296,8 +298,8 @@ class TestRouteUpdates:
             ))
             for u in range(shard.n_owned)
         ]
-        out_slots = [list(queued) for _ in range(self.HOSTS)]
-        out_vals = [list(queued) for _ in range(self.HOSTS)]
+        out_slots = [array("q", queued) for _ in range(self.HOSTS)]
+        out_vals = [array("q", queued) for _ in range(self.HOSTS)]
         dests, sent = _reference_route(
             list(zip(nodes, values)), pairs, shard.neighbor_hosts, broadcast,
             out_slots, out_vals,
@@ -357,7 +359,7 @@ class TestRouteUpdates:
         shard = sharded.shards[0]
         assert shard.neighbor_hosts
         assert self._route(backend, shard, [], [], broadcast) == (
-            [], 0, [[]] * self.HOSTS, [[]] * self.HOSTS
+            [], 0, [array("q")] * self.HOSTS, [array("q")] * self.HOSTS
         )
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -369,7 +371,7 @@ class TestRouteUpdates:
             if ids[s.owned_global[u]] >= 60
         )
         assert shard.deliver_offsets[u] == shard.deliver_offsets[u + 1]
-        empty = [[]] * self.HOSTS
+        empty = [array("q")] * self.HOSTS
         # p2p: no destination, no cost
         assert self._route(backend, shard, [u], [0], False) == ([], 0, empty, empty)
         # broadcast: still one (empty) message per neighbour host, and
@@ -377,6 +379,124 @@ class TestRouteUpdates:
         assert self._route(backend, shard, [u], [0], True) == (
             list(shard.neighbor_hosts), 1, empty, empty
         )
+
+    @pytest.mark.parametrize(
+        "num_hosts, a, b, c, d",
+        [
+            # every id fits 16 bits: the radix-sorted key
+            (1 << 15, 3, 16384, 32766, 32767),
+            (1 << 16, 3, 32767, 32768, 65535),
+            # 65539 would wrap onto 3 in 16 bits
+            ((1 << 16) + 4, 3, 32767, 32768, 65539),
+        ],
+        ids=["16-bit-key-int16-range", "16-bit-key", "int64-key"],
+    )
+    @pytest.mark.parametrize("broadcast", [True, False])
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_large_host_ids_keep_reference_order(
+        self, name, broadcast, num_hosts, a, b, c, d
+    ):
+        backend = resolve_backend(name)
+        # a hand-built delivery table over 4 owned nodes (node 2 has no
+        # pairs); the update order makes the first touch b, d, a, c
+        pairs = [[(a, 0), (c, 1), (d, 2)], [(b, 3), (d, 4)], [],
+                 [(a, 5), (b, 6), (c, 7)]]
+        offsets, hosts, slots = array("q", [0]), array("q"), array("q")
+        for segment in pairs:
+            hosts.extend(y for y, _ in segment)
+            slots.extend(s for _, s in segment)
+            offsets.append(len(hosts))
+        neighbor_hosts = (a, b, c, d)
+        nodes, values = [1, 3, 0, 2], [9, 8, 7, 6]
+        est = backend.full(4, -1)
+        for u, k in zip(nodes, values):
+            est[u] = k
+        out_slots: defaultdict = defaultdict(lambda: array("q", [7]))
+        out_vals: defaultdict = defaultdict(lambda: array("q", [7]))
+        scratch = array("q", [0]) * num_hosts
+        dests, sent = backend.route_updates(
+            nodes, est, backend.graph_array(offsets),
+            backend.graph_array(hosts), backend.graph_array(slots),
+            neighbor_hosts, broadcast, out_slots, out_vals, scratch,
+        )
+        assert not any(scratch)
+        ref_slots: defaultdict = defaultdict(lambda: array("q", [7]))
+        ref_vals: defaultdict = defaultdict(lambda: array("q", [7]))
+        ref_dests, ref_sent = _reference_route(
+            list(zip(nodes, values)), pairs, neighbor_hosts, broadcast,
+            ref_slots, ref_vals,
+        )
+        assert (list(dests), sent) == (list(ref_dests), ref_sent)
+        assert out_slots == ref_slots and out_vals == ref_vals
+        if not broadcast:
+            assert list(dests) == [b, d, a, c]
+
+
+@st.composite
+def _shard_mail(draw):
+    """A shard's fold inputs: owned levels and supports, external
+    estimates, per-ext-slot watchers (possibly none) and received
+    ``(slot, value)`` pairs with repeated slots, above and below the
+    current estimates."""
+    n_owned = draw(st.integers(1, 6))
+    n_ext = draw(st.integers(1, 6))
+    levels = draw(st.lists(st.integers(0, 6), min_size=n_owned, max_size=n_owned))
+    sup = draw(st.lists(st.integers(0, 6), min_size=n_owned, max_size=n_owned))
+    ext = draw(st.lists(st.integers(0, 8), min_size=n_ext, max_size=n_ext))
+    watchers = draw(st.lists(
+        st.sets(st.integers(0, n_owned - 1)), min_size=n_ext, max_size=n_ext
+    ))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_ext - 1), st.integers(0, 9)), max_size=24
+    ))
+    return levels, sup, ext, watchers, pairs
+
+
+@requires_numpy
+class TestFoldMailboxBackendIdentity:
+    """``fold_mailbox`` leaves the same estimates and supports and
+    returns the same dirty set on every backend, from ``array('q')``
+    mailboxes and from lists alike; the buffers stay clearable."""
+
+    @given(_shard_mail())
+    @settings(max_examples=200, deadline=None)
+    @example(([3, 2], [2, 2], [5, 1], [{0, 1}, set()],
+              [(0, 4), (0, 2), (0, 6), (1, 0), (0, 2)]))
+    @example(([1], [1], [4], [{0}], []))
+    def test_generated_mail(self, shard):
+        levels, sup0, ext, watchers, pairs = shard
+        n_owned = len(levels)
+        watch_offsets, watch_targets = array("q", [0]), array("q")
+        for owners in watchers:
+            watch_targets.extend(sorted(owners))
+            watch_offsets.append(len(watch_targets))
+        results = []
+        for kb in backends():
+            for form in (array, list):
+                est = kb.full(n_owned + len(ext))
+                for i, v in enumerate(levels + ext):
+                    est[i] = v
+                sup = kb.full(n_owned)
+                for u, v in enumerate(sup0):
+                    sup[u] = v
+                slots = array("q", [s for s, _ in pairs])
+                vals = array("q", [v for _, v in pairs])
+                if form is list:
+                    slots, vals = slots.tolist(), vals.tolist()
+                dirty = kb.fold_mailbox(
+                    slots, vals, n_owned, est, sup,
+                    kb.graph_array(watch_offsets),
+                    kb.graph_array(watch_targets), kb.worklist_flags(n_owned),
+                )
+                # nothing returned pins the mailbox buffers
+                del slots[:]
+                del vals[:]
+                results.append((
+                    [int(v) for v in est], [int(v) for v in sup],
+                    sorted(int(u) for u in dirty),
+                ))
+        assert len(results) == 4
+        assert all(result == results[0] for result in results)
 
 
 class TestExportSendCounts:

@@ -10,6 +10,11 @@ agree with ``Assignment.cut_edges``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.assignment import Assignment, assign
 from repro.core.one_to_many import build_host_processes
 from repro.errors import ConfigurationError
+from repro.graph import csr as csr_module
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
@@ -256,7 +262,9 @@ class TestValidation:
 
 def _build(graph, assignment, numpy: bool, monkeypatch) -> ShardedCSR:
     """``ShardedCSR`` on the numpy or the stdlib ``shard_tables`` kernel
-    (checked, so a comparison can never pit a backend against itself)."""
+    (checked, so a comparison can never pit a backend against itself).
+    The numpy build lowers ``NUMPY_MIN_PAIRS`` so that small graphs
+    reach it too."""
     resolve = kernels.resolve_backend
     used: list[str] = []
 
@@ -264,11 +272,14 @@ def _build(graph, assignment, numpy: bool, monkeypatch) -> ShardedCSR:
         used.append(name)
         return resolve(name)
 
+    csr = CSRGraph.from_graph(graph)
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "resolve_backend", spy)
-        if not numpy:
+        if numpy:
+            patch.setattr(csr_module, "NUMPY_MIN_PAIRS", 0)
+        else:
             patch.setattr(kernels, "numpy_available", lambda: False)
-        sharded = ShardedCSR(CSRGraph.from_graph(graph), assignment)
+        sharded = ShardedCSR(csr, assignment)
     assert used == ["numpy" if numpy else "stdlib"]
     return sharded
 
@@ -347,3 +358,37 @@ class TestShardTablesBackendIdentity:
         for shard in sharded.shards:
             for y, count in shard.cut_to.items():
                 assert type(y) is int and type(count) is int
+
+    def test_numpy_cut_counts_are_builtin_ints(self, monkeypatch):
+        # a 40-node graph builds on the stdlib unless the threshold drops
+        g = gen.erdos_renyi_graph(40, 0.1, seed=2)
+        sharded = _build(g, assign(g, 3), True, monkeypatch)
+        assert type(sharded.cut_edges) is int
+        for shard in sharded.shards:
+            for y, count in shard.cut_to.items():
+                assert type(y) is int and type(count) is int
+
+
+class TestBuildSelection:
+    """``ShardedCSR`` follows the CSR build's size rule: numpy only when
+    it is importable and the CSR has at least ``NUMPY_MIN_PAIRS``
+    slots."""
+
+    def test_small_run_imports_no_numpy(self):
+        code = (
+            "import sys\n"
+            "from repro import decompose\n"
+            "from repro.graph.generators import erdos_renyi_graph\n"
+            "g = erdos_renyi_graph(200, 0.05, seed=1)\n"
+            "decompose(g, 'one-to-many-flat', num_hosts=4)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
