@@ -5,13 +5,13 @@ These micro-benchmarks pin the kernel's scaling across degrees, the
 worklist-vs-naive cascade cost on a single host owning a whole graph
 (the |H| = 1 degenerate case of the one-to-many protocol), and — since
 the shared kernel layer landed — the batched Algorithm 2 across the
-stdlib/numpy backends (a lockstep round's whole frontier in one call).
+stdlib/numpy backends (one ``hindex_sweep`` kernel call: every node at
+once).
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 
 import pytest
 
@@ -39,8 +39,9 @@ def test_compute_index_scaling(benchmark, degree):
 def test_batch_compute_index_backends(benchmark, backend_name):
     """One whole-graph batch (every node at once), per backend.
 
-    This is the shape of a lockstep round's frontier recompute and of
-    one h-index sweep: per-node caps, per-edge neighbour values.
+    One h-index sweep from the degrees, through the ``hindex_sweep``
+    kernel: the shape of a lockstep round's frontier recompute too
+    (per-node caps, per-edge neighbour values).
     """
     if backend_name == "numpy" and not numpy_available():
         pytest.skip("numpy backend needs numpy")
@@ -48,16 +49,12 @@ def test_batch_compute_index_backends(benchmark, backend_name):
     graph = powerlaw_cluster_graph(2000, m=4, p=0.3, seed=5)
     csr = CSRGraph.from_graph(graph)
     offsets = backend.graph_array(csr.offsets)
-    nodes = backend.graph_array(array("q", range(csr.num_nodes)))
-    caps = backend.degrees(offsets, csr.num_nodes)
-    edge_values = backend.graph_array(
-        array("q", [csr.degree(t) for t in csr.targets])
-    )
+    targets = backend.graph_array(csr.targets)
+    degrees = backend.degrees(offsets, csr.num_nodes)
     scratch: list[int] = []
 
-    values, _ = benchmark(
-        backend.batch_compute_index, nodes, caps, offsets, edge_values,
-        scratch,
+    _, values = benchmark(
+        backend.hindex_sweep, offsets, targets, degrees, scratch
     )
     expected = [
         compute_index(

@@ -434,11 +434,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_churn(args: argparse.Namespace) -> int:
     from repro.workloads import generate_churn_trace, replay_trace
 
-    if args.backend is not None and args.engine != "flat":
-        raise ConfigurationError(
-            "--backend selects the flat engine's kernel backend; the "
-            "object oracle runs no kernels — use --engine flat"
-        )
     graph = _load_graph(args)
     trace = generate_churn_trace(
         graph,

@@ -292,10 +292,11 @@ class OneToManyConfig:
     #: pickled batches). ``"shm"`` moves the estimate hot path into
     #: per-worker mailbox rings in ``multiprocessing.shared_memory``
     #: segments sized from the partition's cut structure
-    #: (:mod:`repro.sim.shm_transport`): zero pickling per round, with
-    #: a loud queue-lane fallback if a batch ever outgrows its ring.
-    #: Results are bit-identical across transports; like the other
-    #: ``mp_*`` knobs, rejected on every other engine.
+    #: (:mod:`repro.sim.shm_transport`): zero pickling per round; ring
+    #: capacities are exact, so a batch that outgrows its ring is a bug
+    #: and raises ``SimulationError``. Results are bit-identical across
+    #: transports; like the other ``mp_*`` knobs, rejected on every
+    #: other engine.
     mp_transport: str | None = None
     #: Fault tolerance for ``engine="mp"``: a
     #: :class:`~repro.sim.checkpoint.CheckpointPolicy` makes the fleet
@@ -684,16 +685,14 @@ def resume_from_checkpoint(
         strict=cfg["strict"] if strict is None else strict,
         backend=cfg["backend"],
         start_method=cfg["start_method"],
-        transport=cfg.get("transport", "queue"),
+        transport=cfg["transport"],
         checkpoint=CheckpointPolicy(
             every_n_rounds=cfg["checkpoint_every"], dir=dir
         ),
         telemetry=tracer,
     )
-    # .get: manifests written before the policy was persisted resume
-    # without the refined-cut gauge, as they always did
     engine.checkpoint_meta = {
-        "algorithm": cfg["algorithm"], "policy": cfg.get("policy"),
+        "algorithm": cfg["algorithm"], "policy": cfg["policy"],
     }
     engine._resume = ckpt
     result = _package_fleet(engine, engine.run())

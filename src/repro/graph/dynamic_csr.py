@@ -3,8 +3,8 @@
 :class:`~repro.graph.csr.CSRGraph` is immutable by design — builders
 produce it, engines read it. Streaming maintenance needs the opposite:
 a graph that absorbs edge churn *without* leaving flat storage, so the
-warm-start re-convergence kernels can run over the same ``array('q')``
-buffers the batch kernels just edited. :class:`DynamicCSRGraph` is that
+warm-start re-convergence kernel can run over the same ``array('q')``
+buffers the edits just wrote. :class:`DynamicCSRGraph` is that
 structure. Three deliberate deviations from the immutable layout:
 
 * **per-node capacity slack** — every node owns a slot *region*
@@ -14,7 +14,7 @@ structure. Three deliberate deviations from the immutable layout:
   capacity (amortised O(1), like a growable vector per node).
 * **edge-slot tombstones** — deletion writes the sentinel
   :data:`TOMBSTONE` (``-1``) into the two slots of the edge instead of
-  shifting the region. Kernels skip negative slots; the region keeps
+  shifting the region. Readers skip negative slots; the region keeps
   its layout, so a deletion is two slot writes.
 * **deterministic periodic compaction** — tombstoned and abandoned
   slots are garbage. When the garbage crosses a fixed ratio of the
@@ -32,29 +32,26 @@ reports the permutation). Removed nodes leave a dead row behind until
 the next compaction; dead rows have no live slots and never appear as
 targets.
 
-Structural edits are *batched through the kernel backend*
-(:meth:`insert_edges` / :meth:`delete_edges` call the backend's
-``csr_insert_slots`` / ``csr_delete_slots``), so the numpy backend can
-scatter a whole batch at once while the stdlib backend defines the
-slot-level semantics — the two must agree slot-for-slot, which
-``tests/test_kernels.py`` pins.
+Structural edits are plain slot writes on those buffers, one edge at a
+time (:meth:`insert_edge` / :meth:`delete_edge`, :meth:`remove_node`
+for a node and its edges): each touches a handful of slots, which no
+kernel dispatch or vectorised scatter makes cheaper.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import EdgeError, GraphError, NodeNotFoundError
 from repro.graph.csr import CSRGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
-    from repro.sim.kernels import KernelBackend
 
 __all__ = ["DynamicCSRGraph", "TOMBSTONE"]
 
-#: Sentinel written into a deleted edge's slots; kernels skip it.
+#: Sentinel written into a deleted edge's slots; readers skip it.
 TOMBSTONE = -1
 
 #: Smallest slot region allocated to any node.
@@ -74,8 +71,8 @@ class DynamicCSRGraph:
     """A mutable CSR with slack, tombstones and periodic compaction.
 
     >>> g = DynamicCSRGraph.from_edges([(0, 1), (1, 2)])
-    >>> g.insert_edges([(0, 2)])
-    >>> g.delete_edges([(0, 1)])
+    >>> g.insert_edge(0, 2)
+    >>> g.delete_edge(0, 1)
     >>> sorted(g.neighbors(2))
     [0, 1]
     """
@@ -89,7 +86,6 @@ class DynamicCSRGraph:
         "alive",
         "targets",
         "_index_of",
-        "_backend",
         "_tombstones",
         "_abandoned",
         "_live_slots",
@@ -97,10 +93,7 @@ class DynamicCSRGraph:
         "name",
     )
 
-    def __init__(self, backend: "KernelBackend | str | None" = None,
-                 name: str = "") -> None:
-        from repro.sim.kernels import resolve_backend
-
+    def __init__(self, name: str = "") -> None:
         self.starts = array("q")
         self.caps = array("q")
         self.used = array("q")
@@ -109,7 +102,6 @@ class DynamicCSRGraph:
         self.alive = bytearray()
         self.targets = array("q")
         self._index_of: dict[int, int] = {}
-        self._backend = resolve_backend(backend)
         self._tombstones = 0
         self._abandoned = 0
         self._live_slots = 0
@@ -120,11 +112,9 @@ class DynamicCSRGraph:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_csr(cls, csr: CSRGraph,
-                 backend: "KernelBackend | str | None" = None,
-                 ) -> "DynamicCSRGraph":
+    def from_csr(cls, csr: CSRGraph) -> "DynamicCSRGraph":
         """Build from an immutable CSR (row i keeps csr's compact id i)."""
-        g = cls(backend, name=csr.name)
+        g = cls(name=csr.name)
         n = csr.num_nodes
         g.ids = array("q", csr.ids)
         g.alive = bytearray(b"\x01") * n if n else bytearray()
@@ -152,27 +142,18 @@ class DynamicCSRGraph:
         return g
 
     @classmethod
-    def from_graph(cls, graph: "Graph",
-                   backend: "KernelBackend | str | None" = None,
-                   ) -> "DynamicCSRGraph":
+    def from_graph(cls, graph: "Graph") -> "DynamicCSRGraph":
         """Build from a mutable object :class:`Graph`."""
-        return cls.from_csr(CSRGraph.from_graph(graph), backend)
+        return cls.from_csr(CSRGraph.from_graph(graph))
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]],
-                   backend: "KernelBackend | str | None" = None,
-                   ) -> "DynamicCSRGraph":
+    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "DynamicCSRGraph":
         """Build from an edge list (see :meth:`CSRGraph.from_edges`)."""
-        return cls.from_csr(CSRGraph.from_edges(edges), backend)
+        return cls.from_csr(CSRGraph.from_edges(edges))
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> "KernelBackend":
-        """The kernel backend structural edits run through."""
-        return self._backend
-
     @property
     def num_rows(self) -> int:
         """Rows allocated (alive + dead-until-compaction)."""
@@ -266,114 +247,80 @@ class DynamicCSRGraph:
     def remove_node(self, node: int) -> list[int]:
         """Remove ``node`` and its incident edges.
 
-        Tombstones every incident slot (both directions), marks the row
-        dead and returns the former live neighbour rows (the dirty set
-        for maintenance engines). The dead row is reclaimed by the next
+        Tombstones every incident slot (both directions: the node's own
+        region with one slice assignment, its slot in each neighbour's
+        region with one search of that region), marks the row dead and
+        returns the former live neighbour rows (the dirty set for
+        maintenance engines). The dead row is reclaimed by the next
         :meth:`compact`.
         """
         row = self.row_of(node)
-        s = self.starts[row]
-        nbrs = [t for t in self.targets[s:s + self.used[row]] if t >= 0]
-        if nbrs:
-            owners = array("q", nbrs + [row] * len(nbrs))
-            values = array("q", [row] * len(nbrs) + nbrs)
-            self._backend.csr_delete_slots(
-                self.starts, self.used, self.targets, owners, values
-            )
-            self._tombstones += 2 * len(nbrs)
-            self._live_slots -= 2 * len(nbrs)
-            for t in nbrs:
-                self.live[t] -= 1
+        targets, starts, used = self.targets, self.starts, self.used
+        s = starts[row]
+        n_used = used[row]
+        nbrs = [t for t in targets[s:s + n_used] if t >= 0]
+        for t in nbrs:
+            lo = starts[t]
+            targets[targets.index(row, lo, lo + used[t])] = TOMBSTONE
+            self.live[t] -= 1
+        targets[s:s + n_used] = array("q", [TOMBSTONE]) * n_used
+        self._tombstones += 2 * len(nbrs)
+        self._live_slots -= 2 * len(nbrs)
         self.live[row] = 0
         self.alive[row] = 0
         # the whole dead region becomes abandoned garbage; its slots
         # (all tombstones by now) leave the active-region tombstone count
-        self._tombstones -= self.used[row]
+        self._tombstones -= n_used
         self._abandoned += self.caps[row]
-        self.used[row] = 0
+        used[row] = 0
         del self._index_of[node]
         return nbrs
 
     # ------------------------------------------------------------------
-    # edge edits (batched, through the kernel backend)
+    # edge edits
     # ------------------------------------------------------------------
-    def insert_edges(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Insert a batch of edges; creates missing endpoints.
+    def insert_edge(self, u: int, v: int) -> None:
+        """Insert edge ``{u, v}``; creates missing endpoints.
 
-        Validates the whole batch first (self-loops and duplicates —
-        against the graph *and* within the batch — raise
-        :class:`~repro.errors.EdgeError` before anything mutates), then
-        grows any full region and hands the slot writes to the
-        backend's ``csr_insert_slots`` kernel in batch order.
+        Self-loops and present edges raise
+        :class:`~repro.errors.EdgeError` before anything mutates. Each
+        endpoint's new slot is the next free one of its region; a full
+        region is relocated first, the lower row first.
         """
-        if not pairs:
-            return
-        seen: set[tuple[int, int]] = set()
-        for u, v in pairs:
-            if u == v:
-                raise EdgeError(f"self-loop ({u}, {v}) rejected")
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                raise EdgeError(f"duplicate edge ({u}, {v}) in batch")
-            seen.add(key)
-            if self.has_edge(u, v):
-                raise EdgeError(f"edge ({u}, {v}) already present")
-        for u, v in pairs:
-            if u not in self._index_of:
-                self.add_node(u)
-            if v not in self._index_of:
-                self.add_node(v)
-        rows = self._index_of
-        owners = array("q", [0]) * (2 * len(pairs))
-        values = array("q", [0]) * (2 * len(pairs))
-        need: dict[int, int] = {}
-        for i, (u, v) in enumerate(pairs):
-            ru, rv = rows[u], rows[v]
-            owners[2 * i], values[2 * i] = ru, rv
-            owners[2 * i + 1], values[2 * i + 1] = rv, ru
-            need[ru] = need.get(ru, 0) + 1
-            need[rv] = need.get(rv, 0) + 1
-        for row, extra in sorted(need.items()):
-            self._reserve(row, extra)
-        self._backend.csr_insert_slots(
-            self.starts, self.used, self.targets, owners, values
-        )
-        for row, extra in need.items():
-            self.live[row] += extra
-        self._live_slots += 2 * len(pairs)
+        if u == v:
+            raise EdgeError(f"self-loop ({u}, {v}) rejected")
+        if self.has_edge(u, v):
+            raise EdgeError(f"edge ({u}, {v}) already present")
+        for node in (u, v):
+            if node not in self._index_of:
+                self.add_node(node)
+        ru, rv = self._index_of[u], self._index_of[v]
+        self._reserve(min(ru, rv), 1)
+        self._reserve(max(ru, rv), 1)
+        targets, starts, used = self.targets, self.starts, self.used
+        targets[starts[ru] + used[ru]] = rv
+        used[ru] += 1
+        targets[starts[rv] + used[rv]] = ru
+        used[rv] += 1
+        self.live[ru] += 1
+        self.live[rv] += 1
+        self._live_slots += 2
 
-    def delete_edges(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Tombstone a batch of edges (endpoints stay).
+    def delete_edge(self, u: int, v: int) -> None:
+        """Tombstone edge ``{u, v}`` (endpoints stay).
 
-        Validates the whole batch first (missing edges and in-batch
-        duplicates raise :class:`~repro.errors.EdgeError`), then hands
-        both directions of every pair to the backend's
-        ``csr_delete_slots`` kernel.
+        A missing edge raises :class:`~repro.errors.EdgeError`.
         """
-        if not pairs:
-            return
-        seen: set[tuple[int, int]] = set()
-        for u, v in pairs:
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                raise EdgeError(f"duplicate edge ({u}, {v}) in batch")
-            seen.add(key)
-            if not self.has_edge(u, v):
-                raise EdgeError(f"edge ({u}, {v}) not present")
-        rows = self._index_of
-        owners = array("q", [0]) * (2 * len(pairs))
-        values = array("q", [0]) * (2 * len(pairs))
-        for i, (u, v) in enumerate(pairs):
-            ru, rv = rows[u], rows[v]
-            owners[2 * i], values[2 * i] = ru, rv
-            owners[2 * i + 1], values[2 * i + 1] = rv, ru
-            self.live[ru] -= 1
-            self.live[rv] -= 1
-        self._backend.csr_delete_slots(
-            self.starts, self.used, self.targets, owners, values
-        )
-        self._tombstones += 2 * len(pairs)
-        self._live_slots -= 2 * len(pairs)
+        if not self.has_edge(u, v):
+            raise EdgeError(f"edge ({u}, {v}) not present")
+        ru, rv = self._index_of[u], self._index_of[v]
+        targets, starts, used = self.targets, self.starts, self.used
+        for a, b in ((ru, rv), (rv, ru)):
+            lo = starts[a]
+            targets[targets.index(b, lo, lo + used[a])] = TOMBSTONE
+            self.live[a] -= 1
+        self._tombstones += 2
+        self._live_slots -= 2
 
     def _reserve(self, row: int, extra: int) -> None:
         """Ensure ``row`` has ``extra`` free slots, relocating if full.

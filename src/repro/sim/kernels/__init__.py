@@ -38,7 +38,7 @@ communication policies incl. p2p_filter)     yes        yes
 ``hindex_iteration`` (flat baseline)         yes        yes
 ``run_pregel_kcore(engine="flat")``          yes        yes
 ``FlatDynamicKCore`` streaming maintenance
-(dynamic-CSR edits + re-convergence)         yes        yes
+(warm-start re-convergence)                  yes        yes
 ``ShardedCSR`` table build
 (``shard_tables`` kernel)                    yes [3]_   yes [3]_
 CSR build from an edge list

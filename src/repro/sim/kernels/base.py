@@ -5,15 +5,19 @@ re-implemented privately inside each flat engine: integer-table
 allocation, the round-2 estimate seeding, the mailbox-slot fold with
 the sup-counter recompute skip, frontier recomputation + send emission
 (Algorithm 1's periodic block), the shard-local cascade (Algorithm 4)
-with its changed-flag bookkeeping, batched ``computeIndex`` (Algorithm
-2), the bulk-synchronous h-index sweep, the CSR build from an edge
-list (:meth:`KernelBackend.csr_from_edges`) and its per-edge companion
+with its changed-flag bookkeeping, the streaming re-convergence, the
+bulk-synchronous h-index sweep, the CSR build from an edge list
+(:meth:`KernelBackend.csr_from_edges`) and its per-edge companion
 arrays (:meth:`KernelBackend.csr_companions`), and the two loops over
 the partition's delivery table: building every host's tables
 (:meth:`KernelBackend.shard_tables`) and routing a host's changed
 estimates along them (:meth:`KernelBackend.route_updates`). Engines
 orchestrate rounds and messages; backends execute the per-round array
-work.
+work. A job is a kernel only when engines call it and the backend
+changes its cost; other jobs live beside their caller (dynamic-CSR
+slot writes in :mod:`repro.graph.dynamic_csr`, the shm ring's block
+copies in :mod:`repro.sim.shm_transport`, scalar ``computeIndex`` in
+:mod:`repro.core.compute_index`).
 
 **The contract.** Every kernel is defined by the canonical stdlib
 implementation (:class:`~repro.sim.kernels.stdlib_backend.
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from typing import Any, Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Any, NamedTuple, Protocol, Sequence, runtime_checkable
 
 __all__ = ["KernelBackend", "ShardTables", "Table", "export_send_counts"]
 
@@ -155,36 +159,6 @@ class KernelBackend(Protocol):
 
         ``None`` when the backend needs no such scratch (vectorised
         cascades dedupe with array ops).
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Algorithm 2
-    # ------------------------------------------------------------------
-    def compute_index(
-        self, estimates: Iterable[int], k: int, scratch: list | None = None
-    ) -> int:
-        """Scalar ``computeIndex`` (delegates to the canonical kernel)."""
-        raise NotImplementedError
-
-    def batch_compute_index(
-        self,
-        nodes: Sequence[int],
-        caps: Sequence[int],
-        offsets: Sequence[int],
-        edge_values: Table,
-        scratch: list | None,
-    ) -> tuple[Table, Table]:
-        """Algorithm 2 over many nodes at once.
-
-        For each position ``p``: run ``computeIndex`` for node
-        ``nodes[p]`` with upper bound ``caps[p]`` over the neighbour
-        estimates ``edge_values[offsets[v]:offsets[v + 1]]``. Returns
-        ``(values, supports)`` aligned with ``nodes``, where
-        ``supports[p]`` is the post-condition suffix count
-        ``#{estimates clamped to caps[p] that are >= values[p]}`` (the
-        flat engines' ``sup``). Nodes with ``caps <= 0`` yield
-        ``(0, 0)``, matching the scalar kernel.
         """
         raise NotImplementedError
 
@@ -450,38 +424,8 @@ class KernelBackend(Protocol):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # dynamic-CSR edit kernels (streaming maintenance)
+    # streaming maintenance
     # ------------------------------------------------------------------
-    def csr_insert_slots(
-        self, starts: Table, used: Table, targets: Table, owners, values
-    ) -> None:
-        """Append a batch of edge slots to a dynamic CSR.
-
-        For each position ``i`` *in batch order*: write ``values[i]``
-        into the next free slot of ``owners[i]``'s region
-        (``targets[starts[o] + used[o]]``) and bump ``used[o]``. The
-        caller (:class:`~repro.graph.dynamic_csr.DynamicCSRGraph`) has
-        already validated the batch and reserved capacity. Batch order
-        is part of the contract: backends must produce identical slot
-        layouts (repeated owners fill consecutive slots in batch
-        order), which the kernel tests assert buffer-for-buffer.
-        """
-        raise NotImplementedError
-
-    def csr_delete_slots(
-        self, starts: Table, used: Table, targets: Table, owners, values
-    ) -> None:
-        """Tombstone a batch of edge slots in a dynamic CSR.
-
-        For each position ``i``: find the slot holding ``values[i]``
-        in ``owners[i]``'s used region and overwrite it with the
-        tombstone sentinel (``-1``). The caller guarantees every pair
-        is present and no ``(owner, value)`` pair repeats, so each
-        position hits exactly one live slot; ``used`` is untouched
-        (tombstones keep their slot until compaction).
-        """
-        raise NotImplementedError
-
     def reconverge_from_bounds(
         self,
         starts: Table,
@@ -509,39 +453,6 @@ class KernelBackend(Protocol):
         Returns ``(changed, rounds)``: the ascending list of rows
         whose estimate dropped (builtin ints) and the number of rounds
         executed — both bit-identical across backends.
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # shared-memory transport primitives (mp engine, transport="shm")
-    # ------------------------------------------------------------------
-    def shm_view(self, buf, n: int) -> Table:
-        """An i64 view of the first ``n`` words of a shared buffer.
-
-        ``buf`` is a ``multiprocessing.shared_memory`` block's ``buf``
-        memoryview; the result is the backend's native zero-copy window
-        over it (``memoryview.cast("q")`` / ``np.ndarray(buffer=...)``)
-        for :meth:`shm_write_i64` / :meth:`shm_read_i64`. The view
-        borrows the mapping — callers keep the segment object alive for
-        the view's lifetime and never close it underneath.
-        """
-        raise NotImplementedError
-
-    def shm_write_i64(self, view: Table, start: int, values) -> None:
-        """Write ``values`` (a builtin int sequence) at ``view[start:]``.
-
-        One block write on either backend — this is the whole sender
-        side of the shm hot path, replacing the queue transport's
-        per-batch pickling.
-        """
-        raise NotImplementedError
-
-    def shm_read_i64(self, view: Table, start: int, count: int) -> list[int]:
-        """Read ``count`` words at ``view[start:]`` as builtin ``int``\\ s.
-
-        Builtin ints by contract: the result feeds the same
-        :meth:`fold_mailbox` path as an unpickled queue batch, and the
-        bit-identical replay requires identical payload types.
         """
         raise NotImplementedError
 

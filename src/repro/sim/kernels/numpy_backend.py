@@ -11,8 +11,8 @@ one-to-many engine's module docstring carries the argument; the
 backend-equivalence suite asserts bit-identity against the stdlib
 backend on every gated configuration).
 
-The heart is :meth:`NumpyBackend.batch_compute_index`: Algorithm 2 for
-many nodes at once. Per node, ``computeIndex`` needs the largest
+The heart is :meth:`NumpyBackend._batch_core`: Algorithm 2 for many
+nodes at once. Per node, ``computeIndex`` needs the largest
 ``i <= k`` with at least ``i`` neighbour estimates ``>= i``. Clamp the
 estimates to ``k``, sort them *descending within each node's segment*
 (one global ``np.sort`` over ``segment * B - value`` keys — segments
@@ -35,7 +35,6 @@ from array import array
 
 import numpy as np
 
-from repro.core.compute_index import compute_index
 from repro.sim.kernels.base import KernelBackend, ShardTables
 
 __all__ = ["NumpyBackend"]
@@ -133,11 +132,6 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------
-    def compute_index(self, estimates, k, scratch=None):
-        # scalar calls stay on the canonical kernel: a handful of values
-        # cannot amortise any vectorisation
-        return compute_index(estimates, k, scratch)
-
     def _batch_core(self, seg, starts, caps_seg, vals):
         """Segmented Algorithm 2 over pre-gathered neighbour values.
 
@@ -162,31 +156,6 @@ class NumpyBackend(KernelBackend):
             (desc >= t[seg]).astype(_I64), starts[:-1]
         )
         return t, support
-
-    def batch_compute_index(self, nodes, caps, offsets, edge_values, scratch):
-        nodes = np.asarray(nodes, dtype=_I64)
-        caps = np.asarray(caps, dtype=_I64)
-        offsets = self.graph_array(offsets)
-        edge_values = self.graph_array(edge_values)
-        values = np.zeros(len(nodes), dtype=_I64)
-        supports = np.zeros(len(nodes), dtype=_I64)
-        if not len(nodes):
-            return values, supports
-        lens = offsets[nodes + 1] - offsets[nodes]
-        live = caps > 0
-        # degree-0 nodes with a positive cap: the scalar kernel's scan
-        # still bottoms out at 1 (support 0)
-        values[live & (lens == 0)] = 1
-        run = np.nonzero(live & (lens > 0))[0]
-        if len(run):
-            sub = nodes[run]
-            seg, idx, starts, _ = _segments(offsets, sub)
-            t, support = self._batch_core(
-                seg, starts, caps[run][seg], edge_values[idx]
-            )
-            values[run] = t
-            supports[run] = support
-        return values, supports
 
     # ------------------------------------------------------------------
     # one-to-one lockstep phases
@@ -517,7 +486,7 @@ class NumpyBackend(KernelBackend):
         return dests[np.argsort(by_host[starts])].tolist(), sent
 
     # ------------------------------------------------------------------
-    # dynamic-CSR edit kernels
+    # streaming maintenance
     # ------------------------------------------------------------------
     def _mutable_view(self, arr):
         """A writable i64 view over a dynamic-CSR ``array('q')`` buffer.
@@ -539,42 +508,6 @@ class NumpyBackend(KernelBackend):
         seg = np.repeat(np.arange(len(nodes), dtype=_I64), lens)
         idx = starts[nodes][seg] + (np.arange(total, dtype=_I64) - seg_starts[seg])
         return seg, idx, seg_starts, lens
-
-    def csr_insert_slots(self, starts, used, targets, owners, values):
-        if not len(owners):
-            return
-        st = self._mutable_view(starts)
-        us = self._mutable_view(used)
-        tg = self._mutable_view(targets)
-        own = self._mutable_view(owners)
-        vals = self._mutable_view(values)
-        # stable sort keeps batch order within each owner, so repeated
-        # owners fill consecutive slots exactly like the stdlib loop
-        order = np.argsort(own, kind="stable")
-        so = own[order]
-        group_first = np.concatenate(
-            ([0], np.nonzero(np.diff(so))[0] + 1)
-        ).astype(_I64)
-        group_lens = np.diff(np.concatenate((group_first, [len(so)])))
-        rank = np.arange(len(so), dtype=_I64) - np.repeat(group_first, group_lens)
-        tg[st[so] + us[so] + rank] = vals[order]
-        np.add.at(us, own, 1)
-
-    def csr_delete_slots(self, starts, used, targets, owners, values):
-        if not len(owners):
-            return
-        st = self._mutable_view(starts)
-        us = self._mutable_view(used)
-        tg = self._mutable_view(targets)
-        own = self._mutable_view(owners)
-        vals = self._mutable_view(values)
-        seg, idx, seg_starts, _ = self._dyn_segments(st, us, own)
-        match = tg[idx] == vals[seg]
-        # first (== only) live slot per pair; the caller guarantees a
-        # match exists, so the sentinel never survives the reduce
-        pos = np.where(match, idx, np.iinfo(_I64).max)
-        first = np.minimum.reduceat(pos, seg_starts[:-1])
-        tg[first] = -1
 
     def reconverge_from_bounds(self, starts, used, targets, est, frontier,
                                scratch):
@@ -624,20 +557,6 @@ class NumpyBackend(KernelBackend):
             cand = _distinct(nbrs)
             work = cand[est_v[cand] > 0]
         return sorted(changed), rounds
-
-    # ------------------------------------------------------------------
-    # shared-memory transport primitives
-    # ------------------------------------------------------------------
-    def shm_view(self, buf, n: int):
-        return np.ndarray((n,), dtype=_I64, buffer=buf)
-
-    def shm_write_i64(self, view, start: int, values) -> None:
-        view[start:start + len(values)] = np.asarray(values, dtype=_I64)
-
-    def shm_read_i64(self, view, start: int, count: int):
-        # .tolist() yields builtin ints — the bit-identical-payload
-        # contract of the backend protocol
-        return view[start:start + count].tolist()
 
     # ------------------------------------------------------------------
     # bulk-synchronous sweeps

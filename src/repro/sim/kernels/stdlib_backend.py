@@ -45,27 +45,6 @@ class StdlibBackend(KernelBackend):
         return bytearray(n)
 
     # ------------------------------------------------------------------
-    # Algorithm 2
-    # ------------------------------------------------------------------
-    def compute_index(self, estimates, k, scratch=None):
-        return compute_index(estimates, k, scratch)
-
-    def batch_compute_index(self, nodes, caps, offsets, edge_values, scratch):
-        if scratch is None:
-            scratch = []
-        values = array("q", [0]) * len(nodes)
-        supports = array("q", [0]) * len(nodes)
-        view = memoryview(edge_values) if len(edge_values) else edge_values
-        for p, v in enumerate(nodes):
-            k = caps[p]
-            if k <= 0:
-                continue
-            t = compute_index(view[offsets[v]:offsets[v + 1]], k, scratch)
-            values[p] = t
-            supports[p] = scratch[t]
-        return values, supports
-
-    # ------------------------------------------------------------------
     # one-to-one lockstep phases
     # ------------------------------------------------------------------
     def seed_estimates(self, offsets, targets, owner, degree, est, sup, in_frontier):
@@ -452,24 +431,8 @@ class StdlibBackend(KernelBackend):
         return touched, sent
 
     # ------------------------------------------------------------------
-    # dynamic-CSR edit kernels
+    # streaming maintenance
     # ------------------------------------------------------------------
-    def csr_insert_slots(self, starts, used, targets, owners, values):
-        for i in range(len(owners)):
-            o = owners[i]
-            targets[starts[o] + used[o]] = values[i]
-            used[o] += 1
-
-    def csr_delete_slots(self, starts, used, targets, owners, values):
-        for i in range(len(owners)):
-            o = owners[i]
-            v = values[i]
-            s = starts[o]
-            for slot in range(s, s + used[o]):
-                if targets[slot] == v:
-                    targets[slot] = -1
-                    break
-
     def reconverge_from_bounds(self, starts, used, targets, est, frontier,
                                scratch):
         # synchronous (Jacobi) rounds so the round count matches the
@@ -505,19 +468,6 @@ class StdlibBackend(KernelBackend):
                         nxt.add(t)
             work = sorted(nxt)
         return sorted(changed), rounds
-
-    # ------------------------------------------------------------------
-    # shared-memory transport primitives
-    # ------------------------------------------------------------------
-    def shm_view(self, buf, n: int):
-        return memoryview(buf).cast("q")[:n]
-
-    def shm_write_i64(self, view, start: int, values) -> None:
-        # one buffer-protocol block copy; matches the view's "q" format
-        view[start:start + len(values)] = array("q", values)
-
-    def shm_read_i64(self, view, start: int, count: int):
-        return view[start:start + count].tolist()
 
     # ------------------------------------------------------------------
     # bulk-synchronous sweeps

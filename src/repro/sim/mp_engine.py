@@ -269,9 +269,9 @@ class _ShardWorker:
         self.resend: dict[int, list] = {}
         #: shm transport only: the worker's
         #: :class:`~repro.sim.shm_transport.ShmMailbox` (attached by
-        #: ``_worker_main`` once the backend is resolved). ``None``
-        #: selects the queue transport. A process-local OS handle —
-        #: never pickled, never part of a snapshot.
+        #: ``_worker_main``). ``None`` selects the queue transport. A
+        #: process-local OS handle — never pickled, never part of a
+        #: snapshot.
         self.mailbox = None
         #: worker-local span buffer (pure observer; NULL_TRACER when
         #: telemetry is off, so the hot path pays one attribute lookup)
@@ -312,26 +312,6 @@ class _ShardWorker:
         if self.record_prev is not None:
             est = self.step.est
             self.record_prev = [int(est[u]) for u in range(len(self.record_prev))]
-
-    def _inbox_get(self, inbox) -> bytes:
-        """Receive one payload from this worker's inbox.
-
-        With recovery enabled the wait is a non-blocking poll loop
-        instead of a blocking ``get()``, which would hold the queue's
-        reader lock for its whole wait. A ``terminate()`` that lands
-        inside a probe still leaves the lock held; the coordinator
-        frees it before the replacement, which reuses the queue,
-        starts (``_recover_worker``). The residual window is a
-        terminate during a payload read, which cannot happen while a
-        wedged worker waits on mail that never comes.
-        """
-        if not self.resilient:
-            return inbox.get()
-        while True:
-            try:
-                return inbox.get_nowait()
-            except Empty:
-                _time.sleep(0.001)
 
     # ------------------------------------------------------------------
     # state snapshot / restore (checkpointing + worker recovery)
@@ -390,18 +370,19 @@ class _ShardWorker:
         span_name = "emit.serialize" if mailbox is None else "emit.shm_write"
         with self.tracer.span(span_name, dests=len(dests)) as span:
             for y in dests:
-                # on the wire a batch is a list of ints, and a broadcast
-                # to a host with no border pair an empty message, ``()``
-                slots = out_slots[y].tolist() or ()
-                vals = out_vals[y].tolist() or ()
+                slots, vals = out_slots[y], out_vals[y]
                 # the emitting round is deliver_round - 1 (lockstep)
                 send = transport and (
                     faults is None
                     or faults.on_transport(deliver_round - 1, y) != "drop"
                 )
                 if mailbox is None:
+                    # on the wire a batch is a list of ints, and a
+                    # broadcast to a host with no border pair an empty
+                    # message, ``()``
                     payload = pickle.dumps(
-                        (deliver_round, x, slots, vals),
+                        (deliver_round, x, slots.tolist() or (),
+                         vals.tolist() or ()),
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                     nbytes += len(payload)
@@ -413,8 +394,10 @@ class _ShardWorker:
                         self.inboxes[y].put(payload)
                 else:
                     if self.resilient:
+                        # re-sends travel the queue lane, as wire lists
                         self.resend.setdefault(y, []).append(
-                            (deliver_round, slots, vals)
+                            (deliver_round, slots.tolist() or (),
+                             vals.tolist() or ())
                         )
                     if send:
                         nbytes += mailbox.write(y, deliver_round, slots, vals)
@@ -492,7 +475,7 @@ class _ShardWorker:
                     found += 1
                 span.note(batches=found)
         while len(bucket) < expect:
-            msg = pickle.loads(self._inbox_get(inbox))
+            msg = pickle.loads(inbox.get())
             r = msg[0]
             if r <= self.folded_through:
                 continue  # duplicate of mail this state already folded
@@ -568,8 +551,8 @@ def _worker_main(
 
     ``shm_info`` (shm transport only) is ``(segment names, ShmLayout)``
     — the worker attaches every fleet segment by name and builds its
-    :class:`~repro.sim.shm_transport.ShmMailbox` over the resolved
-    kernel backend. Attached segments are deliberately never closed in
+    :class:`~repro.sim.shm_transport.ShmMailbox` over the mapped
+    segments. Attached segments are deliberately never closed in
     the worker (live buffer exports forbid it; process exit reclaims
     the mapping) and never unlinked (the coordinator owns the
     lifecycle — that ownership is what lets a respawned replacement
@@ -600,7 +583,7 @@ def _worker_main(
         )
         if shm_info is not None:
             names, layout = shm_info
-            mailbox = attach_mailbox(worker.step.kb, layout, names, host)
+            mailbox = attach_mailbox(layout, names, host)
             worker.mailbox = mailbox
         if restore_blob is not None:
             worker.restore(restore_blob)
@@ -1090,9 +1073,10 @@ class MultiProcessOneToManyEngine:
             self._conns[x].close()
         except OSError:  # pragma: no cover - already closed
             pass
-        # a terminate inside the dead worker's inbox probe leaves the
-        # queue's reader lock held; nobody reads that queue now, so take
-        # and drop the lock (frees a held lock, else a no-op)
+        # a worker waits for mail in a blocking get(), which holds its
+        # queue's reader lock, so a terminate there leaves the lock
+        # held; nobody reads that queue now, so take and drop the lock
+        # (frees a held lock, else a no-op)
         self._inboxes[x]._rlock.acquire(block=False)
         self._inboxes[x]._rlock.release()
         from_round = self._ckpt_round
@@ -1406,8 +1390,8 @@ class MultiProcessOneToManyEngine:
                 for x, count in enumerate(co["sent_msgs"]):
                     sent_msgs[x] = count
                 pipe_bytes.extend(co["pipe_bytes_per_round"])
-                shm_bytes.extend(co.get("shm_bytes_per_round", ()))
-                self.recoveries.extend(co.get("recoveries", ()))
+                shm_bytes.extend(co["shm_bytes_per_round"])
+                self.recoveries.extend(co["recoveries"])
                 self.resumed_from_round = rnd
                 self._ckpt_round = rnd
                 self._ckpt_blobs = list(resume.worker_blobs)

@@ -45,7 +45,7 @@ dropping or rerouting it.
 single close + unlink point (engine shutdown); workers attach by name
 and only ever :meth:`ShmMailbox.detach` on a clean command-loop exit —
 releasing their views *before* closing, because a mapping cannot close
-under live ``memoryview`` / ``ndarray`` exports (``BufferError``), and
+under live ``memoryview`` exports (``BufferError``), and
 interpreter-shutdown ``__del__`` order would otherwise trip exactly
 that. Coordinator ownership is also what makes in-flight recovery
 work: segments survive a worker's death, so a respawned replacement
@@ -56,17 +56,17 @@ per-name cache is a set, so re-registration on attach (bpo-39959) is
 idempotent there, while an unregister would cancel the coordinator's
 own registration and disable the crash-leak cleanup.
 
-Backends supply the raw view/write/read primitives
-(:meth:`~repro.sim.kernels.base.KernelBackend.shm_view` and friends):
-the stdlib backend works over ``memoryview.cast("q")`` with
-``array('q')`` block writes, the numpy backend over
-``np.ndarray(buffer=shm.buf)`` vectorised slices. Both read back
-builtin ``int`` lists, so folded batches are byte-for-byte what the
-queue transport would have unpickled — the replay stays bit-identical.
+**I/O.** Each segment is viewed as ``memoryview(seg.buf).cast("q")``,
+whatever kernel backend the fleet runs. A write copies the sender's
+``array('q')`` batch buffers into the ring with one slice assignment
+each; a read returns builtin ``int`` lists (``view[a:b].tolist()``), so
+folded batches are byte-for-byte what the queue transport would have
+unpickled — the replay stays bit-identical.
 """
 
 from __future__ import annotations
 
+from array import array
 from multiprocessing import shared_memory
 
 from repro.errors import SimulationError
@@ -154,7 +154,7 @@ def create_segments(layout: ShmLayout) -> list:
     ]
 
 
-def attach_mailbox(kb, layout: ShmLayout, names, host: int) -> "ShmMailbox":
+def attach_mailbox(layout: ShmLayout, names, host: int) -> "ShmMailbox":
     """Worker side: map every segment and build the mailbox over it.
 
     The whole fleet (coordinator and workers alike) shares one
@@ -167,7 +167,6 @@ def attach_mailbox(kb, layout: ShmLayout, names, host: int) -> "ShmMailbox":
     is the single close + unlink point.
     """
     return ShmMailbox(
-        kb,
         layout,
         [shared_memory.SharedMemory(name=name) for name in names],
         host,
@@ -178,25 +177,25 @@ class ShmMailbox:
     """One worker's handle on the fleet's mailbox segments.
 
     Holds the mapped segments (kept referenced for the process
-    lifetime — the views below borrow their buffers) and one backend
-    view per segment. Process-local by construction: never pickled,
-    never part of a snapshot (replay-lint's RPL005 polices the
+    lifetime — the views below borrow their buffers) and one i64
+    ``memoryview`` per segment. Process-local by construction: never
+    pickled, never part of a snapshot (replay-lint's RPL005 polices the
     pickled-state side of that contract).
     """
 
-    def __init__(self, kb, layout: ShmLayout, segments, host: int) -> None:
+    def __init__(self, layout: ShmLayout, segments, host: int) -> None:
         self.host = host
         self.layout = layout
         self.segments = segments
-        self._write = kb.shm_write_i64
-        self._read = kb.shm_read_i64
         self.views = [
-            kb.shm_view(seg.buf, layout.seg_words[y])
+            memoryview(seg.buf).cast("q")[:layout.seg_words[y]]
             for y, seg in enumerate(segments)
         ]
 
-    def write(self, dest: int, deliver_round: int, slots, vals) -> int:
-        """Publish one batch into ``dest``'s ring.
+    def write(self, dest: int, deliver_round: int, slots: array,
+              vals: array) -> int:
+        """Publish one batch (parallel ``array('q')`` buffers) into
+        ``dest``'s ring.
 
         Record blocks first, header last — the tag write is the
         publication point, so a reader either sees the whole batch or
@@ -216,11 +215,10 @@ class ShmMailbox:
             )
         view = self.views[dest]
         base = base0 if deliver_round % 2 == 0 else base1
-        write = self._write
-        if n:
-            write(view, base + HEADER_WORDS, slots)
-            write(view, base + HEADER_WORDS + cap, vals)
-        write(view, base, (deliver_round, n, 0))
+        lo = base + HEADER_WORDS
+        view[lo:lo + n] = slots
+        view[lo + cap:lo + cap + n] = vals
+        view[base:lo] = array("q", (deliver_round, n, 0))
         return WORD_BYTES * (HEADER_WORDS + 2 * n)
 
     def detach(self) -> None:
@@ -251,18 +249,14 @@ class ShmMailbox:
         """
         view = self.views[self.host]
         parity = rnd % 2
-        read = self._read
         out = []
         for x, (base0, base1, cap) in self.layout.regions[self.host].items():
             base = base0 if parity == 0 else base1
-            tag, n, _ = read(view, base, HEADER_WORDS)
-            if tag != rnd:
+            if view[base] != rnd:
                 continue
+            n = view[base + 1]
+            lo = base + HEADER_WORDS
             out.append(
-                (
-                    x,
-                    read(view, base + HEADER_WORDS, n),
-                    read(view, base + HEADER_WORDS + cap, n),
-                )
+                (x, view[lo:lo + n].tolist(), view[lo + cap:lo + cap + n].tolist())
             )
         return out

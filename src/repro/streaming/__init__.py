@@ -12,8 +12,7 @@ Two engines implement the same maintenance semantics:
   dicts, per-edit Python loops).  Defines correctness.
 - :class:`FlatDynamicKCore` — the flat engine over the mutable
   :class:`~repro.graph.dynamic_csr.DynamicCSRGraph` and the
-  ``csr_insert_slots`` / ``csr_delete_slots`` /
-  ``reconverge_from_bounds`` kernels, on either kernel backend, with
+  ``reconverge_from_bounds`` kernel, on either kernel backend, with
   order-based inserts over the k-order of :mod:`repro.streaming.korder`.
   Bit-identical coreness to the oracle after every edit and batch; the
   one to use under sustained churn.

@@ -9,9 +9,8 @@ flat machinery as every other fast path in the repository.
 
 :class:`FlatDynamicKCore` applies churn in batches:
 
-* structural edits go through the backend's batched ``csr_insert_slots``
-  / ``csr_delete_slots`` kernels (tombstones on delete, slack-slot
-  writes on insert);
+* structural edits are the dynamic CSR's own slot writes (tombstones
+  on delete, slack-slot writes on insert);
 * the engine keeps a *k-order* of its live rows
   (:class:`~repro.streaming.korder.KOrder`, seeded from the
   Batagelj–Zaveršnik peel it runs at construction): levels ascending,
@@ -144,10 +143,7 @@ class FlatDynamicKCore:
         seed: int = 0,
         telemetry=None,
     ) -> None:
-        self._backend = resolve_backend(
-            graph.backend if isinstance(graph, DynamicCSRGraph)
-            and backend is None else backend
-        )
+        self._backend = resolve_backend(backend)
         self._tracer = resolve_tracer(telemetry)
         self._scratch: list[int] = []
         self._pending: set[int] = set()
@@ -171,7 +167,7 @@ class FlatDynamicKCore:
                 1.0, 3.0 * math.log(n0) / (approx * approx * approx_floor)
             )
             csr = self._downsample(csr)
-        self._graph = DynamicCSRGraph.from_csr(csr, self._backend)
+        self._graph = DynamicCSRGraph.from_csr(csr)
         self._est, order, later = batagelj_zaversnik_order(csr)
         self._order = KOrder.from_peel(self._est, order, later)
 
@@ -237,6 +233,7 @@ class FlatDynamicKCore:
 
     @property
     def backend(self):
+        """The kernel backend re-convergence runs on."""
         return self._backend
 
     @property
@@ -410,7 +407,7 @@ class FlatDynamicKCore:
             raise EdgeError(f"edge ({u}, {v}) already present")
         if not self._keeps(u, v):
             return  # ELM lane: the sample never takes this edge
-        self._graph.insert_edges([(u, v)])
+        self._graph.insert_edge(u, v)
         ru = self._graph.row_of(u)
         rv = self._graph.row_of(v)
         risers = self._order_insert(ru, rv)
@@ -423,7 +420,7 @@ class FlatDynamicKCore:
                 if not self._graph.has_node(node):
                     raise NodeNotFoundError(node)
             return  # ELM lane: the sample never held this edge
-        self._graph.delete_edges([(u, v)])
+        self._graph.delete_edge(u, v)
         ru = self._graph.row_of(u)
         rv = self._graph.row_of(v)
         label = self._order.label

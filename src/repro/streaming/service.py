@@ -4,11 +4,10 @@ The live-overlay scenario is a server loop: churn events stream in,
 coreness queries arrive in between. :class:`ChurnService` is that loop
 as an object — it buffers submitted events, applies them in fixed-size
 batches through :class:`~repro.streaming.flat_maintenance.
-FlatDynamicKCore` (structural edits batched on the kernels, one
-re-convergence per delete run), and *flushes the buffer before
-answering any query*, so every answer reflects every event submitted
-before it. Batch size trades latency for batching win; queries are the
-consistency barrier.
+FlatDynamicKCore` (one re-convergence per delete run), and *flushes
+the buffer before answering any query*, so every answer reflects every
+event submitted before it. Batch size trades latency for batching win;
+queries are the consistency barrier.
 """
 
 from __future__ import annotations

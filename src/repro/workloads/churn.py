@@ -141,17 +141,26 @@ def generate_churn_trace(
 def _make_engine(engine, trace, backend, telemetry):
     from repro.streaming import DynamicKCore, FlatDynamicKCore
 
-    if engine is None or engine == "object":
-        return DynamicKCore(trace.initial)
     if engine == "flat":
         return FlatDynamicKCore(
             trace.initial, backend=backend, telemetry=telemetry
         )
-    if isinstance(engine, str):
+    if isinstance(engine, str) and engine != "object":
         raise ConfigurationError(
             f"unknown replay engine {engine!r} (use 'object' or 'flat')"
         )
-    return engine
+    # only a flat engine built here takes these: the object oracle runs
+    # no kernels and records no spans, and a prebuilt engine keeps the
+    # ones it was built with
+    oracle = engine is None or engine == "object"
+    for name, value in (("backend", backend), ("telemetry", telemetry)):
+        if value is not None and value is not False:
+            raise ConfigurationError(
+                f"option {name!r} has no meaning for "
+                f"{'the object engine' if oracle else 'a prebuilt engine'}; "
+                "only engine='flat' takes it"
+            )
+    return DynamicKCore(trace.initial) if oracle else engine
 
 
 def replay_trace(
@@ -169,7 +178,9 @@ def replay_trace(
     :class:`~repro.streaming.DynamicKCore` oracle, ``"flat"`` for the
     dynamic-CSR :class:`~repro.streaming.FlatDynamicKCore` (``backend``
     picks its kernel backend), or an already-constructed engine of
-    either kind.
+    either kind. ``backend`` and ``telemetry`` apply only to the flat
+    engine built here; with any other engine they raise
+    :class:`~repro.errors.ConfigurationError`.
 
     The returned engine's ``metrics`` dict surfaces maintenance cost —
     ``edits_applied``, ``dirty_nodes_total`` and the per-batch

@@ -36,7 +36,6 @@ from repro.sim.faults import KILL_EXIT_CODE, Fault, FaultPlan, WorkerFaults
 from repro.sim.kernels import numpy_available
 from repro.sim.mp_engine import (
     MultiProcessOneToManyEngine,
-    _ShardWorker,
     default_reply_timeout,
 )
 
@@ -218,22 +217,15 @@ class TestTransportFaults:
         assert "alive=True" in event["reason"]
 
     def test_wedged_worker_holding_its_inbox_lock_recovers(
-        self, graph, flat_reference, monkeypatch
+        self, graph, flat_reference
     ):
         """A terminate that lands while the wedged worker holds its
         inbox's reader lock must not starve the replacement, which
-        reuses that queue. Workers that carry a fault plan wait in a
-        blocking ``get()``, which holds the lock for the whole wait;
-        under ``fork`` they inherit the patch, and replacements carry no
-        plan. The receiver gets a plan of its own through a 1 ms stall."""
-        polling = _ShardWorker._inbox_get
-
-        def blocking(self, inbox):
-            if self.faults is not None:
-                return inbox.get()
-            return polling(self, inbox)
-
-        monkeypatch.setattr(_ShardWorker, "_inbox_get", blocking)
+        reuses that queue. Workers wait for mail in a blocking
+        ``get()``, which holds the lock for the whole wait, so the
+        wedged receiver is always terminated holding it. The receiver
+        carries a plan of its own through a 1 ms stall; replacements
+        carry none."""
         plan = FaultPlan([
             Fault.drop_batch(0, 4, dest=3), Fault.slow(3, 1, seconds=0.001),
         ])

@@ -3,18 +3,22 @@
 The engine-level bit-identity of the backends is asserted end-to-end in
 ``tests/test_backend_equivalence.py``; here the registry contract and
 the individual kernel primitives are pinned directly — the registry's
-error behaviour, the batched ``computeIndex`` against the scalar
-kernel, the h-index sweep against the pre-kernel reference
-implementation, the worker-traffic counting helper, the shared
-stats-export utility, and the CSR build from an edge list and its
-companion arrays on both backends.
+error behaviour, that every kernel has a caller, the numpy backend's
+segmented ``computeIndex`` against the scalar kernel, the h-index sweep
+against the pre-kernel reference implementation, the worker-traffic
+counting helper, the shared stats-export utility, the dynamic CSR's
+slot layout, and the CSR build from an edge list and its companion
+arrays on both backends.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 from array import array
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.sim.kernels as kernels
 from repro.core.compute_index import compute_index
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.graph import generators as gen
 from repro.graph.csr import NUMPY_MIN_PAIRS, CSRGraph
 from repro.graph.graph import Graph
@@ -94,6 +98,26 @@ class TestRegistry:
             assert isinstance(backend, KernelBackend)
 
 
+def test_every_kernel_has_a_caller():
+    """Every public ``KernelBackend`` method is called as an attribute,
+    ``<obj>.<kernel>(...)``, by some module of ``repro`` outside
+    ``repro.sim.kernels``: a job is a kernel only when engines call it,
+    so a kernel whose last caller went is deleted with it."""
+    package = Path(kernels.__file__).parent
+    called: set[str] = set()
+    for path in package.parents[1].rglob("*.py"):
+        if package in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    declared = {
+        name for name, member in vars(KernelBackend).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    }
+    assert declared and not declared - called, sorted(declared - called)
+
+
 class TestTables:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_full_and_degrees(self, name):
@@ -112,12 +136,18 @@ class TestTables:
         assert len(backend.graph_array(array("q"))) == 0
 
 
+@requires_numpy
 class TestBatchComputeIndex:
-    """batch_compute_index == the scalar kernel, value and support."""
+    """The numpy backend's segmented ``computeIndex`` (``_batch_core``,
+    behind its frontier, cascade, re-convergence and sweep kernels) ==
+    the scalar kernel, value and support."""
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_against_scalar_on_random_instances(self, name):
-        backend = resolve_backend(name)
+    def test_against_scalar_on_random_instances(self):
+        import numpy as np
+
+        from repro.sim.kernels.numpy_backend import _segments
+
+        backend = resolve_backend("numpy")
         rng = random.Random(5)
         # a synthetic "edge value" layout: 40 nodes with mixed degrees,
         # including degree-0 nodes and cap-0 nodes
@@ -128,34 +158,24 @@ class TestBatchComputeIndex:
         edge_values = array(
             "q", [rng.randrange(0, 12) for _ in range(offsets[-1])]
         )
-        nodes = array("q", range(40))
         caps = array("q", [rng.randrange(0, 10) for _ in range(40)])
-        values, supports = backend.batch_compute_index(
-            backend.graph_array(nodes),
-            backend.graph_array(caps),
-            backend.graph_array(offsets),
-            backend.graph_array(edge_values),
-            [],
+        # the core takes non-empty segments with caps >= 1; its callers
+        # settle degree-0 and cap-0 rows before calling it
+        run = [p for p in range(40) if lens[p] and caps[p] > 0]
+        assert 0 < len(run) < 40
+        seg, idx, starts, _ = _segments(
+            backend.graph_array(offsets), np.array(run, dtype=np.int64)
         )
-        for p in range(40):
+        values, supports = backend._batch_core(
+            seg, starts, np.array([caps[p] for p in run])[seg],
+            backend.graph_array(edge_values)[idx],
+        )
+        for at, p in enumerate(run):
             scratch: list[int] = []
             estimates = edge_values[offsets[p]:offsets[p + 1]]
             expected = compute_index(estimates, caps[p], scratch)
-            assert values[p] == expected, (name, p)
-            expected_support = scratch[expected] if caps[p] > 0 else 0
-            assert supports[p] == expected_support, (name, p)
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_empty_batch(self, name):
-        backend = resolve_backend(name)
-        values, supports = backend.batch_compute_index(
-            backend.graph_array(array("q")),
-            backend.graph_array(array("q")),
-            backend.graph_array(array("q", [0])),
-            backend.graph_array(array("q")),
-            [],
-        )
-        assert len(values) == 0 and len(supports) == 0
+            assert values[at] == expected, p
+            assert supports[at] == scratch[expected], p
 
 
 class TestHindexSweep:
@@ -529,21 +549,22 @@ class TestExportSendCounts:
 
 
 class TestDynamicCSRKernels:
-    """The dynamic-CSR edit kernels and the mutable layout they drive.
+    """The dynamic CSR's slot layout and the re-convergence kernel
+    that reads it.
 
     ``tests/test_streaming_equivalence.py`` pins the engine-level
     bit-identity; here the slot-level contracts are pinned directly:
-    tombstone layout invariants under random edits, compaction
-    preserving neighbour sets (with sorted, gap-free slices), and
-    byte-for-byte buffer equality between the stdlib and numpy
-    ``csr_insert_slots`` / ``csr_delete_slots`` / ``reconverge`` runs.
+    tombstone layout invariants under random edits, the exact slots an
+    insert, a delete and a node removal write, compaction preserving
+    neighbour sets (with sorted, gap-free slices), and the
+    ``reconverge_from_bounds`` contract on every backend.
     """
 
-    def _random_drive(self, backend, steps=200, seed=3):
+    def _random_drive(self, steps=200, seed=3):
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
         rng = random.Random(seed)
-        g = DynamicCSRGraph(backend=backend)
+        g = DynamicCSRGraph()
         edges: set = set()
         nodes: set = set()
         for _ in range(steps):
@@ -553,12 +574,12 @@ class TestDynamicCSRKernels:
                 key = (min(u, v), max(u, v))
                 if u == v or key in edges:
                     continue
-                g.insert_edges([key])
+                g.insert_edge(*key)
                 edges.add(key)
                 nodes.update(key)
             elif op < 0.8:
                 key = sorted(edges)[rng.randrange(len(edges))]
-                g.delete_edges([key])
+                g.delete_edge(*key)
                 edges.discard(key)
             elif nodes:
                 victim = sorted(nodes)[rng.randrange(len(nodes))]
@@ -569,15 +590,13 @@ class TestDynamicCSRKernels:
             g.check_invariants()
         return g, edges
 
-    @pytest.mark.parametrize("backend", backends())
-    def test_layout_invariants_under_random_edits(self, backend):
-        g, edges = self._random_drive(backend)
+    def test_layout_invariants_under_random_edits(self):
+        g, edges = self._random_drive()
         assert set(g.edges()) == edges
         assert g.num_edges == len(edges)
 
-    @pytest.mark.parametrize("backend", backends())
-    def test_compaction_preserves_neighbour_sets(self, backend):
-        g, edges = self._random_drive(backend, steps=120, seed=9)
+    def test_compaction_preserves_neighbour_sets(self):
+        g, edges = self._random_drive(steps=120, seed=9)
         before = {node: g.neighbors(node) for node in g.nodes()}
         mapping = g.compact()
         g.check_invariants()
@@ -603,25 +622,14 @@ class TestDynamicCSRKernels:
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
         g = DynamicCSRGraph()
-        g.insert_edges([(0, i) for i in range(1, 60)])
+        for i in range(1, 60):
+            g.insert_edge(0, i)
         assert not g.needs_compaction
-        g.delete_edges([(0, i) for i in range(1, 50)])
+        for i in range(1, 50):
+            g.delete_edge(0, i)
         # 2 * garbage > live + 64 now holds; the flag is pure arithmetic
         assert 2 * g.garbage_slots > g.num_edges * 2 + 64
         assert g.needs_compaction
-
-    def test_numpy_slot_level_equality(self):
-        if not numpy_available():
-            pytest.skip("needs numpy")
-        drives = [
-            self._random_drive(backend, steps=300, seed=17)[0]
-            for backend in backends()
-        ]
-        a, b = drives
-        assert bytes(a.targets) == bytes(b.targets)
-        assert bytes(a.used) == bytes(b.used)
-        assert bytes(a.starts) == bytes(b.starts)
-        assert a.compactions == b.compactions
 
     @pytest.mark.parametrize("backend", backends())
     def test_reconverge_from_bounds_contract(self, backend):
@@ -629,9 +637,9 @@ class TestDynamicCSRKernels:
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
         graph = gen.clique_graph(6)
-        g = DynamicCSRGraph.from_graph(graph, backend=backend)
+        g = DynamicCSRGraph.from_graph(graph)
         est = array("q", [5] * 6)     # old coreness of K6
-        g.delete_edges([(0, 1)])
+        g.delete_edge(0, 1)
         changed, rounds = backend.reconverge_from_bounds(
             g.starts, g.used, g.targets, est, list(range(6)), []
         )
@@ -645,8 +653,9 @@ class TestDynamicCSRKernels:
     def test_reconverge_skips_dead_and_zero_rows(self, backend):
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
-        g = DynamicCSRGraph(backend=backend)
-        g.insert_edges([(0, 1), (1, 2)])
+        g = DynamicCSRGraph()
+        g.insert_edge(0, 1)
+        g.insert_edge(1, 2)
         g.add_node(7)                  # isolated: est 0, never touched
         est = array("q", [1, 1, 1, 0])
         changed, rounds = backend.reconverge_from_bounds(
@@ -654,12 +663,12 @@ class TestDynamicCSRKernels:
         )
         assert changed == [] and list(est) == [1, 1, 1, 0]
 
-    @pytest.mark.parametrize("backend", backends())
-    def test_insert_kernel_appends_in_batch_order(self, backend):
+    def test_insert_appends_in_insertion_order(self):
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
-        g = DynamicCSRGraph(backend=backend)
-        g.insert_edges([(0, 3), (0, 1), (0, 2)])
+        g = DynamicCSRGraph()
+        for v in (3, 1, 2):
+            g.insert_edge(0, v)
         row = g.row_of(0)
         lo = g.starts[row]
         # slot order is insertion order — the sorted view is derived
@@ -668,18 +677,40 @@ class TestDynamicCSRKernels:
         ]
         assert g.neighbors(0) == [1, 2, 3]
 
-    @pytest.mark.parametrize("backend", backends())
-    def test_delete_kernel_tombstones_first_match_only(self, backend):
+    def test_delete_tombstones_first_match_only(self):
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
-        g = DynamicCSRGraph(backend=backend)
-        g.insert_edges([(0, 1), (0, 2)])
-        g.delete_edges([(0, 1)])
+        g = DynamicCSRGraph()
+        g.insert_edge(0, 1)
+        g.insert_edge(0, 2)
+        g.delete_edge(0, 1)
         row = g.row_of(0)
         lo = g.starts[row]
         assert list(g.targets[lo:lo + g.used[row]]) == [-1, g.row_of(2)]
         assert g.used[row] == 2        # used counts tombstones
         assert g.degree(0) == 1        # live degree does not
+
+    def test_remove_node_tombstones_both_directions(self):
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        g = DynamicCSRGraph()
+        for u, v in [(0, 1), (0, 2), (1, 2), (0, 3)]:
+            g.insert_edge(u, v)
+        g.delete_edge(0, 2)           # a tombstone already in 0's region
+        rows = [g.row_of(v) for v in range(4)]
+        s0, cap0 = g.starts[rows[0]], g.caps[rows[0]]
+        assert g.remove_node(0) == [rows[1], rows[3]]
+        # the own region is all tombstones and abandoned, and each
+        # former neighbour loses exactly its slot for the dead row
+        assert list(g.targets[s0:s0 + cap0]) == [-1] * cap0
+        assert g.used[rows[0]] == 0 and not g.alive[rows[0]]
+        for v, left in [(1, [-1, rows[2]]), (2, [-1, rows[1]]), (3, [-1])]:
+            lo = g.starts[rows[v]]
+            assert list(g.targets[lo:lo + g.used[rows[v]]]) == left
+        assert g.garbage_slots == cap0 + 3
+        g.check_invariants()
+        with pytest.raises(NodeNotFoundError):
+            g.remove_node(0)
 
 
 # ----------------------------------------------------------------------

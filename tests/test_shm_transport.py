@@ -25,6 +25,7 @@ semantics); representative slices re-prove ``spawn`` and numpy.
 from __future__ import annotations
 
 import warnings
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -255,15 +256,14 @@ class TestRingCapacity:
         )
         segments = create_segments(layout)
         names = [seg.name for seg in segments]
-        kb = resolve_backend("stdlib")
-        sender = attach_mailbox(kb, layout, names, 0)
-        receiver = attach_mailbox(kb, layout, names, 1)
+        sender = attach_mailbox(layout, names, 0)
+        receiver = attach_mailbox(layout, names, 1)
         try:
             with pytest.raises(SimulationError, match="capacity"):
-                sender.write(1, 2, [0, 1, 2], [5, 5, 5])
+                sender.write(1, 2, array("q", [0, 1, 2]), array("q", [5, 5, 5]))
             # nothing was published: the receiver sees no batch
             assert receiver.read(2) == []
-            assert sender.write(1, 2, [0, 1], [5, 5]) > 0
+            assert sender.write(1, 2, array("q", [0, 1]), array("q", [5, 5])) > 0
             assert receiver.read(2) == [(0, [0, 1], [5, 5])]
         finally:
             sender.detach()

@@ -88,3 +88,28 @@ class TestReplay:
         )
         engine = replay_trace(trace)
         assert engine.verify()
+
+    @pytest.mark.parametrize(
+        "option", [{"backend": "stdlib"}, {"telemetry": True}],
+        ids=["backend", "telemetry"],
+    )
+    @pytest.mark.parametrize("prebuilt", [False, True], ids=["object", "prebuilt"])
+    def test_options_no_engine_takes_are_rejected(self, overlay, option, prebuilt):
+        # only a flat engine built by replay_trace takes a backend or a
+        # tracer; the object oracle and a prebuilt engine would drop them
+        from repro.streaming import FlatDynamicKCore
+
+        trace = generate_churn_trace(overlay, duration=20, seed=2)
+        engine = FlatDynamicKCore(trace.initial) if prebuilt else "object"
+        (name,) = option
+        with pytest.raises(ConfigurationError, match=f"'{name}'"):
+            replay_trace(trace, engine=engine, **option)
+
+    def test_cli_rejects_telemetry_on_the_object_engine(self, tmp_path):
+        from repro.cli import main
+
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n2 3\n")
+        with pytest.raises(ConfigurationError, match="telemetry"):
+            main(["churn", "--edges", str(edges), "--duration", "5",
+                  "--engine", "object", "--telemetry"])
