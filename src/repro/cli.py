@@ -550,8 +550,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphIOError, DatasetError) as exc:
-        # bad input is a usage error: one line, argparse's exit code
+    except (GraphIOError, DatasetError, ConfigurationError) as exc:
+        # bad input or a rejected flag combination is a usage error:
+        # one line, argparse's exit code
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

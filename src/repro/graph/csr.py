@@ -30,11 +30,12 @@ the SNAP reader :func:`repro.graph.io.read_edge_list` both go through
 :meth:`CSRGraph._from_endpoints`. The per-edge companion arrays the flat
 engines read, :meth:`edge_owners` and :meth:`mirror`, come from one
 ``csr_companions`` kernel call on first use of either, never at build
-time (most readers of a file never ask for them). Both kernels run on
-numpy when numpy is importable and the input has at least
-:data:`NUMPY_MIN_PAIRS` pairs or slots, and on the stdlib otherwise
-(:func:`_build_backend`). Both backends build identical ``array('q')``
-buffers, so the choice is invisible to every reader.
+time (most readers of a file never ask for them). Both kernels, and
+the SNAP reader's ``parse_edge_block``, run on numpy when numpy is
+importable and the input has at least :data:`NUMPY_MIN_PAIRS` pairs,
+slots or lines, and on the stdlib otherwise (:func:`_build_backend`).
+Both backends build identical ``array('q')`` buffers, so the choice is
+invisible to every reader.
 """
 
 from __future__ import annotations
@@ -52,16 +53,18 @@ if TYPE_CHECKING:
 
 __all__ = ["CSRGraph"]
 
-#: Edge lists shorter than this, and CSRs with fewer slots, build on the
-#: stdlib kernels even where numpy is importable. Importing numpy costs
-#: a process about 14 MB resident and 0.1-0.2 s, more than the numpy
-#: build saves below this size (1-2 us per pair), and a small graph is
-#: often the only thing in the process that would import it.
+#: Edge lists shorter than this, CSRs with fewer slots and SNAP files
+#: until this many lines are read build or parse on the stdlib kernels
+#: even where numpy is importable. Importing numpy costs a process
+#: about 14 MB resident and 0.1-0.2 s, more than the numpy build saves
+#: below this size (1-2 us per pair), and a small graph is often the
+#: only thing in the process that would import it.
 NUMPY_MIN_PAIRS = 1 << 16
 
 
 def _build_backend(size: int) -> "KernelBackend":
-    """The kernel backend that builds ``size`` pairs or slots."""
+    """The kernel backend that builds ``size`` pairs or slots, or
+    parses a block that ends ``size`` lines into a file."""
     # deferred: importing the kernel layer at module scope would close a
     # cycle through repro.sim (whose engines import this)
     from repro.sim.kernels import numpy_available, resolve_backend

@@ -9,11 +9,16 @@ nodes to the contiguous ``0..N-1`` range the modulo assignment policy
 expects.
 
 :func:`read_edge_list` makes one pass over the file. It parses bounded
-blocks of lines into two ``array('q')`` endpoint buffers and hands them
-to the kernel layer's CSR build (on numpy for long files wherever numpy
-is importable, see :mod:`repro.graph.csr`). The returned :class:`Graph` holds that
-:class:`CSRGraph` and builds its adjacency sets only when a caller
-first needs them, so the flat engines run on the loader's CSR as is.
+blocks of lines into two ``array('q')`` endpoint buffers with the kernel
+layer's ``parse_edge_block`` and hands them to its CSR build. Both pick
+their backend by the CSR build's size rule (:mod:`repro.graph.csr`): a
+block parses on numpy once the lines read so far, its own included,
+reach ``NUMPY_MIN_PAIRS`` and numpy is importable, so a short file never
+imports numpy. A block the numpy parse turns down goes to the stdlib
+parse, and one that turns down too goes line by line, which names the
+bad line. The returned :class:`Graph` holds that :class:`CSRGraph` and
+builds its adjacency sets only when a caller first needs them, so the
+flat engines run on the loader's CSR as is.
 """
 
 from __future__ import annotations
@@ -26,27 +31,24 @@ from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from repro.errors import GraphIOError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _build_backend
 from repro.graph.graph import Graph
 
 __all__ = ["read_edge_list", "write_edge_list", "parse_edge_lines"]
 
 #: Characters read per block; blocks are cut back to a line boundary.
-_BLOCK_CHARS = 1 << 18
+#: A file's first block holds tens of thousands of SNAP lines, so a file
+#: long enough for the numpy CSR build parses on numpy from its start.
+_BLOCK_CHARS = 1 << 20
 
 #: Comment lines and blank lines, each with its newline.
 _NOISE = re.compile(r"^[^\S\n]*(?:[#%][^\n]*)?\n", re.MULTILINE)
 
-#: Stands in for each newline so one ``split()`` keeps line structure;
-#: ``int()`` rejects it.
-_EOL = "\x00"
 
-
-def _open_text(path: str | os.PathLike[str]) -> TextIO:
-    path = os.fspath(path)
+def _open_text(path: str, errors: str = "strict") -> TextIO:
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return gzip.open(path, "rt", encoding="utf-8", errors=errors)
+    return open(path, "r", encoding="utf-8", errors=errors)
 
 
 def _parse_line(raw: str, lineno: int, source: str | None) -> tuple[int, int] | None:
@@ -78,9 +80,10 @@ def parse_edge_lines(lines: Iterable[str]) -> Iterator[tuple[int, int]]:
             yield pair
 
 
-def _blocks(handle: TextIO) -> Iterator[tuple[int, str]]:
-    """``(first line number, text)`` chunks, each ending in a newline."""
-    lineno = 1
+def _blocks(handle: TextIO) -> Iterator[tuple[int, int, str]]:
+    """``(first line number, lines read so far, text)`` chunks, each
+    ending in a newline."""
+    lines = 0
     tail = ""
     while True:
         chunk = handle.read(_BLOCK_CHARS)
@@ -90,33 +93,47 @@ def _blocks(handle: TextIO) -> Iterator[tuple[int, str]]:
         cut = chunk.rfind("\n") + 1
         tail = chunk[cut:]
         if cut:
-            yield lineno, chunk[:cut]
-            lineno += chunk.count("\n")
+            first = lines + 1
+            lines += chunk.count("\n")
+            yield first, lines, chunk[:cut]
     if tail:
-        yield lineno, tail + "\n"
+        yield lines + 1, lines + 1, tail + "\n"
 
 
-def _parse_block(text: str, lineno: int, source: str) -> tuple[array, array]:
-    """The two endpoint columns of one block of whole lines.
+def _strip_comments(text: str) -> str:
+    """``text`` without its comment lines. ``_NOISE`` runs only up to
+    the end of the last line holding a ``#`` or ``%``: SNAP headers sit
+    at the top, so the regex skips the body of a headed file's first
+    block and every later block."""
+    mark = max(text.rfind("#"), text.rfind("%"))
+    if mark < 0:
+        return text
+    end = text.index("\n", mark) + 1
+    return _NOISE.sub("", text[:end]) + text[end:]
 
-    The fast path is one ``split()`` over the block with each newline
-    turned into an ``_EOL`` token, so lines of exactly two fields give
-    ``(u, v, _EOL)`` triples. A line of any other width either changes
-    the token count or pushes an ``_EOL`` into an endpoint column, where
-    ``int()`` rejects it.
+
+def _parse_block(
+    text: str, lineno: int, lines: int, source: str
+) -> tuple[array, array]:
+    """The two endpoint columns of one block of whole lines, whose first
+    line is line ``lineno`` and whose last is line ``lines``.
+
+    The comment-free block goes to the ``parse_edge_block`` kernel of
+    the backend a CSR build of ``lines`` pairs would use, then to the
+    stdlib kernel if numpy turned it down (signs, ids of 19 or more
+    digits). A block that both turn down (blank lines, extra columns or
+    a bad line) goes line by line, which also names the first bad line.
     """
-    data = _NOISE.sub("", text) if "#" in text or "%" in text else text
-    tokens = data.replace("\n", f" {_EOL} ").split()
-    if len(tokens) == 3 * data.count("\n"):
-        try:
-            return (
-                array("q", map(int, tokens[0::3])),
-                array("q", map(int, tokens[1::3])),
-            )
-        except (ValueError, OverflowError):
-            pass
-    # blank lines, extra columns or a bad line: go line by line, which
-    # also names the first bad line
+    data = _strip_comments(text)
+    backend = _build_backend(lines)
+    columns = backend.parse_edge_block(data)
+    if columns is None and backend.name != "stdlib":
+        # deferred for the same import cycle as in _build_backend
+        from repro.sim.kernels import resolve_backend
+
+        columns = resolve_backend("stdlib").parse_edge_block(data)
+    if columns is not None:
+        return columns
     us, vs = array("q"), array("q")
     for number, raw in enumerate(text.split("\n"), lineno):
         pair = _parse_line(raw, number, source)
@@ -133,6 +150,19 @@ def _parse_block(text: str, lineno: int, source: str) -> tuple[array, array]:
     return us, vs
 
 
+def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
+    """The message for a file that is not UTF-8, naming its first line
+    that is not (a second, tolerant pass finds it)."""
+    bad = f"can't decode byte 0x{exc.object[exc.start]:02x} as UTF-8 ({exc.reason})"
+    with _open_text(path, errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # an escaped byte
+                return f"{path}:{number}: {bad}"
+    return f"{path}: {bad}"
+
+
 def read_edge_list(
     path: str | os.PathLike[str],
     relabel: bool = True,
@@ -145,16 +175,19 @@ def read_edge_list(
     are discarded. Without it, nodes keep their ids in order of first
     appearance. Self-loops and duplicate/reverse edges collapse into
     single undirected edges, but a self-loop still makes its node exist.
-    Node ids must fit in a signed 64-bit integer. A bad line raises
-    :class:`GraphIOError` naming ``path:line``.
+    Node ids must fit in a signed 64-bit integer. A bad line, or bytes
+    that are not UTF-8, raise :class:`GraphIOError` naming ``path:line``.
     """
     path = os.fspath(path)
     us, vs = array("q"), array("q")
-    with _open_text(path) as handle:
-        for lineno, text in _blocks(handle):
-            block_us, block_vs = _parse_block(text, lineno, path)
-            us += block_us
-            vs += block_vs
+    try:
+        with _open_text(path) as handle:
+            for lineno, lines, text in _blocks(handle):
+                block_us, block_vs = _parse_block(text, lineno, lines, path)
+                us += block_us
+                vs += block_vs
+    except UnicodeDecodeError as exc:
+        raise GraphIOError(_decode_error(path, exc)) from None
     name = name or os.path.basename(path)
     csr = CSRGraph._from_endpoints(us, vs, name=name, relabel=relabel)
     nodes: range | dict[int, None] = (

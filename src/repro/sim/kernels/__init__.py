@@ -41,6 +41,8 @@ communication policies incl. p2p_filter)     yes        yes
 (warm-start re-convergence)                  yes        yes
 ``ShardedCSR`` table build
 (``shard_tables`` kernel)                    yes [3]_   yes [3]_
+SNAP text parse, one block of lines
+(``parse_edge_block`` kernel)                yes [3]_   yes [3]_
 CSR build from an edge list
 (``csr_from_edges`` kernel)                  yes [3]_   yes [3]_
 CSR companion build (``csr_companions``
@@ -57,18 +59,22 @@ object engines (``round`` / ``async``)       n/a [2]_   n/a [2]_
    non-default ``backend`` on them is rejected by the config layer.
 .. [3] Not configurable: ``read_edge_list`` / ``CSRGraph.from_edges``
    build on numpy when :func:`numpy_available` and the edge list has
-   at least ``repro.graph.csr.NUMPY_MIN_PAIRS`` pairs, and
+   at least ``repro.graph.csr.NUMPY_MIN_PAIRS`` pairs,
+   ``read_edge_list`` parses a block on numpy when it is and the lines
+   read so far (the block's own included) reach that many, and
    ``CSRGraph.mirror()`` / ``edge_owners()`` (both companions in one
    call) and ``ShardedCSR(csr, assignment)`` do when it is and the CSR
    has at least that many slots; stdlib otherwise. The buffers are
-   identical ``array('q')`` tables either way, so the engines' own
+   identical ``array('q')`` tables either way (a block the numpy parse
+   turns down goes to the stdlib parse), so the engines' own
    ``backend`` stays independent of the build.
 
 Vectorisation boundary: the numpy backend vectorises *within* a batch
 (a lockstep round's frontier, one host activation's fold + cascade +
-routing, a Jacobi sweep, one shard's table build, one edge list's CSR
-build, one CSR's companion arrays); activation order, RNG streams and
-mailbox delivery stay in the engines, byte-identical across backends.
+routing, a Jacobi sweep, one shard's table build, one block of SNAP
+text, one edge list's CSR build, one CSR's companion arrays);
+activation order, RNG streams and mailbox delivery stay in the
+engines, byte-identical across backends.
 """
 
 from __future__ import annotations

@@ -6,15 +6,18 @@ allocation, the round-2 estimate seeding, the mailbox-slot fold with
 the sup-counter recompute skip, frontier recomputation + send emission
 (Algorithm 1's periodic block), the shard-local cascade (Algorithm 4)
 with its changed-flag bookkeeping, the streaming re-convergence, the
-bulk-synchronous h-index sweep, the CSR build from an edge list
-(:meth:`KernelBackend.csr_from_edges`) and its per-edge companion
+bulk-synchronous h-index sweep, the SNAP text parse
+(:meth:`KernelBackend.parse_edge_block`), the CSR build from an edge
+list (:meth:`KernelBackend.csr_from_edges`) and its per-edge companion
 arrays (:meth:`KernelBackend.csr_companions`), and the two loops over
 the partition's delivery table: building every host's tables
 (:meth:`KernelBackend.shard_tables`) and routing a host's changed
 estimates along them (:meth:`KernelBackend.route_updates`). Engines
 orchestrate rounds and messages; backends execute the per-round array
-work. A job is a kernel only when engines call it and the backend
-changes its cost; other jobs live beside their caller (dynamic-CSR
+work. A job is a kernel only when engines or graph builders call it
+and the backend changes its cost (the parse and the two CSR builds
+have only builder callers: the SNAP reader and :class:`~repro.graph.
+csr.CSRGraph`); other jobs live beside their caller (dynamic-CSR
 slot writes in :mod:`repro.graph.dynamic_csr`, the shm ring's block
 copies in :mod:`repro.sim.shm_transport`, scalar ``computeIndex`` in
 :mod:`repro.core.compute_index`).
@@ -300,8 +303,30 @@ class KernelBackend(Protocol):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # CSR build (SNAP ingest, CSRGraph.from_edges, CSRGraph.mirror)
+    # SNAP ingest and CSR build (read_edge_list, CSRGraph.from_edges,
+    # CSRGraph.mirror)
     # ------------------------------------------------------------------
+    def parse_edge_block(self, text: str) -> tuple[array, array] | None:
+        """The endpoint columns of one block of SNAP edge lines.
+
+        Pre: ``text`` is whole lines ending in ``"\\n"``, with the
+        comment lines already stripped. Post: ``None``, or ``(us, vs)``
+        — two fresh ``array('q')`` columns holding one pair per line,
+        ``(us[k], vs[k])`` being the two fields of line ``k``.
+
+        The stdlib kernel is canonical: one ``split()`` of the block,
+        each newline standing in as a token, accepts the block only
+        when every line holds exactly two fields that ``int()`` reads
+        into the signed 64-bit range, and returns ``None`` otherwise
+        (blank lines, extra columns, bad ids). Another backend returns
+        the stdlib columns or ``None``, never other pairs, and may
+        return ``None`` where the stdlib kernel succeeds; the reader
+        then asks the stdlib kernel, and after it its line loop, which
+        names the bad line (``tests/test_kernels.py`` asserts this on
+        generated blocks).
+        """
+        raise NotImplementedError
+
     def csr_from_edges(self, us: array, vs: array) -> tuple[array, array, array]:
         """Build the CSR of the simple undirected graph on ``(us[k], vs[k])``.
 

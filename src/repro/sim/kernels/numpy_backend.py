@@ -23,6 +23,15 @@ floored at 1 to match the scalar kernel's downward scan. The
 post-condition support ``#{clamped >= t}`` falls out of the same
 sorted array with a segmented sum.
 
+The SNAP text parse (:meth:`NumpyBackend.parse_edge_block`) validates a
+block before it converts it: every byte an ASCII digit, space, tab or
+newline, exactly two digit runs per line (each line's second run opens
+before its newline, the next line's first after it), no run longer
+than 18 digits. Such a block reads the same under ``int()`` and under
+one ``np.fromstring(..., sep=" ")``, which converts it several times
+faster than ``split()`` and ``int()``; anything else returns ``None``
+and the reader asks the stdlib parse.
+
 This module must only be imported through
 :func:`repro.sim.kernels.resolve_backend`, which gates on numpy being
 importable; nothing else in the package (or the engines) touches numpy,
@@ -41,6 +50,10 @@ __all__ = ["NumpyBackend"]
 
 _I64 = np.int64
 _UNSEEN = np.iinfo(_I64).max  # an untouched _first_seen scratch entry
+
+#: The longest id the text parse converts: 18 digits always fit in an
+#: int64, so ``np.fromstring`` cannot overflow; longer ids go to ``int()``.
+_MAX_DIGITS = 18
 
 
 def _csr_offsets(counts):
@@ -322,8 +335,37 @@ class NumpyBackend(KernelBackend):
         return cand[sup[cand] < est[cand]]
 
     # ------------------------------------------------------------------
-    # CSR build
+    # SNAP ingest and CSR build
     # ------------------------------------------------------------------
+    def parse_edge_block(self, text):
+        # the checks of the module docstring, then one conversion
+        try:
+            raw = text.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        byte = np.frombuffer(raw, dtype=np.uint8)
+        digit = byte - np.uint8(48) < 10  # uint8 wraps below "0"
+        newline = byte == 10
+        if not (digit | newline | (byte == 32) | (byte == 9)).all():
+            return None
+        # each digit run opens and closes at a flip of `digit`; the
+        # block ends in a newline, so the flips pair up
+        flips = np.flatnonzero(np.diff(digit, prepend=False))
+        starts = flips[0::2]
+        lines = np.flatnonzero(newline)
+        if len(starts) != 2 * len(lines):
+            return None
+        # exactly two runs per line: each line's second run opens
+        # before its newline, the next line's first run after it
+        if not (starts[1::2] < lines).all() or not (starts[2::2] > lines[:-1]).all():
+            return None
+        if (flips[1::2] - starts).max(initial=0) > _MAX_DIGITS:
+            return None
+        values = np.fromstring(raw, dtype=_I64, sep=" ")
+        if len(values) != len(starts):
+            return None
+        return _to_q(values[0::2]), _to_q(values[1::2])
+
     def csr_from_edges(self, us, vs):
         us = self.graph_array(us)
         vs = self.graph_array(vs)

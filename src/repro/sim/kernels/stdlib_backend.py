@@ -20,6 +20,10 @@ from repro.sim.kernels.base import KernelBackend, ShardTables
 
 __all__ = ["StdlibBackend"]
 
+#: Stands in for each newline so one ``split()`` keeps line structure;
+#: ``int()`` rejects it.
+_EOL = "\x00"
+
 
 class StdlibBackend(KernelBackend):
     """Flat kernels over stdlib ``array('q')`` buffers (see module doc)."""
@@ -221,8 +225,23 @@ class StdlibBackend(KernelBackend):
         return dirty
 
     # ------------------------------------------------------------------
-    # CSR build
+    # SNAP ingest and CSR build
     # ------------------------------------------------------------------
+    def parse_edge_block(self, text):
+        # lines of exactly two fields give (u, v, _EOL) triples; a line
+        # of any other width either changes the token count or pushes an
+        # _EOL into an endpoint column, where int() rejects it
+        tokens = text.replace("\n", f" {_EOL} ").split()
+        if len(tokens) == 3 * text.count("\n"):
+            try:
+                return (
+                    array("q", map(int, tokens[0::3])),
+                    array("q", map(int, tokens[1::3])),
+                )
+            except (ValueError, OverflowError):
+                pass
+        return None
+
     def csr_from_edges(self, us, vs):
         ids = sorted(set(us).union(vs))
         n = len(ids)

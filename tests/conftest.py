@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import strategies as st
 
@@ -88,3 +90,22 @@ def small_social() -> Graph:
 def medium_social() -> Graph:
     """A larger graph for integration-style tests."""
     return gen.powerlaw_cluster_graph(400, m=4, p=0.25, seed=7)
+
+
+@pytest.fixture
+def usage_error(capsys):
+    """``usage_error(argv, match)`` runs ``repro.cli.main(argv)``, which
+    must fail as a usage error: exit code 2 and one ``repro-kcore:
+    error:`` line on stderr, no traceback, that the regex ``match``
+    searches. Returns that line."""
+    from repro.cli import main
+
+    def run(argv, match: str) -> str:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-kcore: error: ")
+        assert err.count("\n") == 1, err
+        assert re.search(match, err), err
+        return err
+
+    return run

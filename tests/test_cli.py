@@ -99,22 +99,23 @@ class TestDecompose:
         ) == 0
         assert "one-to-many/broadcast/modulo-flat" in capsys.readouterr().out
 
-    def test_conflicting_flags_are_forwarded_not_dropped(self, edge_file):
+    def test_conflicting_flags_are_forwarded_not_dropped(
+        self, edge_file, usage_error
+    ):
         """The CLI hands conflicting combinations to the config layer
-        (which rejects them) instead of silently dropping a flag."""
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="lockstep"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-many", "--engine", "async",
-                 "--mode", "lockstep"]
-            )
-        with pytest.raises(ConfigurationError, match="engine"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-many-flat", "--engine", "async"]
-            )
+        (which rejects them, a usage error) instead of silently dropping
+        a flag."""
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-many", "--engine", "async",
+             "--mode", "lockstep"],
+            match="lockstep",
+        )
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-many-flat", "--engine", "async"],
+            match="engine",
+        )
 
     def test_one_to_many_mp_engine(self, edge_file, capsys):
         """--engine mp spawns one process per host shard; --workers is
@@ -142,29 +143,25 @@ class TestDecompose:
             ) == 0
         assert "one-to-many/p2p/modulo-mp" in capsys.readouterr().out
 
-    def test_workers_rejected_without_mp_engine(self, edge_file):
-        from repro.errors import ConfigurationError
+    def test_workers_rejected_without_mp_engine(self, edge_file, usage_error):
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-many", "--workers", "2"],
+            match="--workers",
+        )
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-one", "--workers", "2"],
+            match="--workers",
+        )
 
-        with pytest.raises(ConfigurationError, match="--workers"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-many", "--workers", "2"]
-            )
-        with pytest.raises(ConfigurationError, match="--workers"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-one", "--workers", "2"]
-            )
-
-    def test_conflicting_hosts_and_workers_rejected(self, edge_file):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--hosts"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-many", "--engine", "mp",
-                 "--hosts", "8", "--workers", "4"]
-            )
+    def test_conflicting_hosts_and_workers_rejected(self, edge_file, usage_error):
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-many", "--engine", "mp",
+             "--hosts", "8", "--workers", "4"],
+            match="--hosts",
+        )
 
     def test_agreeing_hosts_and_workers_accepted(self, edge_file, capsys):
         import warnings
@@ -178,15 +175,13 @@ class TestDecompose:
             ) == 0
         assert "-mp" in capsys.readouterr().out
 
-    def test_mp_peersim_rejected_by_config_layer(self, edge_file):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="peersim"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-many", "--engine", "mp",
-                 "--workers", "2", "--mode", "peersim"]
-            )
+    def test_mp_peersim_rejected_by_config_layer(self, edge_file, usage_error):
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-many", "--engine", "mp",
+             "--workers", "2", "--mode", "peersim"],
+            match="peersim",
+        )
 
     def test_mp_alias_takes_numpy_backend(self, edge_file, capsys):
         """The CLI form of decompose(g, "one-to-many-mp", backend="numpy")."""
@@ -225,45 +220,37 @@ class TestDecompose:
         k_line = [l for l in first.splitlines() if "k_max" in l]
         assert k_line and k_line[0] in resumed
 
-    def test_checkpoint_flags_must_come_together(self, edge_file):
-        from repro.errors import ConfigurationError
+    def test_checkpoint_flags_must_come_together(self, edge_file, usage_error):
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-many-mp", "--workers", "2",
+             "--checkpoint-every", "2"],
+            match="together",
+        )
 
-        with pytest.raises(ConfigurationError, match="together"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-many-mp", "--workers", "2",
-                 "--checkpoint-every", "2"]
-            )
+    def test_checkpoint_needs_mp_engine(self, edge_file, tmp_path, usage_error):
+        usage_error(
+            ["decompose", "--edges", edge_file,
+             "--algorithm", "one-to-many", "--engine", "flat",
+             "--checkpoint-every", "2",
+             "--checkpoint-dir", str(tmp_path / "ck")],
+            match="--engine mp",
+        )
 
-    def test_checkpoint_needs_mp_engine(self, edge_file, tmp_path):
-        from repro.errors import ConfigurationError
+    def test_checkpoint_rejected_for_baselines(self, edge_file, tmp_path, usage_error):
+        usage_error(
+            ["decompose", "--edges", edge_file, "--algorithm", "bz",
+             "--checkpoint-every", "2",
+             "--checkpoint-dir", str(tmp_path / "ck")],
+            match="no meaning",
+        )
 
-        with pytest.raises(ConfigurationError, match="--engine mp"):
-            main(
-                ["decompose", "--edges", edge_file,
-                 "--algorithm", "one-to-many", "--engine", "flat",
-                 "--checkpoint-every", "2",
-                 "--checkpoint-dir", str(tmp_path / "ck")]
-            )
-
-    def test_checkpoint_rejected_for_baselines(self, edge_file, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="no meaning"):
-            main(
-                ["decompose", "--edges", edge_file, "--algorithm", "bz",
-                 "--checkpoint-every", "2",
-                 "--checkpoint-dir", str(tmp_path / "ck")]
-            )
-
-    def test_resume_rejects_conflicting_flags(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--resume"):
-            main(
-                ["decompose", "--resume", str(tmp_path / "ck"),
-                 "--algorithm", "one-to-many-mp"]
-            )
+    def test_resume_rejects_conflicting_flags(self, tmp_path, usage_error):
+        usage_error(
+            ["decompose", "--resume", str(tmp_path / "ck"),
+             "--algorithm", "one-to-many-mp"],
+            match="--resume",
+        )
 
     def test_resume_is_a_source(self, edge_file, tmp_path):
         """--resume carries its own graph, so it excludes --edges."""
@@ -308,6 +295,18 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err == (
             f"repro-kcore: error: {path}:2: non-integer node id in '1 x'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["decompose", "stats"])
+    def test_undecodable_file(self, tmp_path, capsys, command):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"0 1\n1 2\n\xff 3\n")
+        assert main([command, "--edges", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-kcore: error: {path}:3: can't decode byte 0xff as UTF-8 "
+            "(invalid start byte)\n"
         )
 
     @pytest.mark.parametrize("command", ["decompose", "stats"])

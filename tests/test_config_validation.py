@@ -227,23 +227,23 @@ class TestBackendValidation:
         )
         assert round_result.coreness == flat_result.coreness
 
-    def test_cli_backend_rejected_for_sequential_baselines(self, tmp_path):
-        from repro.cli import main
-
+    def test_cli_backend_rejected_for_sequential_baselines(
+        self, tmp_path, usage_error
+    ):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n")
-        with pytest.raises(ConfigurationError, match="--backend"):
-            main(
-                [
-                    "decompose",
-                    "--edges",
-                    str(edges),
-                    "--algorithm",
-                    "bz",
-                    "--backend",
-                    "numpy",
-                ]
-            )
+        usage_error(
+            [
+                "decompose",
+                "--edges",
+                str(edges),
+                "--algorithm",
+                "bz",
+                "--backend",
+                "numpy",
+            ],
+            match="--backend",
+        )
 
     @pytest.mark.parametrize(
         "flag,value,algorithm",
@@ -263,24 +263,23 @@ class TestBackendValidation:
         ],
     )
     def test_cli_rejects_engine_and_mode_on_nonconsumers(
-        self, tmp_path, flag, value, algorithm
+        self, tmp_path, usage_error, flag, value, algorithm
     ):
         # the CLI must not silently drop a flag the user typed: every
-        # algorithm path that cannot honour a flag rejects it by name
-        from repro.cli import main
-
+        # algorithm path that cannot honour a flag rejects it by name,
+        # as a usage error
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n")
-        with pytest.raises(ConfigurationError, match=flag) as excinfo:
-            main(
-                [
-                    "decompose",
-                    "--edges",
-                    str(edges),
-                    "--algorithm",
-                    algorithm,
-                    flag,
-                    value,
-                ]
-            )
-        assert repr(algorithm) in str(excinfo.value)
+        err = usage_error(
+            [
+                "decompose",
+                "--edges",
+                str(edges),
+                "--algorithm",
+                algorithm,
+                flag,
+                value,
+            ],
+            match=flag,
+        )
+        assert repr(algorithm) in err

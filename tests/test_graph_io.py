@@ -5,13 +5,18 @@ from __future__ import annotations
 import gzip
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.graph.csr as csr_module
 import repro.graph.io as graph_io
+import repro.sim.kernels as kernels
 from repro.errors import GraphIOError
 from repro.sim.kernels import numpy_available
 from repro.graph import generators as gen
@@ -140,6 +145,33 @@ class TestErrorsNameTheFile:
         with pytest.raises(GraphIOError, match=r"huge\.txt:2: node id outside"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize(
+        "data,block,where,reason",
+        [
+            (b"0 1\n1 2\n\xff 3\n", None, 3, "0xff as UTF-8 (invalid start byte)"),
+            # past the first block, in a comment line, after CRLF lines
+            (
+                b"".join(b"%d %d\r\n" % (i, i + 1) for i in range(40))
+                + b"# caf\xe9\n40 41\n",
+                16,
+                41,
+                "0xe9 as UTF-8 (invalid continuation byte)",
+            ),
+        ],
+        ids=["first-block", "later-block-comment"],
+    )
+    def test_undecodable_byte_names_path_and_line(
+        self, tmp_path, gz, data, block, where, reason
+    ):
+        path = str(tmp_path / ("bytes.txt.gz" if gz else "bytes.txt"))
+        with (gzip.open if gz else open)(path, "wb") as handle:
+            handle.write(data)
+        with mock.patch.object(graph_io, "_BLOCK_CHARS", block or graph_io._BLOCK_CHARS):
+            with pytest.raises(GraphIOError) as info:
+                read_edge_list(path)
+        assert str(info.value) == f"{path}:{where}: can't decode byte {reason}"
+
     @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
     def test_empty_file(self, tmp_path, suffix):
         path = tmp_path / f"empty{suffix}"
@@ -218,7 +250,10 @@ _bad_lines = st.sampled_from(
 _file_cases = settings(
     max_examples=60,
     deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
+    # a subclass reruns these tests with the numpy parse forced
+    suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.differing_executors
+    ],
 )
 
 
@@ -281,6 +316,18 @@ class TestOnePassReaderMatchesReference:
                 read_edge_list(path)
         # the reference says "line N: reason", the reader "path:N: reason"
         assert str(got.value) == f"{path}:{str(expected.value)[len('line '):]}"
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+class TestOnePassReaderMatchesReferenceOnNumpy(TestOnePassReaderMatchesReference):
+    """The same differential with every block parsed on numpy (the size
+    rule's threshold lowered to 0): blocks the numpy kernel turns down
+    fall through to the stdlib kernel and the line loop, so the graph
+    and every ``path:line`` error are the same."""
+
+    @pytest.fixture(autouse=True)
+    def _parse_on_numpy(self, monkeypatch):
+        monkeypatch.setattr(csr_module, "NUMPY_MIN_PAIRS", 0)
 
 
 class TestCSRFromGraph:
@@ -516,3 +563,102 @@ class TestNoConsumerWritesTheHeldCSR:
             CSRGraph.from_graph(read_edge_list(path))
         )
         assert not _sets_built(graph)
+
+
+# ----------------------------------------------------------------------
+# which backend parses a block
+# ----------------------------------------------------------------------
+def _write_snap(path, lines: int) -> None:
+    """A headed SNAP file of ``lines`` lines in all. Its edges repeat a
+    20,000-edge cycle, so the CSR stays below ``NUMPY_MIN_PAIRS`` slots
+    and only the parse and the build of the pairs see the file's size."""
+    header = "# Undirected graph: cycle\n# Nodes: 20000 Edges: 20000\n# FromNodeId\tToNodeId\n"
+    body = "".join(
+        f"{k % 20000}\t{(k + 1) % 20000}\n" for k in range(lines - 3)
+    )
+    Path(path).write_text(header + body)
+
+
+class TestParseSelection:
+    """A block parses on numpy only when numpy is importable and the
+    lines read so far, the block's own included, reach
+    ``NUMPY_MIN_PAIRS`` (the CSR build's size rule)."""
+
+    @staticmethod
+    def _parses(path, monkeypatch) -> list[tuple[str, int, bool]]:
+        """``(backend, lines, accepted)`` of every ``parse_edge_block``
+        call while ``path`` is read; the graph must match the reference."""
+        calls: list[tuple[str, int, bool]] = []
+        for name in kernels.available_backends():
+            cls = type(kernels.resolve_backend(name))
+
+            def spy(self, text, parse=cls.parse_edge_block):
+                columns = parse(self, text)
+                calls.append((self.name, text.count("\n"), columns is not None))
+                return columns
+
+            monkeypatch.setattr(cls, "parse_edge_block", spy)
+        graph = read_edge_list(path)
+        assert graph == _reference(str(path), relabel=True)
+        return calls
+
+    def test_small_file_parses_on_stdlib(self, tmp_path, monkeypatch):
+        path = tmp_path / "small.txt"
+        _write_snap(path, NUMPY_MIN_PAIRS - 1)
+        assert self._parses(path, monkeypatch) == [
+            ("stdlib", NUMPY_MIN_PAIRS - 4, True)
+        ]
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_large_file_parses_on_numpy_from_its_first_block(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "large.txt"
+        _write_snap(path, NUMPY_MIN_PAIRS)
+        assert self._parses(path, monkeypatch) == [
+            ("numpy", NUMPY_MIN_PAIRS - 3, True)
+        ]
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_numpy_from_the_block_that_reaches_the_threshold(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "blocks.txt"
+        _write_snap(path, NUMPY_MIN_PAIRS + 20000)
+        monkeypatch.setattr(graph_io, "_BLOCK_CHARS", 1 << 18)
+        calls = self._parses(path, monkeypatch)
+        read = 0
+        for backend, lines, accepted in calls:
+            read += lines + (3 if read == 0 else 0)  # the stripped header
+            assert accepted
+            assert backend == ("numpy" if read >= NUMPY_MIN_PAIRS else "stdlib")
+        assert calls[0][0] == "stdlib" and calls[-1][0] == "numpy"
+
+    def test_without_numpy_parses_on_stdlib(self, tmp_path, monkeypatch):
+        path = tmp_path / "large.txt"
+        _write_snap(path, NUMPY_MIN_PAIRS)
+        monkeypatch.setattr(kernels, "numpy_available", lambda: False)
+        assert self._parses(path, monkeypatch) == [
+            ("stdlib", NUMPY_MIN_PAIRS - 3, True)
+        ]
+
+    def test_small_read_imports_no_numpy(self, tmp_path):
+        path = tmp_path / "small.txt"
+        _write_snap(path, NUMPY_MIN_PAIRS - 1)
+        code = (
+            "import sys\n"
+            "from repro import decompose\n"
+            "from repro.graph.io import read_edge_list\n"
+            f"g = read_edge_list({str(path)!r})\n"
+            "decompose(g, 'one-to-one-flat')\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -714,6 +714,111 @@ class TestDynamicCSRKernels:
 
 
 # ----------------------------------------------------------------------
+# SNAP block parse
+# ----------------------------------------------------------------------
+_short_ids = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=18),  # leading zeros
+    st.integers(0, 10**18 - 1).map(str),
+)
+_any_ids = st.one_of(
+    _short_ids,
+    st.text(alphabet="0123456789", min_size=19, max_size=20),
+    st.sampled_from([str(INT64_MAX), str(INT64_MAX + 1), "9" * 19, "0" * 19 + "7"]),
+)
+_blank_runs = st.text(alphabet=" \t", min_size=1, max_size=3)
+_edge_blanks = st.text(alphabet=" \t", max_size=2)
+
+
+@st.composite
+def _id_lines(draw, ids, fields: int = 2):
+    line = draw(_edge_blanks) + draw(ids)
+    for _ in range(fields - 1):
+        line += draw(_blank_runs) + draw(ids)
+    return line + draw(_edge_blanks)
+
+
+@st.composite
+def _sprinkled(draw):
+    """A two-field line with one character the numpy parse must turn
+    down inserted anywhere (``int()`` accepts some, e.g. ``+7``)."""
+    line = draw(_id_lines(_any_ids))
+    at = draw(st.integers(0, len(line)))
+    mark = draw(st.sampled_from(["-", "+", "_", "\r", "\x0b", "\x00", "\u0663"]))
+    return line[:at] + mark + line[at:]
+
+
+_block_lines = st.one_of(
+    _id_lines(_any_ids),
+    _id_lines(_any_ids),
+    _sprinkled(),
+    st.sampled_from(["", " ", "\t "]),  # blank lines
+    _id_lines(_any_ids, fields=1),
+    _id_lines(_any_ids, fields=3),
+)
+#: Only what the numpy byte and length checks pass, in lines of one to
+#: three fields, so the line-shape check alone must turn them down.
+_shape_lines = st.one_of(
+    _id_lines(_short_ids),
+    _id_lines(_short_ids, fields=1),
+    _id_lines(_short_ids, fields=3),
+)
+
+
+def _block(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+@requires_numpy
+class TestParseEdgeBlockBackendIdentity:
+    """The numpy ``parse_edge_block`` returns the stdlib kernel's columns
+    or ``None``, and returns them on every block of two-field lines of
+    short ids, so the reader's result never depends on the backend."""
+
+    @staticmethod
+    def _both(text):
+        return (
+            resolve_backend("stdlib").parse_edge_block(text),
+            resolve_backend("numpy").parse_edge_block(text),
+        )
+
+    @staticmethod
+    def _assert_columns(got, want) -> None:
+        for out, ref in zip(got, want):
+            assert type(out) is array and out.typecode == "q"
+            assert out.tolist() == ref.tolist()
+
+    @given(st.one_of(st.lists(_block_lines, max_size=30), st.lists(_shape_lines, max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    @example([f"{INT64_MAX} 1"])
+    @example(["5 6", "1 2 3", "4", "7 8"])  # as many runs as two per line
+    @example(["-1 2"])
+    @example(["1 2", "", "3 4"])
+    @example(["1 2 3"])
+    @example(["1"])
+    @example(["1 2\r"])
+    @example(["1_0 2"])
+    @example(["\u0663 2"])
+    @example(["0000000000000000001 2"])
+    def test_numpy_returns_stdlib_columns_or_none(self, lines):
+        stdlib, numpy = self._both(_block(lines))
+        if numpy is not None:
+            assert stdlib is not None
+            self._assert_columns(numpy, stdlib)
+
+    @given(st.lists(_id_lines(_short_ids), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    @example([])
+    @example(["999999999999999999 000000000000000000"])
+    @example([" \t7\t \t8 \t"])
+    def test_short_two_field_lines_parse_on_numpy(self, lines):
+        stdlib, numpy = self._both(_block(lines))
+        assert numpy is not None and stdlib is not None
+        self._assert_columns(numpy, stdlib)
+        pairs = [tuple(map(int, line.split())) for line in lines]
+        assert list(zip(stdlib[0], stdlib[1])) == pairs
+
+
+# ----------------------------------------------------------------------
 # CSR build from an edge list
 # ----------------------------------------------------------------------
 _edge_ids = st.one_of(

@@ -105,11 +105,11 @@ class TestReplay:
         with pytest.raises(ConfigurationError, match=f"'{name}'"):
             replay_trace(trace, engine=engine, **option)
 
-    def test_cli_rejects_telemetry_on_the_object_engine(self, tmp_path):
-        from repro.cli import main
-
+    def test_cli_rejects_telemetry_on_the_object_engine(self, tmp_path, usage_error):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n2 0\n2 3\n")
-        with pytest.raises(ConfigurationError, match="telemetry"):
-            main(["churn", "--edges", str(edges), "--duration", "5",
-                  "--engine", "object", "--telemetry"])
+        usage_error(
+            ["churn", "--edges", str(edges), "--duration", "5",
+             "--engine", "object", "--telemetry"],
+            match="telemetry",
+        )
