@@ -101,12 +101,14 @@ def _blocks(handle: TextIO) -> Iterator[tuple[int, int, str]]:
 
 
 def _strip_comments(text: str) -> str:
-    """``text`` without its comment lines. ``_NOISE`` runs only up to
-    the end of the last line holding a ``#`` or ``%``: SNAP headers sit
-    at the top, so the regex skips the body of a headed file's first
-    block and every later block."""
-    mark = max(text.rfind("#"), text.rfind("%"))
-    if mark < 0:
+    """``text`` without its comment lines and empty lines. ``_NOISE``
+    runs only up to the end of the last line that holds a ``#`` or a
+    ``%`` or is empty: SNAP headers sit at the top, so the regex skips
+    the body of a headed file's first block and every later block. A
+    line of blanks alone is left for :func:`_parse_block`'s retry."""
+    # the last "#", "%" or empty line; 0 also when there is none
+    mark = max(text.rfind("#"), text.rfind("%"), text.rfind("\n\n") + 1)
+    if not mark and text[:1] not in ("#", "%", "\n"):
         return text
     end = text.index("\n", mark) + 1
     return _NOISE.sub("", text[:end]) + text[end:]
@@ -119,14 +121,21 @@ def _parse_block(
     line is line ``lineno`` and whose last is line ``lines``.
 
     The comment-free block goes to the ``parse_edge_block`` kernel of
-    the backend a CSR build of ``lines`` pairs would use, then to the
-    stdlib kernel if numpy turned it down (signs, ids of 19 or more
-    digits). A block that both turn down (blank lines, extra columns or
-    a bad line) goes line by line, which also names the first bad line.
+    the backend a CSR build of ``lines`` pairs would use. If that kernel
+    turns it down, the block loses its blank lines and, if it had any,
+    goes to the kernel again; then to the stdlib kernel if numpy turned
+    it down (signs, ids of 19 or more digits). A block still turned
+    down (extra columns or a bad line) goes line by line, which also
+    names the first bad line.
     """
     data = _strip_comments(text)
     backend = _build_backend(lines)
     columns = backend.parse_edge_block(data)
+    if columns is None:
+        bare = _NOISE.sub("", data)
+        if len(bare) < len(data):
+            data = bare
+            columns = backend.parse_edge_block(data)
     if columns is None and backend.name != "stdlib":
         # deferred for the same import cycle as in _build_backend
         from repro.sim.kernels import resolve_backend

@@ -475,9 +475,26 @@ class KernelBackend(Protocol):
         dropped rows. Rows with ``est <= 0`` are skipped (they cannot
         drop); rows with no live slots drop to 0.
 
+        The slots are symmetric (a live slot ``u -> t`` has a live
+        mirror ``t -> u``), and every row outside ``frontier`` is
+        already at its fixpoint: ``computeIndex`` over its live
+        neighbours returns its ``est``. The engine's frontier, the
+        endpoints of the edits since its last fixpoint, makes that so.
+        A backend may then decide a drop from support counts instead of
+        recomputing the frontier: for ``est >= 2`` and a live slot,
+        ``computeIndex`` returns less than ``est`` exactly when fewer
+        than ``est`` live neighbours sit at ``>= est``. The stdlib
+        kernel counts each row once per call and afterwards adjusts the
+        count when a neighbour's drop crosses the row's level, so it
+        calls ``computeIndex`` once per row and round in which the row
+        drops; the numpy kernel recomputes the whole frontier. The
+        outputs are the same.
+
         Returns ``(changed, rounds)``: the ascending list of rows
         whose estimate dropped (builtin ints) and the number of rounds
-        executed — both bit-identical across backends.
+        executed — both bit-identical across backends. A round that
+        drops nothing still counts when it runs, that is when the
+        round before it left a live neighbour of a dropped row above 0.
         """
         raise NotImplementedError
 

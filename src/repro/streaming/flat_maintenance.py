@@ -25,14 +25,17 @@ flat machinery as every other fast path in the repository.
   pending deletions are settled first;
 * on **insert** Zhang et al.'s OrderInsert ("A Fast Order-Based
   Approach for Core Maintenance", ICDE 2017) visits, in k-order, only
-  the rows a candidate reaches from the first endpoint and returns
-  exactly the rows that rise; they move to the next level and, with
-  the endpoints, seed the re-convergence;
-* re-convergence runs on the backend's ``reconverge_from_bounds``
-  kernel (synchronous Jacobi rounds — bit-identical across backends,
-  including the round count); every row whose level it lowered moves
-  to the tail of its new level in a local peel order, so the k-order
-  stays exact in time proportional to those rows and their neighbours;
+  the rows a candidate reaches from the first endpoint and finds
+  exactly the rows that rise; they move to the next level. That leaves
+  exact levels and an exact k-order, so an insert seeds no
+  re-convergence; ``tests/test_streaming_equivalence.py`` checks the
+  coreness and the order after every single insert;
+* re-convergence (deletes only) runs on the backend's
+  ``reconverge_from_bounds`` kernel (synchronous Jacobi rounds —
+  bit-identical across backends, including the round count); every row
+  whose level it lowered moves to the tail of its new level in a local
+  peel order, so the k-order stays exact in time proportional to those
+  rows and their neighbours;
 * compaction is checked after every batch: when the dynamic CSR's
   garbage ratio crosses its deterministic threshold, the structure is
   rebuilt and the estimate table and the k-order permuted with the
@@ -410,9 +413,8 @@ class FlatDynamicKCore:
         self._graph.insert_edge(u, v)
         ru = self._graph.row_of(u)
         rv = self._graph.row_of(v)
-        risers = self._order_insert(ru, rv)
+        self._order_insert(ru, rv)
         self._coreness_cache = None
-        self._reconverge(sorted({*risers, ru, rv}))
 
     def _delete(self, u: int, v: int) -> None:
         if self._approx is not None and not self._graph.has_edge(u, v):
@@ -444,11 +446,11 @@ class FlatDynamicKCore:
         self._pending.update(nbrs)
         self._coreness_cache = None
 
-    def _order_insert(self, ru: int, rv: int) -> list[int]:
+    def _order_insert(self, ru: int, rv: int) -> None:
         """Zhang et al.'s OrderInsert for the new edge ``ru``-``rv``.
 
-        Returns the rows that rise, in k-order, after moving them to
-        the head of the next level (``est`` included).
+        Moves the rows that rise, in k-order, to the head of the next
+        level (``est`` included).
 
         The endpoint first in the k-order, ``u`` at level ``k``, gains
         a later neighbour; nothing rises unless that lifts its
@@ -478,7 +480,7 @@ class FlatDynamicKCore:
         later[ru] += 1
         k = est[ru]
         if later[ru] <= k:
-            return []
+            return
         cand: dict[int, int] = {}         # candidate -> dstar, in order
         dstar: dict[int, int] = {ru: 0}   # reached, not yet visited
         heap = [(label[ru], ru)]
@@ -534,7 +536,6 @@ class FlatDynamicKCore:
         order.prepend(k + 1, risers)
         for x in risers:
             est[x] = k + 1
-        return risers
 
     def _replace(self, changed: list[int]) -> None:
         """Re-place the rows whose level re-convergence lowered.

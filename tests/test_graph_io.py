@@ -662,3 +662,78 @@ class TestParseSelection:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBlankLinesStayOnTheKernels:
+    """An empty line anywhere in a block, after its last comment line
+    included, is stripped before the parse kernels see the block, and a
+    block turned down for a line of blanks alone is stripped and parsed
+    again: neither sends the block to the line loop. The file has about
+    the length of the e2e ``social-1to1`` edge list (three blocks)."""
+
+    LINES = 250_000
+    AT = 150_000
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory) -> dict[str, str]:
+        rng = random.Random(11)
+        body = [
+            f"{rng.randrange(50_000)}\t{rng.randrange(50_000)}\n"
+            for _ in range(self.LINES)
+        ]
+        header = "# Undirected graph\n# FromNodeId\tToNodeId\n"
+        texts = {
+            "clean": body,
+            "trailing": [*body, "\n"],
+            "middle": [*body[:self.AT], "\n", *body[self.AT:]],
+            "blanks": [*body[:self.AT], " \t\n", *body[self.AT:]],
+        }
+        root = tmp_path_factory.mktemp("blank")
+        paths = {}
+        for name, lines in texts.items():
+            paths[name] = str(root / f"{name}.txt")
+            Path(paths[name]).write_text(header + "".join(lines))
+        return paths
+
+    @pytest.fixture(scope="class")
+    def clean(self, files):
+        return self._arrays(read_edge_list(files["clean"]))
+
+    @staticmethod
+    def _arrays(graph):
+        csr = CSRGraph.from_graph(graph)
+        return csr.offsets, csr.targets, csr.ids
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("variant", ["trailing", "middle", "blanks"])
+    def test_parses_on_a_kernel(self, files, clean, variant, backend,
+                                monkeypatch):
+        if backend == "stdlib":
+            monkeypatch.setattr(kernels, "numpy_available", lambda: False)
+        lines: list[int] = []
+
+        def spy(raw, lineno, source):
+            lines.append(lineno)
+            return parse_line(raw, lineno, source)
+
+        parse_line = graph_io._parse_line
+        monkeypatch.setattr(graph_io, "_parse_line", spy)
+        assert self._arrays(read_edge_list(files[variant])) == clean
+        assert not lines, f"{len(lines)} lines went to the line loop"
+
+    # timed where a file this long parses, as in the e2e benchmark: on
+    # numpy (a stdlib read of it takes about four times as long)
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    @pytest.mark.parametrize("variant", ["trailing", "middle"])
+    def test_read_costs_at_most_a_quarter_more(self, files, variant):
+        import time
+
+        best = {"clean": float("inf"), variant: float("inf")}
+        for rep in range(6):
+            for name in best:
+                t0 = time.perf_counter()
+                read_edge_list(files[name])
+                took = time.perf_counter() - t0
+                if rep:  # the first pass warms the page cache
+                    best[name] = min(best[name], took)
+        assert best[variant] <= 1.25 * best["clean"], best

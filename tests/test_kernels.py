@@ -19,6 +19,7 @@ import random
 from array import array
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -711,6 +712,150 @@ class TestDynamicCSRKernels:
         g.check_invariants()
         with pytest.raises(NodeNotFoundError):
             g.remove_node(0)
+
+
+def _jacobi_oracle(starts, used, targets, est, frontier, scratch, drops):
+    """Re-convergence by full recompute: every round runs computeIndex
+    on the whole frontier (the stdlib kernel before it counted
+    supports). Appends ``(k, new)`` to ``drops`` for every drop of a row
+    with a live slot, once per round it drops in."""
+    changed_flag = bytearray(len(used))
+    changed: list[int] = []
+    work = [u for u in frontier if est[u] > 0]
+    rounds = 0
+    while work:
+        rounds += 1
+        round_drops: list[tuple[int, int]] = []
+        for u in work:
+            s = starts[u]
+            vals = [est[t] for t in targets[s:s + used[u]] if t >= 0]
+            k = compute_index(vals, est[u], scratch) if vals else 0
+            if k < est[u]:
+                round_drops.append((u, k))
+                if vals:
+                    drops.append((est[u], k))
+        if not round_drops:
+            break
+        nxt: set[int] = set()
+        for u, k in round_drops:
+            est[u] = k
+            if not changed_flag[u]:
+                changed_flag[u] = 1
+                changed.append(u)
+        for u, _ in round_drops:
+            s = starts[u]
+            for t in targets[s:s + used[u]]:
+                if t >= 0 and est[t] > 0:
+                    nxt.add(t)
+        work = sorted(nxt)
+    return sorted(changed), rounds
+
+
+@st.composite
+def _reconverge_inputs(draw):
+    """A dynamic CSR after edits, with estimates that upper-bound its
+    coreness, and a frontier that holds every row off its fixpoint.
+
+    The estimates start at the coreness of the graph before the edits.
+    Then edges are deleted (tombstones, maybe every slot of a row) and
+    nodes removed (dead rows at est 0), random rows are raised above
+    their coreness, and the frontier gathers the rows each edit
+    touched plus random ones, in random order."""
+    from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
+    from repro.graph.dynamic_csr import DynamicCSRGraph
+
+    n = draw(st.integers(1, 14))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=48))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    g = DynamicCSRGraph()
+    for x in range(n):
+        g.add_node(x)
+    for u, v in edges:
+        g.insert_edge(u, v)
+    csr = g.to_csr()
+    est = array("q", [0]) * g.num_rows
+    for i, k in enumerate(batagelj_zaversnik_csr(csr)):
+        est[g.row_of(csr.ids[i])] = k
+    frontier: set[int] = set()
+    for u, v in draw(st.lists(st.sampled_from(edges), unique=True)) if edges else ():
+        g.delete_edge(u, v)
+        frontier.update((g.row_of(u), g.row_of(v)))
+    for x in draw(st.lists(node, unique=True, max_size=n // 3)):
+        row = g.row_of(x)
+        frontier.update(g.remove_node(x))
+        est[row] = 0
+    alive = [row for row in range(g.num_rows) if g.alive[row]]
+    if alive:
+        for row, up in draw(st.lists(
+            st.tuples(st.sampled_from(alive), st.integers(1, 3)), max_size=4
+        )):
+            est[row] += up
+            frontier.add(row)
+    frontier.update(draw(st.lists(st.integers(0, g.num_rows - 1), max_size=4)))
+    frontier = draw(st.permutations(sorted(frontier)))
+    return g, est, frontier
+
+
+class TestReconvergeDifferential:
+    """``reconverge_from_bounds`` against the full-recompute Jacobi loop.
+
+    Every backend returns the oracle's ``(changed, rounds)`` and leaves
+    its ``est``, the coreness of the edited graph, on generated inputs.
+    The stdlib kernel decides drops from support counts, so it calls
+    ``computeIndex`` once per row and round in which the row drops, and
+    never for a row with no live slot (it drops to 0 without one).
+    """
+
+    @staticmethod
+    def _stable_outside(g, est, frontier) -> bool:
+        """The kernel's precondition: rows off the frontier are at
+        their fixpoint."""
+        inside = set(frontier)
+        for row in range(g.num_rows):
+            if row in inside or est[row] <= 0:
+                continue
+            s = g.starts[row]
+            vals = [est[t] for t in g.targets[s:s + g.used[row]] if t >= 0]
+            if not vals or compute_index(vals, est[row]) != est[row]:
+                return False
+        return True
+
+    @pytest.mark.parametrize("backend", backends())
+    @settings(max_examples=300, deadline=None)
+    @given(case=_reconverge_inputs())
+    def test_matches_the_full_recompute(self, backend, case):
+        from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
+        from repro.sim.kernels import stdlib_backend
+
+        g, est, frontier = case
+        assert self._stable_outside(g, est, frontier)
+        want_est = array("q", est)
+        drops: list[tuple[int, int]] = []
+        want = _jacobi_oracle(
+            g.starts, g.used, g.targets, want_est, frontier, [], drops
+        )
+        calls: list[tuple[int, int]] = []
+
+        def spy(vals, k, scratch=None):
+            new = compute_index(vals, k, scratch)
+            calls.append((k, new))
+            # a support count that drifts low can recompute rows that
+            # stay put, round after round: stop at the first extra call
+            assert len(calls) <= len(drops), "a call for a row that stays"
+            return new
+
+        with mock.patch.object(stdlib_backend, "compute_index", spy):
+            got = backend.reconverge_from_bounds(
+                g.starts, g.used, g.targets, est, frontier, []
+            )
+        assert got == want
+        assert est == want_est
+        if backend.name == "stdlib":
+            assert sorted(calls) == sorted(drops)
+        csr = g.to_csr()
+        core = batagelj_zaversnik_csr(csr)
+        assert [est[g.row_of(x)] for x in csr.ids] == list(core)
 
 
 # ----------------------------------------------------------------------

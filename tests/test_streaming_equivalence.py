@@ -190,6 +190,91 @@ class TestChurnGrid:
         assert a.metrics == b.metrics
 
 
+def _single_edge_inserts(events):
+    """``events`` (joins and links) as events of at most one edge each:
+    a join keeps its first contact, and each further contact becomes a
+    link from the new node."""
+    out = []
+    for event in events:
+        if event.kind == "join":
+            new, *contacts = event.nodes
+            out.append(ChurnEvent(event.time, "join", (new, *contacts[:1])))
+            out.extend(
+                ChurnEvent(event.time, "link", (new, c)) for c in contacts[1:]
+            )
+        else:
+            out.append(event)
+    return out
+
+
+@st.composite
+def insert_scripts(draw):
+    n = draw(st.integers(2, 14))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(("link", "join")),
+                  st.integers(0, 16), st.integers(0, 16)),
+        min_size=1, max_size=40,
+    ))
+    return n, steps
+
+
+class TestEveryInsertIsExact:
+    """OrderInsert alone leaves exact coreness and an exact k-order: no
+    re-convergence follows an insert. So every single-edge insert batch
+    is checked against the object oracle, from-scratch BZ and the
+    k-order's invariants, before a later delete's re-convergence could
+    lower an over-raised row and hide it."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family(self, family, backend):
+        for seed in SEEDS:
+            graph = FAMILIES[family]()
+            events = _single_edge_inserts(_script(graph, "insert-only", seed))
+            flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+            _drive(flat, DynamicKCore(graph), events, batch=1)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(script=insert_scripts())
+    @settings(max_examples=40, deadline=None)
+    def test_generated(self, backend, script):
+        n, steps = script
+        graph = gen.erdos_renyi_graph(n, 0.35, seed=n)
+        events = []
+        for t, (kind, a, b) in enumerate(steps):
+            if kind == "join":
+                events.append(ChurnEvent(float(t), "join", (100 + t, a)))
+            elif a != b:
+                events.append(ChurnEvent(float(t), "link", (a, b)))
+        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        _drive(flat, DynamicKCore(graph), events, batch=1)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_insert_only_batch_runs_no_reconvergence(self, backend,
+                                                     monkeypatch):
+        graph = FAMILIES["plc"]()
+        events = _script(graph, "insert-only", 0)
+        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        before = dict(flat.coreness)
+        calls = []
+        cls = type(flat.backend)
+        original = cls.reconverge_from_bounds
+
+        def spy(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "reconverge_from_bounds", spy)
+        assert flat.apply_events(events) > 0
+        assert not calls
+        assert flat.metrics["reconverge_rounds_per_batch"] == [0]
+        assert flat.metrics["dirty_nodes_per_batch"] == [0]
+        # rows rose in the batch: the case a re-convergence would follow
+        assert any(flat.coreness[x] > k for x, k in before.items())
+        flat.check_invariants()
+        assert flat.verify()
+
+
 class TestOrderInsertWorkBound:
     """An insert visits the rows that can rise, not the level set.
 
