@@ -7,19 +7,18 @@ joins balanced against exponential session expiries — exactly what
 :func:`repro.workloads.churn.generate_churn_trace` produces with
 rewiring off) over the Amazon0601 stand-in from the dataset families. The
 churn batch is absorbed by :class:`~repro.streaming.FlatDynamicKCore`
-(dynamic-CSR edit kernels + warm-started re-convergence) against the
+(dynamic-CSR slot edits + warm-started re-convergence) against the
 only alternative a system without maintenance has — recomputing
 Batagelj–Zaveršnik from scratch after every batch. Lanes:
 
 * ``recompute``    — plain graph edits + full BZ per batch (baseline);
 * ``object``       — the per-edit :class:`DynamicKCore` oracle;
-* ``flat-stdlib``  — batched flat engine on the stdlib kernels;
-* ``flat-numpy``   — same, vectorised kernels (skipped without numpy).
+* ``flat``         — the batched flat engine.
 
 Every lane replays the *same* deterministic churn trace over the same
 starting graph, and every row is verified: the final coreness map must
-equal from-scratch BZ on the final graph (the flat engines must also
-agree batch-for-batch with each other by the equivalence suite; here
+equal from-scratch BZ on the final graph (the flat engine must also
+agree batch-for-batch with the oracle by the equivalence suite; here
 the endpoint check keeps the timed region clean). Results land in
 ``BENCH_streaming.json``.
 
@@ -28,9 +27,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_streaming.py            # full
     PYTHONPATH=src python benchmarks/bench_streaming.py --smoke    # CI
 
-``--require-speedup X`` exits nonzero unless the best flat lane beats
-the recompute lane by at least ``X``x in updates/sec at the largest
-size (and fails loudly if that pairing never ran).
+``--require-speedup X`` exits nonzero unless the flat lane beats the
+recompute lane by at least ``X``x in updates/sec at the largest size
+(and fails loudly if that pairing never ran).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ sys.path.insert(
 
 from repro.baselines import batagelj_zaversnik  # noqa: E402
 from repro.datasets import amazon_like  # noqa: E402
-from repro.sim.kernels import available_backends  # noqa: E402
 from repro.streaming import FlatDynamicKCore  # noqa: E402
 from repro.workloads.churn import (  # noqa: E402
     ChurnTrace,
@@ -136,8 +134,8 @@ def _run_object(trace):
     return time.perf_counter() - start, dict(engine.coreness)
 
 
-def _run_flat(trace, backend):
-    engine = FlatDynamicKCore(trace.initial, backend=backend)
+def _run_flat(trace):
+    engine = FlatDynamicKCore(trace.initial)
     start = time.perf_counter()
     engine = replay_trace(trace, engine=engine, batch_size=BATCH)
     secs = time.perf_counter() - start
@@ -161,7 +159,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--require-speedup", type=float, default=None, metavar="X",
-        help="exit nonzero unless the best flat lane beats recompute "
+        help="exit nonzero unless the flat lane beats recompute "
         "by Xx updates/sec at the largest size",
     )
     parser.add_argument(
@@ -174,12 +172,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    backends = list(available_backends())
-    if "numpy" not in backends:
-        print(
-            "note: numpy is not installed — recording stdlib rows only",
-            file=sys.stderr,
-        )
     sizes = args.sizes or ([800] if args.smoke else [5000, 20000, 50000])
     edits = args.edits or (192 if args.smoke else 1024)
 
@@ -194,12 +186,8 @@ def main(argv=None) -> int:
         _, oracle = _final_oracle(trace)
 
         lanes = [("recompute", lambda: _run_recompute(trace)),
-                 ("object", lambda: _run_object(trace))]
-        for name in backends:
-            lanes.append((
-                f"flat-{name}",
-                lambda name=name: _run_flat(trace, name),
-            ))
+                 ("object", lambda: _run_object(trace)),
+                 ("flat", lambda: _run_flat(trace))]
         for lane, run in lanes:
             outcome = run()
             secs, coreness = outcome[0], outcome[1]
@@ -241,21 +229,17 @@ def main(argv=None) -> int:
         for lane, rate in sorted(base.items()):
             if lane != "recompute":
                 speedups[lane] = round(rate / base["recompute"], 2)
-    best_flat = max(
-        (v for k, v in speedups.items() if k.startswith("flat-")),
-        default=None,
-    )
+    flat = speedups.get("flat")
     payload = {
         "benchmark": "streaming maintenance vs recompute-from-scratch",
         "smoke": args.smoke,
         "seed": args.seed,
         "batch": BATCH,
-        "backends": backends,
         "event_mix_per_size": mixes,
         "largest_n": top_n,
         "results": results,
         "speedups_over_recompute_at_largest_n": speedups,
-        "best_flat_speedup_at_largest_n": best_flat,
+        "flat_speedup_at_largest_n": flat,
     }
     out_path = os.path.abspath(args.out)
     with open(out_path, "w") as fh:
@@ -266,7 +250,7 @@ def main(argv=None) -> int:
     print(f"-> {out_path}")
 
     if args.require_speedup is not None:
-        if best_flat is None:
+        if flat is None:
             # a gate on a pairing that never ran is a misconfiguration,
             # not a pass
             print(
@@ -275,9 +259,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        if best_flat < args.require_speedup:
+        if flat < args.require_speedup:
             print(
-                f"FAIL: best flat speedup {best_flat:.2f}x < required "
+                f"FAIL: flat speedup {flat:.2f}x < required "
                 f"{args.require_speedup:.2f}x",
                 file=sys.stderr,
             )

@@ -15,7 +15,6 @@ import random
 import time
 
 from repro.datasets import load
-from repro.sim.kernels import available_backends
 from repro.streaming import DynamicKCore
 from repro.utils.tables import format_table
 from repro.workloads.churn import generate_churn_trace, replay_trace
@@ -103,8 +102,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # object vs flat: the same steady-state churn trace through both
     # maintenance engines. The object engine replays per event; the
-    # flat engine absorbs 32-event batches through the dynamic-CSR
-    # kernels (the configuration the streaming benchmark records).
+    # flat engine absorbs 32-event batches on the dynamic CSR.
     # ------------------------------------------------------------------
     peers = overlay.num_nodes
     trace = generate_churn_trace(
@@ -115,12 +113,10 @@ def main() -> None:
         rewire_rate=0.0,
         seed=11,
     )
-    lanes = [("object (per-edit)", {"engine": "object"})]
-    for backend in available_backends():
-        lanes.append((
-            f"flat-{backend} (batch=32)",
-            {"engine": "flat", "backend": backend, "batch_size": 32},
-        ))
+    lanes = [
+        ("object (per-edit)", {"engine": "object"}),
+        ("flat (batch=32)", {"engine": "flat", "batch_size": 32}),
+    ]
     rows = []
     final = None
     for label, kwargs in lanes:

@@ -7,7 +7,7 @@ Subcommands:
 * ``stats`` — print the Table-1-style structural summary of a graph.
 * ``table1`` — regenerate the paper's Table 1 over the dataset registry.
 * ``churn`` — replay a synthetic churn trace through a streaming
-  maintenance engine (``--engine flat --backend numpy`` for the
+  maintenance engine (``--engine flat``, the default, for the
   dynamic-CSR fast path) and report the maintenance cost.
 * ``datasets`` — list the registered dataset stand-ins.
 """
@@ -161,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dynamic-CSR flat engine (default flat; bit-identical coreness)",
     )
     churn.add_argument(
-        "--backend", default=None, choices=("stdlib", "numpy"),
-        help="kernel backend for --engine flat (default stdlib)",
-    )
-    churn.add_argument(
         "--batch-size", type=int, default=64, metavar="N",
         help="events per apply_events batch on the flat engine "
         "(the object oracle always replays per-event)",
@@ -172,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument(
         "--verify-every", type=int, default=None, metavar="N",
         help="cross-check against full recomputation every N events "
-        "(slow; for spot checks)",
+        "(slow; for spot checks); the flat engine is checked between "
+        "batches, so an N below --batch-size shrinks every batch to N "
+        "events",
     )
     churn.add_argument(
         "--telemetry", action="store_true",
@@ -462,15 +460,13 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         trace,
         engine=args.engine,
         verify_every=args.verify_every,
-        backend=args.backend,
         batch_size=args.batch_size,
         telemetry=tracer,
     )
     metrics = engine.metrics
     batches = metrics["dirty_nodes_per_batch"]
     rows: "list[tuple[str, object]]" = [
-        ("engine", args.engine
-         + (f" ({engine.backend.name})" if args.engine == "flat" else "")),
+        ("engine", args.engine),
         ("edits applied", metrics["edits_applied"]),
         ("dirty nodes total", metrics["dirty_nodes_total"]),
         ("batches", len(batches)),

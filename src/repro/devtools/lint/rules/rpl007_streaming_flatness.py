@@ -4,9 +4,9 @@ The streaming layer has exactly one object-graph implementation: the
 :class:`~repro.streaming.maintenance.DynamicKCore` oracle, whose whole
 purpose is to define correctness in readable adjacency-dict Python.
 Every other module under ``streaming/`` is a *flat* path — it runs on
-:class:`~repro.graph.dynamic_csr.DynamicCSRGraph` buffers and kernel
-calls, and its performance claim (the ``BENCH_streaming`` updates/sec
-win) rests on no object ``Graph`` being materialised per edit. A
+:class:`~repro.graph.dynamic_csr.DynamicCSRGraph` buffers, and its
+performance claim (the ``BENCH_streaming`` updates/sec win) rests on
+no object ``Graph`` being materialised per edit. A
 module-scope import of ``repro.graph.graph`` in one of those modules
 is how that erosion starts: first a type hint, then an isinstance
 check, then an object graph on the hot path.

@@ -185,7 +185,7 @@ class DynamicCSRGraph:
         try:
             return self._index_of[node]
         except KeyError:
-            raise NodeNotFoundError(f"node {node} not in graph") from None
+            raise NodeNotFoundError(node) from None
 
     def node_id(self, row: int) -> int:
         return self.ids[row]

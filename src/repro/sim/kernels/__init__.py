@@ -37,8 +37,6 @@ execution path                               stdlib     numpy
 communication policies incl. p2p_filter)     yes        yes
 ``hindex_iteration`` (flat baseline)         yes        yes
 ``run_pregel_kcore(engine="flat")``          yes        yes
-``FlatDynamicKCore`` streaming maintenance
-(warm-start re-convergence)                  yes        yes
 ``ShardedCSR`` table build
 (``shard_tables`` kernel)                    yes [3]_   yes [3]_
 SNAP text parse, one block of lines

@@ -5,22 +5,22 @@ re-implemented privately inside each flat engine: integer-table
 allocation, the round-2 estimate seeding, the mailbox-slot fold with
 the sup-counter recompute skip, frontier recomputation + send emission
 (Algorithm 1's periodic block), the shard-local cascade (Algorithm 4)
-with its changed-flag bookkeeping, the streaming re-convergence, the
-bulk-synchronous h-index sweep, the SNAP text parse
-(:meth:`KernelBackend.parse_edge_block`), the CSR build from an edge
-list (:meth:`KernelBackend.csr_from_edges`) and its per-edge companion
-arrays (:meth:`KernelBackend.csr_companions`), and the two loops over
-the partition's delivery table: building every host's tables
-(:meth:`KernelBackend.shard_tables`) and routing a host's changed
-estimates along them (:meth:`KernelBackend.route_updates`). Engines
+with its changed-flag bookkeeping, the bulk-synchronous h-index sweep,
+the SNAP text parse (:meth:`KernelBackend.parse_edge_block`), the CSR
+build from an edge list (:meth:`KernelBackend.csr_from_edges`) and its
+per-edge companion arrays (:meth:`KernelBackend.csr_companions`), and
+the two loops over the partition's delivery table: building every
+host's tables (:meth:`KernelBackend.shard_tables`) and routing a host's
+changed estimates along them (:meth:`KernelBackend.route_updates`). Engines
 orchestrate rounds and messages; backends execute the per-round array
 work. A job is a kernel only when engines or graph builders call it
 and the backend changes its cost (the parse and the two CSR builds
 have only builder callers: the SNAP reader and :class:`~repro.graph.
 csr.CSRGraph`); other jobs live beside their caller (dynamic-CSR
-slot writes in :mod:`repro.graph.dynamic_csr`, the shm ring's block
-copies in :mod:`repro.sim.shm_transport`, scalar ``computeIndex`` in
-:mod:`repro.core.compute_index`).
+slot writes in :mod:`repro.graph.dynamic_csr`, the streaming
+re-convergence in :mod:`repro.streaming.flat_maintenance`, the shm
+ring's block copies in :mod:`repro.sim.shm_transport`, scalar
+``computeIndex`` in :mod:`repro.core.compute_index`).
 
 **The contract.** Every kernel is defined by the canonical stdlib
 implementation (:class:`~repro.sim.kernels.stdlib_backend.
@@ -445,56 +445,6 @@ class KernelBackend(Protocol):
 
         ``host_counts`` is caller-owned per-host scratch, all-zero
         between calls (vectorised backends read only its length).
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # streaming maintenance
-    # ------------------------------------------------------------------
-    def reconverge_from_bounds(
-        self,
-        starts: Table,
-        used: Table,
-        targets: Table,
-        est: Table,
-        frontier: Sequence[int],
-        scratch: list | None,
-    ) -> tuple[list, int]:
-        """Warm-start re-convergence of the locality operator.
-
-        ``est`` holds a pointwise *upper bound* of the true coreness
-        over a dynamic CSR (tombstoned ``targets`` slots are skipped);
-        iterate ``computeIndex`` to the greatest fixpoint below it —
-        which is the coreness, because iterating from any upper bound
-        is monotone non-increasing and cannot cross a fixpoint (the
-        ``streaming.maintenance`` module docstring carries the full
-        argument). Runs as synchronous (Jacobi) rounds so the round
-        count is schedule-independent: each round recomputes the whole
-        frontier from a snapshot of ``est``, applies every drop at
-        once, then the next frontier is the live neighbours of the
-        dropped rows. Rows with ``est <= 0`` are skipped (they cannot
-        drop); rows with no live slots drop to 0.
-
-        The slots are symmetric (a live slot ``u -> t`` has a live
-        mirror ``t -> u``), and every row outside ``frontier`` is
-        already at its fixpoint: ``computeIndex`` over its live
-        neighbours returns its ``est``. The engine's frontier, the
-        endpoints of the edits since its last fixpoint, makes that so.
-        A backend may then decide a drop from support counts instead of
-        recomputing the frontier: for ``est >= 2`` and a live slot,
-        ``computeIndex`` returns less than ``est`` exactly when fewer
-        than ``est`` live neighbours sit at ``>= est``. The stdlib
-        kernel counts each row once per call and afterwards adjusts the
-        count when a neighbour's drop crosses the row's level, so it
-        calls ``computeIndex`` once per row and round in which the row
-        drops; the numpy kernel recomputes the whole frontier. The
-        outputs are the same.
-
-        Returns ``(changed, rounds)``: the ascending list of rows
-        whose estimate dropped (builtin ints) and the number of rounds
-        executed — both bit-identical across backends. A round that
-        drops nothing still counts when it runs, that is when the
-        round before it left a live neighbour of a dropped row above 0.
         """
         raise NotImplementedError
 

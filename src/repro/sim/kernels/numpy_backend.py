@@ -528,79 +528,6 @@ class NumpyBackend(KernelBackend):
         return dests[np.argsort(by_host[starts])].tolist(), sent
 
     # ------------------------------------------------------------------
-    # streaming maintenance
-    # ------------------------------------------------------------------
-    def _mutable_view(self, arr):
-        """A writable i64 view over a dynamic-CSR ``array('q')`` buffer.
-
-        Dynamic graphs keep their storage in stdlib arrays (they grow
-        with ``extend``); kernels mutate through a zero-copy view.
-        """
-        if isinstance(arr, np.ndarray):
-            return arr
-        return np.frombuffer(arr, dtype=_I64) if len(arr) else np.zeros(0, _I64)
-
-    @staticmethod
-    def _dyn_segments(starts, used, nodes):
-        """Like :func:`_segments` for slack regions (``starts``/``used``)."""
-        lens = used[nodes]
-        seg_starts = np.zeros(len(nodes) + 1, dtype=_I64)
-        np.cumsum(lens, out=seg_starts[1:])
-        total = int(seg_starts[-1])
-        seg = np.repeat(np.arange(len(nodes), dtype=_I64), lens)
-        idx = starts[nodes][seg] + (np.arange(total, dtype=_I64) - seg_starts[seg])
-        return seg, idx, seg_starts, lens
-
-    def reconverge_from_bounds(self, starts, used, targets, est, frontier,
-                               scratch):
-        st = self._mutable_view(starts)
-        us = self._mutable_view(used)
-        tg = self._mutable_view(targets)
-        est_v = self._mutable_view(est)
-        changed_flag = np.zeros(len(us), dtype=np.uint8)
-        changed: list[int] = []
-        work = np.asarray(frontier, dtype=_I64)
-        work = work[est_v[work] > 0]
-        rounds = 0
-        while len(work):
-            rounds += 1
-            caps = est_v[work]
-            seg, idx, _, _ = self._dyn_segments(st, us, work)
-            tv = tg[idx]
-            live = tv >= 0
-            seg_l = seg[live]
-            vals = est_v[tv[live]]
-            live_lens = np.bincount(seg_l, minlength=len(work))
-            new = np.zeros(len(work), dtype=_I64)
-            run = np.nonzero(live_lens > 0)[0]
-            if len(run):
-                run_lens = live_lens[run]
-                run_starts = np.zeros(len(run) + 1, dtype=_I64)
-                np.cumsum(run_lens, out=run_starts[1:])
-                seg2 = np.repeat(np.arange(len(run), dtype=_I64), run_lens)
-                # vals is grouped by ascending segment and empty
-                # segments contribute nothing, so it is already the
-                # concatenation over the run subset
-                t, _ = self._batch_core(
-                    seg2, run_starts, caps[run][seg2], vals
-                )
-                new[run] = t
-            drop = new < caps
-            du = work[drop]
-            if not len(du):
-                break
-            est_v[du] = new[drop]
-            fresh = du[changed_flag[du] == 0]
-            changed_flag[fresh] = 1
-            changed.extend(fresh.tolist())
-            seg3, idx3, _, _ = self._dyn_segments(st, us, du)
-            nbrs = tg[idx3]
-            nbrs = nbrs[nbrs >= 0]
-            cand = _distinct(nbrs)
-            work = cand[est_v[cand] > 0]
-        return sorted(changed), rounds
-
-    # ------------------------------------------------------------------
     # bulk-synchronous sweeps
     # ------------------------------------------------------------------
     def hindex_sweep(self, offsets, targets, values, scratch):

@@ -450,84 +450,6 @@ class StdlibBackend(KernelBackend):
         return touched, sent
 
     # ------------------------------------------------------------------
-    # streaming maintenance
-    # ------------------------------------------------------------------
-    def reconverge_from_bounds(self, starts, used, targets, est, frontier,
-                               scratch):
-        # synchronous (Jacobi) rounds so the round count matches the
-        # vectorised backend. A row at k >= 2 with a live slot drops
-        # exactly when its support (live neighbours at >= k) is below k,
-        # so only those rows run computeIndex. ``sup`` holds the support
-        # of every row counted in this call: round 1 counts the
-        # frontier, a dropped row takes the suffix count scratch[new],
-        # and a drop old -> new takes one support from each neighbour
-        # whose level it crosses (old >= level > new). A neighbour's
-        # first crossing gets it counted once the round's drops are
-        # applied, so its count already holds them; a row no drop
-        # crosses keeps the support it had when the call began.
-        _compute_index = compute_index
-        sup: dict[int, int] = {}
-        changed: set[int] = set()
-        # rows to count and rows whose support fell below their level,
-        # each once, in first-touch order (dicts drain deterministically)
-        fresh = dict.fromkeys(u for u in frontier if est[u] > 0)
-        low: dict[int, None] = {}
-        more = bool(fresh)
-        rounds = 0
-        while more:
-            rounds += 1
-            drops: list[tuple[int, int, int]] = []
-            for u in fresh:
-                k = est[u]
-                s = starts[u]
-                vals = [est[t] for t in targets[s:s + used[u]] if t >= 0]
-                c = sum(map(k.__le__, vals))
-                if not vals:
-                    drops.append((u, k, 0))
-                elif c < k and k > 1:
-                    new = _compute_index(vals, k, scratch)
-                    c = scratch[new]
-                    drops.append((u, k, new))
-                sup[u] = c
-            for u in low:
-                k = est[u]
-                if k > 1:
-                    s = starts[u]
-                    new = _compute_index(
-                        [est[t] for t in targets[s:s + used[u]] if t >= 0],
-                        k,
-                        scratch,
-                    )
-                    sup[u] = scratch[new]
-                    drops.append((u, k, new))
-            if not drops:
-                break
-            for u, _, new in drops:
-                est[u] = new
-                changed.add(u)
-            fresh = {}
-            low = {}
-            more = False
-            for u, old, new in drops:
-                s = starts[u]
-                for t in targets[s:s + used[u]]:
-                    if t < 0:
-                        continue
-                    level = est[t]
-                    if level > 0:
-                        # the next round runs, with or without a drop
-                        more = True
-                        if old >= level > new:
-                            c = sup.get(t)
-                            if c is None:
-                                fresh[t] = None
-                            else:
-                                sup[t] = c - 1
-                                if c <= level:
-                                    low[t] = None
-        return sorted(changed), rounds
-
-    # ------------------------------------------------------------------
     # bulk-synchronous sweeps
     # ------------------------------------------------------------------
     def hindex_sweep(self, offsets, targets, values, scratch):

@@ -11,9 +11,9 @@ Two engines implement the same maintenance semantics:
 - :class:`DynamicKCore` — the readable object-graph oracle (adjacency
   dicts, per-edit Python loops).  Defines correctness.
 - :class:`FlatDynamicKCore` — the flat engine over the mutable
-  :class:`~repro.graph.dynamic_csr.DynamicCSRGraph` and the
-  ``reconverge_from_bounds`` kernel, on either kernel backend, with
-  order-based inserts over the k-order of :mod:`repro.streaming.korder`.
+  :class:`~repro.graph.dynamic_csr.DynamicCSRGraph`, with order-based
+  inserts over the k-order of :mod:`repro.streaming.korder` and a
+  support-counted re-convergence after deletes.
   Bit-identical coreness to the oracle after every edit and batch; the
   one to use under sustained churn.
 

@@ -1,11 +1,11 @@
-"""Flat streaming k-core maintenance on the CSR/kernel layer.
+"""Flat streaming k-core maintenance on a dynamic CSR.
 
 :class:`~repro.streaming.maintenance.DynamicKCore` proved that
 warm-started maintenance is *exact* (its module docstring carries the
 fixpoint argument); this module moves the same algorithm off the object
-``Graph`` and onto :class:`~repro.graph.dynamic_csr.DynamicCSRGraph`
-plus the kernel backends, so the live-overlay scenario runs on the same
-flat machinery as every other fast path in the repository.
+``Graph`` and onto :class:`~repro.graph.dynamic_csr.DynamicCSRGraph`,
+so the live-overlay scenario runs on flat ``array('q')`` buffers like
+every other fast path in the repository.
 
 :class:`FlatDynamicKCore` applies churn in batches:
 
@@ -30,12 +30,11 @@ flat machinery as every other fast path in the repository.
   exact levels and an exact k-order, so an insert seeds no
   re-convergence; ``tests/test_streaming_equivalence.py`` checks the
   coreness and the order after every single insert;
-* re-convergence (deletes only) runs on the backend's
-  ``reconverge_from_bounds`` kernel (synchronous Jacobi rounds —
-  bit-identical across backends, including the round count); every row
-  whose level it lowered moves to the tail of its new level in a local
-  peel order, so the k-order stays exact in time proportional to those
-  rows and their neighbours;
+* re-convergence (deletes only) is :func:`reconverge_from_bounds`
+  (synchronous Jacobi rounds from the old levels, support-counted);
+  every row whose level it lowered moves to the tail of its new level
+  in a local peel order, so the k-order stays exact in time
+  proportional to those rows and their neighbours;
 * compaction is checked after every batch: when the dynamic CSR's
   garbage ratio crosses its deterministic threshold, the structure is
   rebuilt and the estimate table and the k-order permuted with the
@@ -44,7 +43,7 @@ flat machinery as every other fast path in the repository.
 The result is bit-identical to the object engine and to from-scratch
 Batagelj–Zaveršnik after every batch — the differential churn grid in
 ``tests/test_streaming_equivalence.py`` pins this across 12 graph
-families, three trace shapes, three seeds and both backends.
+families, three trace shapes and three seeds.
 
 **Approximate ELM lane** (``approx=eps``): following Esfandiari,
 Lattanzi & Mirrokni ("Parallel and Streaming Algorithms for K-Core
@@ -71,18 +70,18 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr, \
     batagelj_zaversnik_order
+from repro.core.compute_index import compute_index
 from repro.errors import ConfigurationError, EdgeError, GraphError, \
     NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic_csr import DynamicCSRGraph
-from repro.sim.kernels import resolve_backend
 from repro.streaming.korder import SHIFT, KOrder
 from repro.telemetry.spans import resolve_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
 
-__all__ = ["FlatDynamicKCore"]
+__all__ = ["FlatDynamicKCore", "reconverge_from_bounds"]
 
 _M64 = (1 << 64) - 1
 
@@ -107,6 +106,113 @@ def _edge_hash(u: int, v: int, seed: int) -> int:
     return x
 
 
+def reconverge_from_bounds(starts, used, targets, est, frontier, scratch):
+    """Warm-start re-convergence of the locality operator.
+
+    ``est`` holds a pointwise *upper bound* of the true coreness over a
+    dynamic CSR (tombstoned ``targets`` slots are skipped); iterate
+    ``computeIndex`` to the greatest fixpoint below it — which is the
+    coreness, because iterating from any upper bound is monotone
+    non-increasing and cannot cross a fixpoint (the
+    ``streaming.maintenance`` module docstring carries the full
+    argument). Runs as synchronous (Jacobi) rounds, so the round count
+    is schedule-independent: each round recomputes the whole frontier
+    from a snapshot of ``est``, applies every drop at once, then the
+    next frontier is the live neighbours of the dropped rows. Rows with
+    ``est <= 0`` are skipped (they cannot drop); rows with no live
+    slots drop to 0.
+
+    The slots are symmetric (a live slot ``u -> t`` has a live mirror
+    ``t -> u``), and every row outside ``frontier`` is already at its
+    fixpoint: ``computeIndex`` over its live neighbours returns its
+    ``est``. The engine's frontier, the endpoints of the edits since
+    its last fixpoint, makes that so. A drop is then decided from
+    support counts instead of a recompute: for ``est >= 2`` and a live
+    slot, ``computeIndex`` returns less than ``est`` exactly when fewer
+    than ``est`` live neighbours sit at ``>= est``. Each row is counted
+    once per call and its count adjusted when a neighbour's drop
+    crosses its level, so ``computeIndex`` runs once per row and round
+    in which the row drops. ``scratch`` is the caller-owned
+    ``computeIndex`` bucket list.
+
+    Returns ``(changed, rounds)``: the ascending list of rows whose
+    estimate dropped and the number of rounds executed. A round that
+    drops nothing still counts when it runs, that is when the round
+    before it left a live neighbour of a dropped row above 0.
+    """
+    # A row at k >= 2 with a live slot drops exactly when its support
+    # (live neighbours at >= k) is below k, so only those rows run
+    # computeIndex. ``sup`` holds the support of every row counted in
+    # this call: round 1 counts the frontier, a dropped row takes the
+    # suffix count scratch[new], and a drop old -> new takes one
+    # support from each neighbour whose level it crosses
+    # (old >= level > new). A neighbour's first crossing gets it
+    # counted once the round's drops are applied, so its count already
+    # holds them; a row no drop crosses keeps the support it had when
+    # the call began.
+    _compute_index = compute_index
+    sup: dict[int, int] = {}
+    changed: set[int] = set()
+    # rows to count and rows whose support fell below their level,
+    # each once, in first-touch order (dicts drain deterministically)
+    fresh = dict.fromkeys(u for u in frontier if est[u] > 0)
+    low: dict[int, None] = {}
+    more = bool(fresh)
+    rounds = 0
+    while more:
+        rounds += 1
+        drops: list[tuple[int, int, int]] = []
+        for u in fresh:
+            k = est[u]
+            s = starts[u]
+            vals = [est[t] for t in targets[s:s + used[u]] if t >= 0]
+            c = sum(map(k.__le__, vals))
+            if not vals:
+                drops.append((u, k, 0))
+            elif c < k and k > 1:
+                new = _compute_index(vals, k, scratch)
+                c = scratch[new]
+                drops.append((u, k, new))
+            sup[u] = c
+        for u in low:
+            k = est[u]
+            if k > 1:
+                s = starts[u]
+                new = _compute_index(
+                    [est[t] for t in targets[s:s + used[u]] if t >= 0],
+                    k,
+                    scratch,
+                )
+                sup[u] = scratch[new]
+                drops.append((u, k, new))
+        if not drops:
+            break
+        for u, _, new in drops:
+            est[u] = new
+            changed.add(u)
+        fresh = {}
+        low = {}
+        more = False
+        for u, old, new in drops:
+            s = starts[u]
+            for t in targets[s:s + used[u]]:
+                if t < 0:
+                    continue
+                level = est[t]
+                if level > 0:
+                    # the next round runs, with or without a drop
+                    more = True
+                    if old >= level > new:
+                        c = sup.get(t)
+                        if c is None:
+                            fresh[t] = None
+                        else:
+                            sup[t] = c - 1
+                            if c <= level:
+                                low[t] = None
+    return sorted(changed), rounds
+
+
 def _fresh_metrics() -> dict[str, Any]:
     return {
         "edits_applied": 0,
@@ -118,7 +224,7 @@ def _fresh_metrics() -> dict[str, Any]:
 
 
 class FlatDynamicKCore:
-    """Maintains coreness of a mutating graph on flat kernels.
+    """Maintains coreness of a mutating graph on flat arrays.
 
     >>> engine = FlatDynamicKCore()
     >>> engine.insert_edge(0, 1)
@@ -139,14 +245,12 @@ class FlatDynamicKCore:
     def __init__(
         self,
         graph: "Graph | CSRGraph | DynamicCSRGraph | None" = None,
-        backend=None,
         *,
         approx: float | None = None,
         approx_floor: int = 16,
         seed: int = 0,
         telemetry=None,
     ) -> None:
-        self._backend = resolve_backend(backend)
         self._tracer = resolve_tracer(telemetry)
         self._scratch: list[int] = []
         self._pending: set[int] = set()
@@ -233,11 +337,6 @@ class FlatDynamicKCore:
     def graph(self) -> DynamicCSRGraph:
         """The maintained dynamic CSR (mutate only through this class)."""
         return self._graph
-
-    @property
-    def backend(self):
-        """The kernel backend re-convergence runs on."""
-        return self._backend
 
     @property
     def sample_probability(self) -> float:
@@ -613,7 +712,7 @@ class FlatDynamicKCore:
         with self._tracer.span(
             "kernel.reconverge", frontier=len(frontier)
         ) as span:
-            changed, rounds = self._backend.reconverge_from_bounds(
+            changed, rounds = reconverge_from_bounds(
                 g.starts, g.used, g.targets, self._est, frontier,
                 self._scratch,
             )

@@ -150,6 +150,8 @@ class DynamicKCore:
 
     def insert_edge(self, u: int, v: int) -> None:
         """Insert edge {u, v}; creates missing endpoints."""
+        if u == v:
+            raise EdgeError(f"self-loop on node {u} is not allowed")
         for node in (u, v):
             if not self._graph.has_node(node):
                 self._graph.add_node(node)

@@ -7,7 +7,10 @@ batches through :class:`~repro.streaming.flat_maintenance.
 FlatDynamicKCore` (one re-convergence per delete run), and *flushes
 the buffer before answering any query*, so every answer reflects every
 event submitted before it. Batch size trades latency for batching win;
-queries are the consistency barrier.
+queries are the consistency barrier. An event that raises (a join of a
+present node, say) propagates from the call that applied it —
+``submit``, ``flush`` or a query — and is dropped; the events after it
+stay queued for the next call.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ class ChurnService:
         self,
         graph=None,
         *,
-        backend=None,
         batch_size: int = 64,
         approx: float | None = None,
         seed: int = 0,
@@ -50,11 +52,7 @@ class ChurnService:
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         self._engine = FlatDynamicKCore(
-            graph,
-            backend,
-            approx=approx,
-            seed=seed,
-            telemetry=telemetry,
+            graph, approx=approx, seed=seed, telemetry=telemetry
         )
         self._batch_size = batch_size
         self._queue: list = []
@@ -82,22 +80,29 @@ class ChurnService:
         self._queue.extend(events)
         ran = 0
         while len(self._queue) >= self._batch_size:
-            chunk = self._queue[: self._batch_size]
-            del self._queue[: self._batch_size]
-            self._engine.apply_events(chunk)
+            self._apply(self._batch_size)
             ran += 1
-        self.batches_applied += ran
         return ran
 
     def flush(self) -> int:
         """Apply whatever is buffered as one final (short) batch."""
         if not self._queue:
             return 0
-        chunk = self._queue
-        self._queue = []
-        self._engine.apply_events(chunk)
-        self.batches_applied += 1
+        self._apply(len(self._queue))
         return 1
+
+    def _apply(self, size: int) -> None:
+        """Apply the first ``size`` queued events as one batch; when an
+        event raises, the events after it go back to the head of the
+        queue. ``apply_events`` draws the batch from an iterator, so
+        what it did not draw is exactly that tail."""
+        rest = iter(self._queue[:size])
+        del self._queue[:size]
+        try:
+            self._engine.apply_events(rest)
+        finally:
+            self._queue[:0] = rest
+        self.batches_applied += 1
 
     # ------------------------------------------------------------------
     def coreness_of(self, node: int) -> int:

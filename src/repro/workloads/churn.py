@@ -138,28 +138,25 @@ def generate_churn_trace(
     return ChurnTrace(initial=initial.copy(), events=events)
 
 
-def _make_engine(engine, trace, backend, telemetry):
+def _make_engine(engine, trace, telemetry):
     from repro.streaming import DynamicKCore, FlatDynamicKCore
 
     if engine == "flat":
-        return FlatDynamicKCore(
-            trace.initial, backend=backend, telemetry=telemetry
-        )
+        return FlatDynamicKCore(trace.initial, telemetry=telemetry)
     if isinstance(engine, str) and engine != "object":
         raise ConfigurationError(
             f"unknown replay engine {engine!r} (use 'object' or 'flat')"
         )
-    # only a flat engine built here takes these: the object oracle runs
-    # no kernels and records no spans, and a prebuilt engine keeps the
-    # ones it was built with
+    # only a flat engine built here takes a tracer: the object oracle
+    # records no spans, and a prebuilt engine keeps the one it was
+    # built with
     oracle = engine is None or engine == "object"
-    for name, value in (("backend", backend), ("telemetry", telemetry)):
-        if value is not None and value is not False:
-            raise ConfigurationError(
-                f"option {name!r} has no meaning for "
-                f"{'the object engine' if oracle else 'a prebuilt engine'}; "
-                "only engine='flat' takes it"
-            )
+    if telemetry is not None and telemetry is not False:
+        raise ConfigurationError(
+            f"option 'telemetry' has no meaning for "
+            f"{'the object engine' if oracle else 'a prebuilt engine'}; "
+            "only engine='flat' takes it"
+        )
     return DynamicKCore(trace.initial) if oracle else engine
 
 
@@ -168,7 +165,6 @@ def replay_trace(
     engine: "DynamicKCore | FlatDynamicKCore | str | None" = None,
     verify_every: int | None = None,
     *,
-    backend=None,
     batch_size: int = 1,
     telemetry=None,
 ) -> "DynamicKCore | FlatDynamicKCore":
@@ -176,11 +172,10 @@ def replay_trace(
 
     ``engine`` selects the implementation: ``"object"``/``None`` for the
     :class:`~repro.streaming.DynamicKCore` oracle, ``"flat"`` for the
-    dynamic-CSR :class:`~repro.streaming.FlatDynamicKCore` (``backend``
-    picks its kernel backend), or an already-constructed engine of
-    either kind. ``backend`` and ``telemetry`` apply only to the flat
-    engine built here; with any other engine they raise
-    :class:`~repro.errors.ConfigurationError`.
+    dynamic-CSR :class:`~repro.streaming.FlatDynamicKCore`, or an
+    already-constructed engine of either kind. ``telemetry`` applies
+    only to the flat engine built here; with any other engine it
+    raises :class:`~repro.errors.ConfigurationError`.
 
     The returned engine's ``metrics`` dict surfaces maintenance cost —
     ``edits_applied``, ``dirty_nodes_total`` and the per-batch
@@ -193,14 +188,17 @@ def replay_trace(
     ``batch_size`` groups events into ``apply_events`` batches on the
     flat engine (the object oracle always replays per-event).
     ``verify_every`` cross-checks the maintained coreness against full
-    recomputation every N events (slow; for tests).
+    recomputation every N events (slow; for tests). The flat engine is
+    checked between batches only, so a ``verify_every`` below
+    ``batch_size`` shrinks every batch to ``verify_every`` events; set
+    it to ``batch_size`` to check after every batch as it is.
     """
     from repro.streaming import FlatDynamicKCore
     from repro.telemetry.registry import validate_extra
 
     if batch_size < 1:
         raise ConfigurationError("batch_size must be >= 1")
-    engine = _make_engine(engine, trace, backend, telemetry)
+    engine = _make_engine(engine, trace, telemetry)
 
     def checkpoint(index: int) -> None:
         if verify_every and index % verify_every == 0:

@@ -32,6 +32,13 @@ class TestParser:
                 ["decompose", "--dataset", "astro", "--algorithm", "magic"]
             )
 
+    def test_churn_takes_no_backend(self, edge_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["churn", "--edges", edge_file, "--backend", "numpy"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --backend numpy" in err
+
 
 class TestDecompose:
     def test_edge_file_bz(self, edge_file, capsys):

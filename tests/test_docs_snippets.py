@@ -119,7 +119,7 @@ def test_live_overlay_churn_example_executes(capsys):
     out = capsys.readouterr().out
     assert "updates/sec" in out
     assert "object (per-edit)" in out
-    assert "flat-stdlib" in out
+    assert "flat (batch=32)" in out
     assert "all engines agree" in out
 
 

@@ -2,15 +2,17 @@
 
 The acceptance bar of the streaming tentpole: after **every batch** of
 every cell in the grid — 12 graph families × three trace shapes
-(insert-only, delete-only, mixed) × three seeds × both kernel backends
-— :class:`~repro.streaming.FlatDynamicKCore`'s coreness map equals the
-object :class:`~repro.streaming.DynamicKCore` oracle *and* from-scratch
-Batagelj–Zaveršnik. On top of the grid: forced mid-trace compaction,
-duplicate-edge / self-loop rejection parity, nodes appearing and
-vanishing (and reappearing under the same id), the ChurnService
-facade, the approx (ELM) lane's sample-exactness, and
-hypothesis-generated edit scripts in the style of
-``test_backend_equivalence.py``.
+(insert-only, delete-only, mixed) × three seeds × both CSR builds the
+engine can start from — :class:`~repro.streaming.FlatDynamicKCore`'s
+coreness map equals the object :class:`~repro.streaming.DynamicKCore`
+oracle *and* from-scratch Batagelj–Zaveršnik. On top of the grid:
+forced mid-trace compaction, duplicate-edge / self-loop rejection
+parity, nodes appearing and vanishing (and reappearing under the same
+id), the ChurnService facade, the approx (ELM) lane's
+sample-exactness, hypothesis-generated edit scripts in the style of
+``test_backend_equivalence.py``, and the delete-side re-convergence
+(:func:`~repro.streaming.flat_maintenance.reconverge_from_bounds`)
+against the full-recompute Jacobi loop.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
+from repro.core.compute_index import compute_index
 from repro.errors import (
     ConfigurationError,
     EdgeError,
@@ -31,18 +35,44 @@ from repro.errors import (
     NodeNotFoundError,
 )
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.sim.kernels import numpy_available, resolve_backend
 from repro.streaming import ChurnService, DynamicKCore, FlatDynamicKCore
+from repro.streaming import flat_maintenance
+from repro.streaming.flat_maintenance import reconverge_from_bounds
 from repro.workloads.churn import ChurnEvent, generate_churn_trace
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend needs numpy"
 )
 
-BACKENDS = (
+#: The kernel backend that built the CSR the engine starts from. The
+#: engine runs no kernel, but ``read_edge_list`` builds a file of at
+#: least ``NUMPY_MIN_PAIRS`` lines on numpy (the ``overlay-joinleave``
+#: workload's file) and a shorter one on the stdlib.
+BUILDS = (
     "stdlib",
     pytest.param("numpy", marks=requires_numpy),
 )
+
+
+def _seed(graph, build: str):
+    """What the engine is handed: ``graph`` itself on the stdlib build,
+    or the CSR the ``build`` backend's ``csr_from_edges`` kernel makes
+    of it (``None`` is the empty graph; a self-loop per node keeps the
+    isolated ones, as it does in a file)."""
+    if build == "stdlib":
+        return graph
+    us, vs = array("q"), array("q")
+    if graph is not None:
+        for u, v in graph.edges():
+            us.append(u)
+            vs.append(v)
+        nodes = array("q", graph.nodes())
+        us.extend(nodes)
+        vs.extend(nodes)
+    return CSRGraph(*resolve_backend(build).csr_from_edges(us, vs))
+
 
 #: The same twelve families as the engine-equivalence suites.
 FAMILIES = {
@@ -149,25 +179,25 @@ def _drive(flat: FlatDynamicKCore, oracle: DynamicKCore, events,
 
 
 class TestChurnGrid:
-    """12 families × 3 shapes × 3 seeds × both backends."""
+    """12 families × 3 shapes × 3 seeds × both seed builds."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("build", BUILDS)
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_cell(self, family, shape, backend):
+    def test_cell(self, family, shape, build):
         for seed in SEEDS:
             graph = FAMILIES[family]()
             events = _script(graph, shape, seed)
-            flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+            flat = FlatDynamicKCore(_seed(graph, build))
             oracle = DynamicKCore(graph)
             _drive(flat, oracle, events)
             assert flat.verify()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forced_mid_trace_compaction(self, backend):
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_forced_mid_trace_compaction(self, build):
         graph = FAMILIES["ba"]()
         events = _script(graph, "mixed", 3, length=64)
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         oracle = DynamicKCore(graph)
         _drive(flat, oracle, events, compact_at=len(events) // 2)
         assert flat.metrics["compactions"] >= 1
@@ -177,16 +207,15 @@ class TestChurnGrid:
         graph = FAMILIES["er"]()
         events = _script(graph, "mixed", 5, length=64)
         engines = [
-            FlatDynamicKCore(graph, backend=resolve_backend(name))
-            for name in ("stdlib", "numpy")
+            FlatDynamicKCore(_seed(graph, name)) for name in ("stdlib", "numpy")
         ]
         for engine in engines:
             for at in range(0, len(events), BATCH):
                 engine.apply_events(events[at:at + BATCH])
         a, b = engines
         assert a.coreness == b.coreness
-        # the Jacobi contract: dirty counts, round counts and compaction
-        # schedule are schedule-independent, hence backend-identical
+        # dirty counts, round counts and the compaction schedule do not
+        # depend on which backend built the starting CSR
         assert a.metrics == b.metrics
 
 
@@ -225,19 +254,19 @@ class TestEveryInsertIsExact:
     k-order's invariants, before a later delete's re-convergence could
     lower an over-raised row and hide it."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("build", BUILDS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_family(self, family, backend):
+    def test_family(self, family, build):
         for seed in SEEDS:
             graph = FAMILIES[family]()
             events = _single_edge_inserts(_script(graph, "insert-only", seed))
-            flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+            flat = FlatDynamicKCore(_seed(graph, build))
             _drive(flat, DynamicKCore(graph), events, batch=1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("build", BUILDS)
     @given(script=insert_scripts())
     @settings(max_examples=40, deadline=None)
-    def test_generated(self, backend, script):
+    def test_generated(self, build, script):
         n, steps = script
         graph = gen.erdos_renyi_graph(n, 0.35, seed=n)
         events = []
@@ -246,25 +275,24 @@ class TestEveryInsertIsExact:
                 events.append(ChurnEvent(float(t), "join", (100 + t, a)))
             elif a != b:
                 events.append(ChurnEvent(float(t), "link", (a, b)))
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         _drive(flat, DynamicKCore(graph), events, batch=1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_insert_only_batch_runs_no_reconvergence(self, backend,
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_insert_only_batch_runs_no_reconvergence(self, build,
                                                      monkeypatch):
         graph = FAMILIES["plc"]()
         events = _script(graph, "insert-only", 0)
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         before = dict(flat.coreness)
         calls = []
-        cls = type(flat.backend)
-        original = cls.reconverge_from_bounds
+        original = flat_maintenance.reconverge_from_bounds
 
-        def spy(self, *args):
+        def spy(*args):
             calls.append(args)
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(cls, "reconverge_from_bounds", spy)
+        monkeypatch.setattr(flat_maintenance, "reconverge_from_bounds", spy)
         assert flat.apply_events(events) > 0
         assert not calls
         assert flat.metrics["reconverge_rounds_per_batch"] == [0]
@@ -299,8 +327,8 @@ class TestOrderInsertWorkBound:
         monkeypatch.setattr(DynamicCSRGraph, "neighbors_rows", spy)
         return scans
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_no_scan_when_the_first_endpoint_has_room(self, backend,
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_no_scan_when_the_first_endpoint_has_room(self, build,
                                                       monkeypatch):
         from repro.baselines import degeneracy_ordering
 
@@ -319,7 +347,7 @@ class TestOrderInsertWorkBound:
             y for y in reversed(order)
             if pos[y] > pos[u] + 1 and not graph.has_edge(u, y)
         )
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         oracle = DynamicKCore(graph)
         scans = self._spy(monkeypatch)
         for engine in (flat, oracle):
@@ -329,8 +357,8 @@ class TestOrderInsertWorkBound:
         flat.check_invariants()
         assert flat.verify()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_rising_insert_visits_the_risers(self, backend, monkeypatch):
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_a_rising_insert_visits_the_risers(self, build, monkeypatch):
         # K4 minus the edge {a, b}, bridged to a ladder corner: the
         # insert of {a, b} raises exactly the four gadget rows, and the
         # bridge connects them to the whole coreness-2 ladder
@@ -339,7 +367,7 @@ class TestOrderInsertWorkBound:
         for x, y in ((a, c), (a, d), (b, c), (b, d), (c, d), (c, 0)):
             graph.add_edge(x, y)
         assert set(batagelj_zaversnik(graph).values()) == {self.K}
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         oracle = DynamicKCore(graph)
         before = dict(flat.coreness)
         scans = self._spy(monkeypatch)
@@ -359,14 +387,14 @@ class TestOrderInsertWorkBound:
         flat.check_invariants()
         assert flat.verify()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_evicted_rows_are_scanned_at_most_twice(self, backend,
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_evicted_rows_are_scanned_at_most_twice(self, build,
                                                     monkeypatch):
         # random chords on the ladder: a first endpoint already at K
         # later neighbours becomes a candidate, finds no support among
         # the rows it reaches and is evicted; nothing rises
         graph = gen.grid_graph(self.RUNGS, 2)
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         oracle = DynamicKCore(graph)
         scans = self._spy(monkeypatch)
         rng = random.Random(3)
@@ -441,9 +469,9 @@ class TestKOrderSeed:
 
 
 class TestEditEdgeCases:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_duplicate_edge_and_self_loop_rejection(self, backend):
-        flat = FlatDynamicKCore(backend=resolve_backend(backend))
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_duplicate_edge_and_self_loop_rejection(self, build):
+        flat = FlatDynamicKCore(_seed(None, build))
         oracle = DynamicKCore()
         for engine in (flat, oracle):
             engine.insert_edge(0, 1)
@@ -451,17 +479,19 @@ class TestEditEdgeCases:
                 engine.insert_edge(0, 1)
             with pytest.raises(EdgeError, match="already present"):
                 engine.insert_edge(1, 0)
-        with pytest.raises(EdgeError, match="self-loop"):
-            flat.insert_edge(2, 2)
+            with pytest.raises(EdgeError, match="self-loop"):
+                engine.insert_edge(9, 9)   # rejected before 9 is added
+            with pytest.raises(NodeNotFoundError) as absent:
+                engine.remove_node(7)
+            assert absent.value.node == 7
         with pytest.raises(GraphError, match="already present"):
             flat.add_node(0)
+        assert not flat.has_node(9) and not oracle.has_node(9)
         assert flat.coreness == oracle.coreness  # rejections changed nothing
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_node_vanishes_and_reappears(self, backend):
-        flat = FlatDynamicKCore(
-            gen.clique_graph(5), backend=resolve_backend(backend)
-        )
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_node_vanishes_and_reappears(self, build):
+        flat = FlatDynamicKCore(_seed(gen.clique_graph(5), build))
         oracle = DynamicKCore(gen.clique_graph(5))
         for engine in (flat, oracle):
             engine.remove_node(2)          # vanishes
@@ -472,9 +502,9 @@ class TestEditEdgeCases:
             == batagelj_zaversnik(oracle.graph)
         assert flat.degree(2) == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_isolated_nodes_survive_batches_and_compaction(self, backend):
-        flat = FlatDynamicKCore(backend=resolve_backend(backend))
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_isolated_nodes_survive_batches_and_compaction(self, build):
+        flat = FlatDynamicKCore(_seed(None, build))
         flat.add_node(7)
         flat.apply_events([
             ChurnEvent(0.0, "join", (10,)),
@@ -495,19 +525,21 @@ class TestEditEdgeCases:
 
 
 class TestBatchThatRaises:
-    """A batch whose event raises still settles the edits before it."""
+    """A batch whose event raises still settles the edits before it,
+    and the service keeps the events after it."""
 
     EVENTS = (
         ChurnEvent(0.0, "unlink", (0, 1)),
         ChurnEvent(1.0, "join", (2, 0)),  # node 2 already present
+        ChurnEvent(2.0, "join", (4, 0)),
     )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_engine(self, backend):
-        flat = FlatDynamicKCore(gen.clique_graph(4),
-                                backend=resolve_backend(backend))
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_engine(self, build):
+        flat = FlatDynamicKCore(_seed(gen.clique_graph(4), build))
         with pytest.raises(GraphError, match="already present"):
             flat.apply_events(self.EVENTS)
+        assert not flat.has_node(4)  # the events after it are not applied
         expected = batagelj_zaversnik(flat.graph.to_graph())
         assert flat.coreness_of(0) == expected[0] == 2
         assert flat.coreness == expected
@@ -515,13 +547,15 @@ class TestBatchThatRaises:
         flat.check_invariants()
         assert flat.verify()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_service(self, backend):
-        service = ChurnService(gen.clique_graph(4),
-                               backend=resolve_backend(backend))
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_service(self, build):
+        service = ChurnService(_seed(gen.clique_graph(4), build))
         service.submit(self.EVENTS)
         with pytest.raises(GraphError, match="already present"):
             service.coreness_of(0)
+        # the raising join is dropped, the one after it stays queued
+        assert service.pending == 1
+        assert service.coreness_of(4) == 1
         expected = batagelj_zaversnik(service.engine.graph.to_graph())
         assert service.coreness_of(0) == expected[0] == 2
         assert service.coreness() == expected
@@ -531,15 +565,15 @@ class TestBatchThatRaises:
 class TestGeneratedTraces:
     """The synthetic trace generator drives both engines identically."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("build", BUILDS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_generated_trace_equivalence(self, seed, backend):
+    def test_generated_trace_equivalence(self, seed, build):
         graph = gen.erdos_renyi_graph(40, 0.1, seed=seed)
         trace = generate_churn_trace(
             graph, duration=120, join_rate=0.6, mean_session=50,
             rewire_rate=0.5, seed=seed,
         )
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         oracle = DynamicKCore(graph)
         _drive(flat, oracle, list(trace), batch=16)
 
@@ -572,11 +606,10 @@ class TestChurnService:
         with pytest.raises(ConfigurationError, match="batch_size"):
             ChurnService(batch_size=0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_coreness_of_matches_full_map(self, backend):
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_coreness_of_matches_full_map(self, build):
         graph = gen.erdos_renyi_graph(120, 0.08, seed=3)
-        service = ChurnService(graph, backend=resolve_backend(backend),
-                               batch_size=BATCH)
+        service = ChurnService(_seed(graph, build), batch_size=BATCH)
         for event in _script(graph, "mixed", seed=1):
             service.submit([event])
             full = service.coreness()
@@ -587,14 +620,14 @@ class TestChurnService:
 
 class TestCorenessOf:
     """``FlatDynamicKCore.coreness_of`` reads one estimate; it must agree
-    with the full map on both lanes and both backends."""
+    with the full map on both lanes and both seed builds."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("build", BUILDS)
     @pytest.mark.parametrize("approx", [None, 0.5])
-    def test_matches_full_map(self, backend, approx):
+    def test_matches_full_map(self, build, approx):
         graph = gen.erdos_renyi_graph(200, 0.1, seed=9)
-        engine = FlatDynamicKCore(graph, backend=resolve_backend(backend),
-                                  approx=approx, approx_floor=150, seed=4)
+        engine = FlatDynamicKCore(_seed(graph, build), approx=approx,
+                                  approx_floor=150, seed=4)
         if approx is not None:
             assert engine.sample_probability < 1.0  # scaling is exercised
         events = _script(graph, "mixed", seed=2)
@@ -665,13 +698,13 @@ def edit_scripts(draw):
 
 
 class TestPropertyBased:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("build", BUILDS)
     @given(script=edit_scripts())
     @settings(max_examples=25, deadline=None)
-    def test_random_scripts_never_diverge(self, backend, script):
+    def test_random_scripts_never_diverge(self, build, script):
         n, steps = script
         graph = gen.erdos_renyi_graph(n, 0.3, seed=n)
-        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat = FlatDynamicKCore(_seed(graph, build))
         oracle = DynamicKCore(graph)
         events = []
         for t, (kind, a, b) in enumerate(steps):
@@ -684,3 +717,181 @@ class TestPropertyBased:
         _drive(flat, oracle, events, batch=5)
         flat.check_invariants()
         assert flat.verify() and oracle.verify()
+
+
+# ----------------------------------------------------------------------
+# delete-side re-convergence
+# ----------------------------------------------------------------------
+class TestReconvergeFromBounds:
+    """``reconverge_from_bounds`` on hand-built dynamic CSRs."""
+
+    def test_reconverge_from_bounds_contract(self):
+        from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        graph = gen.clique_graph(6)
+        g = DynamicCSRGraph.from_graph(graph)
+        est = array("q", [5] * 6)     # old coreness of K6
+        g.delete_edge(0, 1)
+        changed, rounds = reconverge_from_bounds(
+            g.starts, g.used, g.targets, est, list(range(6)), []
+        )
+        oracle = batagelj_zaversnik_csr(g.to_csr())
+        assert list(est) == list(oracle) == [4] * 6
+        assert changed == [0, 1, 2, 3, 4, 5]
+        assert rounds == 3            # Jacobi rounds
+        assert all(type(c) is int for c in changed)
+
+    def test_reconverge_skips_dead_and_zero_rows(self):
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        g = DynamicCSRGraph()
+        g.insert_edge(0, 1)
+        g.insert_edge(1, 2)
+        g.add_node(7)                  # isolated: est 0, never touched
+        est = array("q", [1, 1, 1, 0])
+        changed, rounds = reconverge_from_bounds(
+            g.starts, g.used, g.targets, est, [0, 1, 2, 3], []
+        )
+        assert changed == [] and list(est) == [1, 1, 1, 0]
+
+
+def _jacobi_oracle(starts, used, targets, est, frontier, scratch, drops):
+    """Re-convergence by full recompute: every round runs computeIndex
+    on the whole frontier (the re-convergence before it counted
+    supports). Appends ``(k, new)`` to ``drops`` for every drop of a row
+    with a live slot, once per round it drops in."""
+    changed_flag = bytearray(len(used))
+    changed: list[int] = []
+    work = [u for u in frontier if est[u] > 0]
+    rounds = 0
+    while work:
+        rounds += 1
+        round_drops: list[tuple[int, int]] = []
+        for u in work:
+            s = starts[u]
+            vals = [est[t] for t in targets[s:s + used[u]] if t >= 0]
+            k = compute_index(vals, est[u], scratch) if vals else 0
+            if k < est[u]:
+                round_drops.append((u, k))
+                if vals:
+                    drops.append((est[u], k))
+        if not round_drops:
+            break
+        nxt: set[int] = set()
+        for u, k in round_drops:
+            est[u] = k
+            if not changed_flag[u]:
+                changed_flag[u] = 1
+                changed.append(u)
+        for u, _ in round_drops:
+            s = starts[u]
+            for t in targets[s:s + used[u]]:
+                if t >= 0 and est[t] > 0:
+                    nxt.add(t)
+        work = sorted(nxt)
+    return sorted(changed), rounds
+
+
+@st.composite
+def _reconverge_inputs(draw):
+    """A dynamic CSR after edits, with estimates that upper-bound its
+    coreness, and a frontier that holds every row off its fixpoint.
+
+    The estimates start at the coreness of the graph before the edits.
+    Then edges are deleted (tombstones, maybe every slot of a row) and
+    nodes removed (dead rows at est 0), random rows are raised above
+    their coreness, and the frontier gathers the rows each edit
+    touched plus random ones, in random order."""
+    from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
+    from repro.graph.dynamic_csr import DynamicCSRGraph
+
+    n = draw(st.integers(1, 14))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=48))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    g = DynamicCSRGraph()
+    for x in range(n):
+        g.add_node(x)
+    for u, v in edges:
+        g.insert_edge(u, v)
+    csr = g.to_csr()
+    est = array("q", [0]) * g.num_rows
+    for i, k in enumerate(batagelj_zaversnik_csr(csr)):
+        est[g.row_of(csr.ids[i])] = k
+    frontier: set[int] = set()
+    for u, v in draw(st.lists(st.sampled_from(edges), unique=True)) if edges else ():
+        g.delete_edge(u, v)
+        frontier.update((g.row_of(u), g.row_of(v)))
+    for x in draw(st.lists(node, unique=True, max_size=n // 3)):
+        row = g.row_of(x)
+        frontier.update(g.remove_node(x))
+        est[row] = 0
+    alive = [row for row in range(g.num_rows) if g.alive[row]]
+    if alive:
+        for row, up in draw(st.lists(
+            st.tuples(st.sampled_from(alive), st.integers(1, 3)), max_size=4
+        )):
+            est[row] += up
+            frontier.add(row)
+    frontier.update(draw(st.lists(st.integers(0, g.num_rows - 1), max_size=4)))
+    frontier = draw(st.permutations(sorted(frontier)))
+    return g, est, frontier
+
+
+class TestReconvergeDifferential:
+    """``reconverge_from_bounds`` against the full-recompute Jacobi loop.
+
+    It returns the oracle's ``(changed, rounds)`` and leaves its
+    ``est``, the coreness of the edited graph, on generated inputs. It
+    decides drops from support counts, so it calls ``computeIndex``
+    once per row and round in which the row drops, and never for a row
+    with no live slot (it drops to 0 without one).
+    """
+
+    @staticmethod
+    def _stable_outside(g, est, frontier) -> bool:
+        """The precondition: rows off the frontier are at their
+        fixpoint."""
+        inside = set(frontier)
+        for row in range(g.num_rows):
+            if row in inside or est[row] <= 0:
+                continue
+            s = g.starts[row]
+            vals = [est[t] for t in g.targets[s:s + g.used[row]] if t >= 0]
+            if not vals or compute_index(vals, est[row]) != est[row]:
+                return False
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_reconverge_inputs())
+    def test_matches_the_full_recompute(self, case):
+        from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
+
+        g, est, frontier = case
+        assert self._stable_outside(g, est, frontier)
+        want_est = array("q", est)
+        drops: list[tuple[int, int]] = []
+        want = _jacobi_oracle(
+            g.starts, g.used, g.targets, want_est, frontier, [], drops
+        )
+        calls: list[tuple[int, int]] = []
+
+        def spy(vals, k, scratch=None):
+            new = compute_index(vals, k, scratch)
+            calls.append((k, new))
+            # a support count that drifts low can recompute rows that
+            # stay put, round after round: stop at the first extra call
+            assert len(calls) <= len(drops), "a call for a row that stays"
+            return new
+
+        with mock.patch.object(flat_maintenance, "compute_index", spy):
+            got = reconverge_from_bounds(
+                g.starts, g.used, g.targets, est, frontier, []
+            )
+        assert got == want
+        assert est == want_est
+        assert sorted(calls) == sorted(drops)
+        csr = g.to_csr()
+        core = batagelj_zaversnik_csr(csr)
+        assert [est[g.row_of(x)] for x in csr.ids] == list(core)

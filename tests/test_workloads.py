@@ -90,19 +90,21 @@ class TestReplay:
         assert engine.verify()
 
     @pytest.mark.parametrize(
-        "option", [{"backend": "stdlib"}, {"telemetry": True}],
+        "option, error",
+        [({"backend": "stdlib"}, TypeError), ({"telemetry": True}, ConfigurationError)],
         ids=["backend", "telemetry"],
     )
     @pytest.mark.parametrize("prebuilt", [False, True], ids=["object", "prebuilt"])
-    def test_options_no_engine_takes_are_rejected(self, overlay, option, prebuilt):
-        # only a flat engine built by replay_trace takes a backend or a
-        # tracer; the object oracle and a prebuilt engine would drop them
+    def test_options_no_engine_takes_are_rejected(self, overlay, option, error, prebuilt):
+        # only a flat engine built by replay_trace takes a tracer; the
+        # object oracle and a prebuilt engine would drop it. No engine
+        # takes a kernel backend, so replay_trace has no such keyword
         from repro.streaming import FlatDynamicKCore
 
         trace = generate_churn_trace(overlay, duration=20, seed=2)
         engine = FlatDynamicKCore(trace.initial) if prebuilt else "object"
         (name,) = option
-        with pytest.raises(ConfigurationError, match=f"'{name}'"):
+        with pytest.raises(error, match=f"'{name}'"):
             replay_trace(trace, engine=engine, **option)
 
     def test_cli_rejects_telemetry_on_the_object_engine(self, tmp_path, usage_error):
