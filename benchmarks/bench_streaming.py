@@ -7,7 +7,8 @@ joins balanced against exponential session expiries — exactly what
 :func:`repro.workloads.churn.generate_churn_trace` produces with
 rewiring off) over the Amazon0601 stand-in from the dataset families. The
 churn batch is absorbed by :class:`~repro.streaming.FlatDynamicKCore`
-(dynamic-CSR slot edits + warm-started re-convergence) against the
+(order-based inserts and a warm-started re-convergence after deletes
+on one neighbour array per row) against the
 only alternative a system without maintenance has — recomputing
 Batagelj–Zaveršnik from scratch after every batch. Lanes:
 
@@ -209,7 +210,6 @@ def main(argv=None) -> int:
             }
             if metrics is not None:
                 row["dirty_nodes_total"] = metrics["dirty_nodes_total"]
-                row["compactions"] = metrics["compactions"]
                 row["reconverge_rounds"] = sum(
                     metrics["reconverge_rounds_per_batch"]
                 )

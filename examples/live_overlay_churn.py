@@ -102,7 +102,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     # object vs flat: the same steady-state churn trace through both
     # maintenance engines. The object engine replays per event; the
-    # flat engine absorbs 32-event batches on the dynamic CSR.
+    # flat engine absorbs 32-event batches on the dynamic CSR, one
+    # neighbour array per row.
     # ------------------------------------------------------------------
     peers = overlay.num_nodes
     trace = generate_churn_trace(

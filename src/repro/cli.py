@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     churn.add_argument(
         "--telemetry", action="store_true",
-        help="trace the replay (churn.apply_batch / kernel.reconverge / "
-        "csr.compact spans) and print a span summary table",
+        help="trace the replay (churn.apply_batch / kernel.reconverge "
+        "spans) and print a span summary table",
     )
     churn.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -474,10 +474,7 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     ]
     if args.engine == "flat":
         rounds = metrics["reconverge_rounds_per_batch"]
-        rows += [
-            ("reconverge rounds", sum(rounds)),
-            ("compactions", metrics["compactions"]),
-        ]
+        rows.append(("reconverge rounds", sum(rounds)))
     print(format_table(("metric", "value"), rows, title="maintenance cost"))
     coreness = engine.coreness
     top = sorted(coreness, key=lambda u: (-coreness[u], u))[:args.top]

@@ -4,7 +4,8 @@ The streaming layer has exactly one object-graph implementation: the
 :class:`~repro.streaming.maintenance.DynamicKCore` oracle, whose whole
 purpose is to define correctness in readable adjacency-dict Python.
 Every other module under ``streaming/`` is a *flat* path — it runs on
-:class:`~repro.graph.dynamic_csr.DynamicCSRGraph` buffers, and its
+the ``array('q')`` rows of
+:class:`~repro.graph.dynamic_csr.DynamicCSRGraph`, and its
 performance claim (the ``BENCH_streaming`` updates/sec win) rests on
 no object ``Graph`` being materialised per edit. A
 module-scope import of ``repro.graph.graph`` in one of those modules
@@ -77,7 +78,7 @@ def _in_type_checking_block(
     "streaming-flatness",
     "streaming/ modules other than the maintenance.py oracle may "
     "import the object graph only inside functions or TYPE_CHECKING "
-    "blocks — the flat paths run on DynamicCSRGraph buffers",
+    "blocks — the flat paths run on DynamicCSRGraph's row arrays",
 )
 def check(src: SourceFile) -> Iterable[Finding]:
     normalized = src.path.replace("\\", "/")

@@ -159,11 +159,13 @@ class CSRGraph:
         )
         rows = list(map(graph.neighbors, node_ids))
         offsets = array("q", accumulate(map(len, rows), initial=0))
+        # one sorted row at a time: a list of n live map objects would
+        # set off cyclic-GC passes over the graph's adjacency sets
         compact: Iterable[Iterable[int]] = (
-            rows if index_of is None
-            else [map(index_of.__getitem__, nbrs) for nbrs in rows]
+            map(sorted, rows) if index_of is None
+            else (sorted(map(index_of.__getitem__, nbrs)) for nbrs in rows)
         )
-        targets = array("q", chain.from_iterable(map(sorted, compact)))
+        targets = array("q", chain.from_iterable(compact))
         csr = cls(offsets, targets, ids, name=label)
         if index_of is not None:
             csr._index_of = index_of

@@ -17,7 +17,7 @@ work. A job is a kernel only when engines or graph builders call it
 and the backend changes its cost (the parse and the two CSR builds
 have only builder callers: the SNAP reader and :class:`~repro.graph.
 csr.CSRGraph`); other jobs live beside their caller (dynamic-CSR
-slot writes in :mod:`repro.graph.dynamic_csr`, the streaming
+row edits in :mod:`repro.graph.dynamic_csr`, the streaming
 re-convergence in :mod:`repro.streaming.flat_maintenance`, the shm
 ring's block copies in :mod:`repro.sim.shm_transport`, scalar
 ``computeIndex`` in :mod:`repro.core.compute_index`).

@@ -11,7 +11,8 @@ Two engines implement the same maintenance semantics:
 - :class:`DynamicKCore` — the readable object-graph oracle (adjacency
   dicts, per-edit Python loops).  Defines correctness.
 - :class:`FlatDynamicKCore` — the flat engine over the mutable
-  :class:`~repro.graph.dynamic_csr.DynamicCSRGraph`, with order-based
+  :class:`~repro.graph.dynamic_csr.DynamicCSRGraph` (one neighbour
+  array per row; a join reuses a freed row), with order-based
   inserts over the k-order of :mod:`repro.streaming.korder` and a
   support-counted re-convergence after deletes.
   Bit-identical coreness to the oracle after every edit and batch; the

@@ -9,8 +9,10 @@ every other fast path in the repository.
 
 :class:`FlatDynamicKCore` applies churn in batches:
 
-* structural edits are the dynamic CSR's own slot writes (tombstones
-  on delete, slack-slot writes on insert);
+* structural edits are the dynamic CSR's own row edits (an entry
+  appended to or removed from each endpoint's neighbour array), and a
+  join reuses the row of the last node that left, so the engine's
+  row-indexed tables grow only past the peak live node count;
 * the engine keeps a *k-order* of its live rows
   (:class:`~repro.streaming.korder.KOrder`, seeded from the
   Batagelj–Zaveršnik peel it runs at construction): levels ascending,
@@ -34,11 +36,7 @@ every other fast path in the repository.
   (synchronous Jacobi rounds from the old levels, support-counted);
   every row whose level it lowered moves to the tail of its new level
   in a local peel order, so the k-order stays exact in time
-  proportional to those rows and their neighbours;
-* compaction is checked after every batch: when the dynamic CSR's
-  garbage ratio crosses its deterministic threshold, the structure is
-  rebuilt and the estimate table and the k-order permuted with the
-  returned row map.
+  proportional to those rows and their neighbours.
 
 The result is bit-identical to the object engine and to from-scratch
 Batagelj–Zaveršnik after every batch — the differential churn grid in
@@ -66,6 +64,7 @@ from __future__ import annotations
 import math
 from array import array
 from heapq import heappop, heappush
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr, \
@@ -106,30 +105,30 @@ def _edge_hash(u: int, v: int, seed: int) -> int:
     return x
 
 
-def reconverge_from_bounds(starts, used, targets, est, frontier, scratch):
+def reconverge_from_bounds(rows, est, frontier, scratch):
     """Warm-start re-convergence of the locality operator.
 
-    ``est`` holds a pointwise *upper bound* of the true coreness over a
-    dynamic CSR (tombstoned ``targets`` slots are skipped); iterate
-    ``computeIndex`` to the greatest fixpoint below it — which is the
-    coreness, because iterating from any upper bound is monotone
-    non-increasing and cannot cross a fixpoint (the
+    ``est`` holds a pointwise *upper bound* of the true coreness over
+    the graph whose neighbour arrays are ``rows`` (a freed row's array
+    is empty); iterate ``computeIndex`` to the greatest fixpoint below
+    it — which is the coreness, because iterating from any upper bound
+    is monotone non-increasing and cannot cross a fixpoint (the
     ``streaming.maintenance`` module docstring carries the full
     argument). Runs as synchronous (Jacobi) rounds, so the round count
     is schedule-independent: each round recomputes the whole frontier
     from a snapshot of ``est``, applies every drop at once, then the
-    next frontier is the live neighbours of the dropped rows. Rows with
-    ``est <= 0`` are skipped (they cannot drop); rows with no live
-    slots drop to 0.
+    next frontier is the neighbours of the dropped rows. Rows with
+    ``est <= 0`` are skipped (they cannot drop); rows with no
+    neighbours drop to 0.
 
-    The slots are symmetric (a live slot ``u -> t`` has a live mirror
-    ``t -> u``), and every row outside ``frontier`` is already at its
-    fixpoint: ``computeIndex`` over its live neighbours returns its
+    The rows are symmetric (``t`` in ``rows[u]`` exactly when ``u`` is
+    in ``rows[t]``), and every row outside ``frontier`` is already at
+    its fixpoint: ``computeIndex`` over its neighbours returns its
     ``est``. The engine's frontier, the endpoints of the edits since
     its last fixpoint, makes that so. A drop is then decided from
-    support counts instead of a recompute: for ``est >= 2`` and a live
-    slot, ``computeIndex`` returns less than ``est`` exactly when fewer
-    than ``est`` live neighbours sit at ``>= est``. Each row is counted
+    support counts instead of a recompute: for ``est >= 2`` and a
+    neighbour, ``computeIndex`` returns less than ``est`` exactly when
+    fewer than ``est`` neighbours sit at ``>= est``. Each row is counted
     once per call and its count adjusted when a neighbour's drop
     crosses its level, so ``computeIndex`` runs once per row and round
     in which the row drops. ``scratch`` is the caller-owned
@@ -138,10 +137,10 @@ def reconverge_from_bounds(starts, used, targets, est, frontier, scratch):
     Returns ``(changed, rounds)``: the ascending list of rows whose
     estimate dropped and the number of rounds executed. A round that
     drops nothing still counts when it runs, that is when the round
-    before it left a live neighbour of a dropped row above 0.
+    before it left a neighbour of a dropped row above 0.
     """
-    # A row at k >= 2 with a live slot drops exactly when its support
-    # (live neighbours at >= k) is below k, so only those rows run
+    # A row at k >= 2 with a neighbour drops exactly when its support
+    # (neighbours at >= k) is below k, so only those rows run
     # computeIndex. ``sup`` holds the support of every row counted in
     # this call: round 1 counts the frontier, a dropped row takes the
     # suffix count scratch[new], and a drop old -> new takes one
@@ -164,8 +163,7 @@ def reconverge_from_bounds(starts, used, targets, est, frontier, scratch):
         drops: list[tuple[int, int, int]] = []
         for u in fresh:
             k = est[u]
-            s = starts[u]
-            vals = [est[t] for t in targets[s:s + used[u]] if t >= 0]
+            vals = [est[t] for t in rows[u]]
             c = sum(map(k.__le__, vals))
             if not vals:
                 drops.append((u, k, 0))
@@ -177,12 +175,7 @@ def reconverge_from_bounds(starts, used, targets, est, frontier, scratch):
         for u in low:
             k = est[u]
             if k > 1:
-                s = starts[u]
-                new = _compute_index(
-                    [est[t] for t in targets[s:s + used[u]] if t >= 0],
-                    k,
-                    scratch,
-                )
+                new = _compute_index([est[t] for t in rows[u]], k, scratch)
                 sup[u] = scratch[new]
                 drops.append((u, k, new))
         if not drops:
@@ -194,10 +187,7 @@ def reconverge_from_bounds(starts, used, targets, est, frontier, scratch):
         low = {}
         more = False
         for u, old, new in drops:
-            s = starts[u]
-            for t in targets[s:s + used[u]]:
-                if t < 0:
-                    continue
+            for t in rows[u]:
                 level = est[t]
                 if level > 0:
                     # the next round runs, with or without a drop
@@ -217,6 +207,8 @@ def _fresh_metrics() -> dict[str, Any]:
     return {
         "edits_applied": 0,
         "dirty_nodes_total": 0,
+        # always 0: rows are reused, nothing is compacted; the key stays
+        # because the end-to-end benchmark harness reads it
         "compactions": 0,
         "dirty_nodes_per_batch": [],
         "reconverge_rounds_per_batch": [],
@@ -237,9 +229,9 @@ class FlatDynamicKCore:
     ``replay_trace(engine="flat")`` and :class:`~repro.streaming.
     service.ChurnService`. :attr:`metrics` accumulates the registered
     streaming metrics (``edits_applied``, ``dirty_nodes_total``,
-    ``compactions`` and the per-batch histograms); wall-clock lives in
-    telemetry spans (``churn.apply_batch`` / ``kernel.reconverge`` /
-    ``csr.compact``), never in the metrics dict.
+    ``compactions``, always 0, and the per-batch histograms);
+    wall-clock lives in telemetry spans (``churn.apply_batch`` /
+    ``kernel.reconverge``), never in the metrics dict.
     """
 
     def __init__(
@@ -298,37 +290,15 @@ class FlatDynamicKCore:
     def _downsample(self, csr: CSRGraph) -> CSRGraph:
         """The sampled subgraph of ``csr`` (every node, kept edges)."""
         ids = csr.ids
-        kept = [
+        kept = (
             (ids[a], ids[b])
             for a, b in csr.edges()
             if self._keeps(ids[a], ids[b])
-        ]
-        full = CSRGraph.from_edges(kept)
-        # re-attach nodes whose every edge was sampled away
-        index = {full.ids[i]: i for i in range(full.num_nodes)}
-        missing = sorted(set(ids) - set(index))
-        if not missing:
-            return full
-        all_ids = sorted(set(ids))
-        offsets = array("q", [0]) * (len(all_ids) + 1)
-        remap = {}
-        for i, node in enumerate(all_ids):
-            remap[node] = i
-            deg = (
-                full.degree(index[node]) if node in index else 0
-            )
-            offsets[i + 1] = offsets[i] + deg
-        targets = array("q", [0]) * len(full.targets)
-        for i, node in enumerate(all_ids):
-            if node not in index:
-                continue
-            nbrs = sorted(
-                remap[full.ids[t]]
-                for t in full.neighbors(index[node])
-            )
-            lo = offsets[i]
-            targets[lo:lo + len(nbrs)] = array("q", nbrs)
-        return CSRGraph(offsets, targets, array("q", all_ids), name=csr.name)
+        )
+        # a self-loop keeps a node whose every edge was sampled away
+        return CSRGraph.from_edges(
+            chain(kept, ((u, u) for u in ids)), name=csr.name
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -491,8 +461,9 @@ class FlatDynamicKCore:
     # ------------------------------------------------------------------
     def _add_row(self, node: int) -> int:
         row = self._graph.add_node(node)
-        self._est.append(0)
-        self._order.add_row()
+        if row == len(self._est):  # a reused row kept est 0 from _remove
+            self._est.append(0)
+        self._order.add_row(row)
         self._coreness_cache = None
         return row
 
@@ -648,8 +619,7 @@ class FlatDynamicKCore:
         neighbour (a moved neighbour's remaining degree is recounted
         anyway). So the cost is the moved rows and their neighbours.
         """
-        g = self._graph
-        starts, used, targets = g.starts, g.used, g.targets
+        nbrs = self._graph.rows
         order = self._order
         label, later = order.label, order.later
         est = self._est
@@ -659,24 +629,19 @@ class FlatDynamicKCore:
         # every label compare happens before any row is placed: a
         # placement may relabel a level
         count: dict[int, int] = {}
-        slots: dict[int, array] = {}
         for k, rows in landing.items():
             group = set(rows) if len(rows) > 1 else ()
             for x in rows:
                 lx = label[x]
                 c = 0
-                s = starts[x]
-                near = targets[s:s + used[x]]
-                for t in near:  # a tombstone (-1) is in neither set
-                    if t >= 0 and est[t] > k:
+                for t in nbrs[x]:
+                    if est[t] > k:
                         c += 1
                         if label[t] < lx:
                             later[t] -= 1
                     elif t in group:
                         c += 1
                 count[x] = c
-                if group:
-                    slots[x] = near
         order.unlink(changed)
         for k, rows in landing.items():
             placed = rows
@@ -690,7 +655,7 @@ class FlatDynamicKCore:
                     x = ready.pop()
                     left.discard(x)
                     placed.append(x)
-                    for t in slots[x]:
+                    for t in nbrs[x]:
                         if t in left:
                             count[t] -= 1
                             if count[t] == k:
@@ -708,13 +673,11 @@ class FlatDynamicKCore:
     def _reconverge(self, frontier: list[int]) -> None:
         if not frontier:
             return
-        g = self._graph
         with self._tracer.span(
             "kernel.reconverge", frontier=len(frontier)
         ) as span:
             changed, rounds = reconverge_from_bounds(
-                g.starts, g.used, g.targets, self._est, frontier,
-                self._scratch,
+                self._graph.rows, self._est, frontier, self._scratch
             )
             span.note(changed=len(changed), rounds=rounds)
         if changed:
@@ -729,38 +692,11 @@ class FlatDynamicKCore:
 
     def _finish_batch(self, edits: int) -> None:
         self._flush()
-        self._maybe_compact()
         m = self.metrics
         m["edits_applied"] += edits
         m["dirty_nodes_total"] += self._batch_dirty
         m["dirty_nodes_per_batch"].append(self._batch_dirty)
         m["reconverge_rounds_per_batch"].append(self._batch_rounds)
-
-    # ------------------------------------------------------------------
-    # compaction
-    # ------------------------------------------------------------------
-    def compact(self) -> None:
-        """Force a compaction/rebuild now (tests; normally automatic)."""
-        self._maybe_compact(force=True)
-
-    def _maybe_compact(self, force: bool = False) -> None:
-        g = self._graph
-        if not (force or g.needs_compaction):
-            return
-        with self._tracer.span(
-            "csr.compact", rows=g.num_rows, garbage=g.garbage_slots
-        ):
-            est = self._est
-            mapping = g.compact()
-            new_est = array("q", [0]) * g.num_rows
-            for old in range(len(mapping)):
-                new = mapping[old]
-                if new >= 0:
-                    new_est[new] = est[old]
-            self._est = new_est
-            self._order.permute(mapping, g.num_rows)
-        self.metrics["compactions"] += 1
-        self._coreness_cache = None
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:

@@ -81,14 +81,17 @@ class KOrder:
             yield row
             row = nxt[row]
 
-    def add_row(self) -> None:
-        """Link a new row (the next dynamic-CSR row) at the tail of
-        level 0, with no later neighbours."""
-        row = len(self.label)
-        self.label.append(0)
-        self.prev.append(-1)
-        self.next.append(-1)
-        self.later.append(0)
+    def add_row(self, row: int) -> None:
+        """Link ``row``, unlinked, at the tail of level 0 with no later
+        neighbours: a freed dynamic-CSR row that a join reuses, or the
+        next new one, for which the tables grow."""
+        if row == len(self.label):
+            self.label.append(0)
+            self.prev.append(-1)
+            self.next.append(-1)
+            self.later.append(0)
+        else:
+            self.later[row] = 0
         self.extend(0, (row,))
 
     def unlink(self, rows: Iterable[int]) -> None:
@@ -169,24 +172,3 @@ class KOrder:
             prev[after] = last
         else:
             self.tail[level] = last
-
-    # ------------------------------------------------------------------
-    def permute(self, mapping: array, n: int) -> None:
-        """Apply a compaction's old-row -> new-row ``mapping`` (dead rows
-        map to ``-1`` and are never linked); ``n`` rows survive."""
-        label = array("q", [0]) * n
-        prev = array("q", [-1]) * n
-        nxt = array("q", [-1]) * n
-        later = array("q", [0]) * n
-        for old in range(len(mapping)):
-            new = mapping[old]
-            if new < 0:
-                continue
-            label[new] = self.label[old]
-            later[new] = self.later[old]
-            p, q = self.prev[old], self.next[old]
-            prev[new] = mapping[p] if p >= 0 else -1
-            nxt[new] = mapping[q] if q >= 0 else -1
-        self.label, self.prev, self.next, self.later = label, prev, nxt, later
-        self.head = [mapping[r] if r >= 0 else -1 for r in self.head]
-        self.tail = [mapping[r] if r >= 0 else -1 for r in self.tail]

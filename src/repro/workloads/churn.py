@@ -179,11 +179,11 @@ def replay_trace(
 
     The returned engine's ``metrics`` dict surfaces maintenance cost —
     ``edits_applied``, ``dirty_nodes_total`` and the per-batch
-    ``dirty_nodes_per_batch`` series (plus ``compactions`` and
-    ``reconverge_rounds_per_batch`` on the flat engine) — validated
-    against the telemetry registry before returning. Wall time per
-    batch is a telemetry concern: pass ``telemetry=`` and read the
-    ``churn.apply_batch`` spans.
+    ``dirty_nodes_per_batch`` series (plus
+    ``reconverge_rounds_per_batch`` and ``compactions``, always 0, on
+    the flat engine) — validated against the telemetry registry before
+    returning. Wall time per batch is a telemetry concern: pass
+    ``telemetry=`` and read the ``churn.apply_batch`` spans.
 
     ``batch_size`` groups events into ``apply_events`` batches on the
     flat engine (the object oracle always replays per-event).

@@ -549,14 +549,14 @@ class TestExportSendCounts:
 
 
 class TestDynamicCSRKernels:
-    """The dynamic CSR's slot layout.
+    """The dynamic CSR's per-row contracts.
 
     ``tests/test_streaming_equivalence.py`` pins the engine-level
-    bit-identity and the re-convergence that reads these slots; here
-    the slot-level contracts are pinned directly: tombstone layout
-    invariants under random edits, the exact slots an insert, a delete
-    and a node removal write, and compaction preserving neighbour sets
-    (with sorted, gap-free slices).
+    bit-identity and the re-convergence that reads these rows; here the
+    row-level contracts are pinned directly: the invariants under
+    random edits against a set-of-edges model, the exact entries an
+    insert, a delete and a node removal write, the LIFO reuse of freed
+    rows, and the invariant check catching each kind of drift.
     """
 
     def _random_drive(self, steps=200, seed=3):
@@ -576,59 +576,34 @@ class TestDynamicCSRKernels:
                 g.insert_edge(*key)
                 edges.add(key)
                 nodes.update(key)
-            elif op < 0.8:
+            elif op < 0.7:
                 key = sorted(edges)[rng.randrange(len(edges))]
                 g.delete_edge(*key)
                 edges.discard(key)
+            elif op < 0.8:
+                node = rng.randrange(16, 24)
+                if node not in nodes:
+                    g.add_node(node)
+                    nodes.add(node)
             elif nodes:
                 victim = sorted(nodes)[rng.randrange(len(nodes))]
-                if g.has_node(victim):
-                    g.remove_node(victim)
-                    nodes.discard(victim)
-                    edges = {e for e in edges if victim not in e}
+                g.remove_node(victim)
+                nodes.discard(victim)
+                edges = {e for e in edges if victim not in e}
             g.check_invariants()
+            assert set(g.edges()) == edges
+            assert list(g.nodes()) == sorted(nodes)
         return g, edges
 
     def test_layout_invariants_under_random_edits(self):
         g, edges = self._random_drive()
-        assert set(g.edges()) == edges
         assert g.num_edges == len(edges)
-
-    def test_compaction_preserves_neighbour_sets(self):
-        g, edges = self._random_drive(steps=120, seed=9)
-        before = {node: g.neighbors(node) for node in g.nodes()}
-        mapping = g.compact()
-        g.check_invariants()
-        assert g.garbage_slots == 0
-        assert {node: g.neighbors(node) for node in g.nodes()} == before
-        assert set(g.edges()) == edges
-        # compacted slices are sorted and gap-free (tombstones purged)
+        # freed rows were reused: no more rows than nodes ever held
+        assert g.num_rows <= 24
         for node in g.nodes():
-            row = g.row_of(node)
-            lo = g.starts[row]
-            slice_ = list(g.targets[lo:lo + g.used[row]])
-            assert slice_ == sorted(slice_) and -1 not in slice_
-        # the returned mapping renumbers alive rows by ascending node
-        # id: after compaction sorted ids occupy consecutive rows
-        assert sorted(new for new in mapping if new >= 0) == list(
-            range(g.num_nodes)
-        )
-        assert [g.row_of(node) for node in g.nodes()] == list(
-            range(g.num_nodes)
-        )
-
-    def test_tombstone_threshold_is_deterministic(self):
-        from repro.graph.dynamic_csr import DynamicCSRGraph
-
-        g = DynamicCSRGraph()
-        for i in range(1, 60):
-            g.insert_edge(0, i)
-        assert not g.needs_compaction
-        for i in range(1, 50):
-            g.delete_edge(0, i)
-        # 2 * garbage > live + 64 now holds; the flag is pure arithmetic
-        assert 2 * g.garbage_slots > g.num_edges * 2 + 64
-        assert g.needs_compaction
+            assert g.neighbors(node) == sorted(
+                {u for e in edges if node in e for u in e} - {node}
+            )
 
     def test_insert_appends_in_insertion_order(self):
         from repro.graph.dynamic_csr import DynamicCSRGraph
@@ -636,48 +611,95 @@ class TestDynamicCSRKernels:
         g = DynamicCSRGraph()
         for v in (3, 1, 2):
             g.insert_edge(0, v)
-        row = g.row_of(0)
-        lo = g.starts[row]
-        # slot order is insertion order — the sorted view is derived
-        assert list(g.targets[lo:lo + g.used[row]]) == [
+        # row order is insertion order — the sorted view is derived
+        assert list(g.neighbors_rows(g.row_of(0))) == [
             g.row_of(3), g.row_of(1), g.row_of(2)
         ]
         assert g.neighbors(0) == [1, 2, 3]
 
-    def test_delete_tombstones_first_match_only(self):
+    def test_delete_removes_one_entry_per_endpoint(self):
+        from repro.errors import EdgeError
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
         g = DynamicCSRGraph()
-        g.insert_edge(0, 1)
-        g.insert_edge(0, 2)
-        g.delete_edge(0, 1)
-        row = g.row_of(0)
-        lo = g.starts[row]
-        assert list(g.targets[lo:lo + g.used[row]]) == [-1, g.row_of(2)]
-        assert g.used[row] == 2        # used counts tombstones
-        assert g.degree(0) == 1        # live degree does not
+        for u, v in [(0, 1), (0, 2), (1, 2)]:
+            g.insert_edge(u, v)
+        row = g.row_of
+        g.delete_edge(1, 0)
+        assert list(g.rows[row(0)]) == [row(2)]
+        assert list(g.rows[row(1)]) == [row(2)]
+        assert list(g.rows[row(2)]) == [row(0), row(1)]  # untouched
+        assert g.degree(0) == 1 and g.num_edges == 2
+        with pytest.raises(EdgeError, match="not present"):
+            g.delete_edge(0, 1)
+        g.check_invariants()
 
-    def test_remove_node_tombstones_both_directions(self):
+    def test_remove_node_empties_and_frees_the_row(self):
         from repro.graph.dynamic_csr import DynamicCSRGraph
 
         g = DynamicCSRGraph()
         for u, v in [(0, 1), (0, 2), (1, 2), (0, 3)]:
             g.insert_edge(u, v)
-        g.delete_edge(0, 2)           # a tombstone already in 0's region
+        g.delete_edge(0, 2)
         rows = [g.row_of(v) for v in range(4)]
-        s0, cap0 = g.starts[rows[0]], g.caps[rows[0]]
-        assert g.remove_node(0) == [rows[1], rows[3]]
-        # the own region is all tombstones and abandoned, and each
-        # former neighbour loses exactly its slot for the dead row
-        assert list(g.targets[s0:s0 + cap0]) == [-1] * cap0
-        assert g.used[rows[0]] == 0 and not g.alive[rows[0]]
-        for v, left in [(1, [-1, rows[2]]), (2, [-1, rows[1]]), (3, [-1])]:
-            lo = g.starts[rows[v]]
-            assert list(g.targets[lo:lo + g.used[rows[v]]]) == left
-        assert g.garbage_slots == cap0 + 3
+        assert list(g.remove_node(0)) == [rows[1], rows[3]]
+        # the own row is empty and free, and each former neighbour
+        # loses exactly its entry for it
+        assert list(g.rows[rows[0]]) == [] and not g.alive[rows[0]]
+        assert g._free == [rows[0]]
+        for v, left in [(1, [rows[2]]), (2, [rows[1]]), (3, [])]:
+            assert list(g.rows[rows[v]]) == left
+        assert g.num_edges == 1 and not g.has_node(0)
         g.check_invariants()
         with pytest.raises(NodeNotFoundError):
             g.remove_node(0)
+
+    def test_add_node_reuses_the_last_freed_row(self):
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        g = DynamicCSRGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+        r1, r2 = g.row_of(1), g.row_of(2)
+        g.remove_node(1)
+        g.remove_node(2)
+        assert g.add_node(7) == r2           # last freed, first reused
+        g.insert_edge(8, 0)                  # a new endpoint reuses too
+        assert g.row_of(8) == r1
+        assert g.add_node(9) == g.num_rows - 1 == 4  # none free: append
+        assert g.neighbors(8) == [0] and g.neighbors(7) == []
+        g.check_invariants()
+
+    @pytest.mark.parametrize("drift", [
+        "asymmetric", "repeat", "self-loop", "dead-not-empty",
+        "freed-twice", "edge-count",
+    ])
+    def test_check_invariants_catches_drift(self, drift):
+        from repro.errors import GraphError
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        g = DynamicCSRGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+        dead = g.row_of(3)
+        g.remove_node(3)
+        g.check_invariants()
+        a, b = g.row_of(0), g.row_of(1)
+        if drift == "asymmetric":
+            g.rows[a].remove(b)
+        elif drift == "repeat":
+            g.rows[a].append(b)
+            g.rows[b].append(a)
+            g.num_edges += 1
+        elif drift == "self-loop":
+            g.rows[a].extend([a, a])
+            g.num_edges += 1
+        elif drift == "dead-not-empty":
+            g.rows[dead].append(a)
+            g.rows[a].append(dead)
+            g.num_edges += 1
+        elif drift == "freed-twice":
+            g._free.append(dead)
+        else:
+            g.num_edges += 1
+        with pytest.raises(GraphError):
+            g.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ every cell in the grid — 12 graph families × three trace shapes
 engine can start from — :class:`~repro.streaming.FlatDynamicKCore`'s
 coreness map equals the object :class:`~repro.streaming.DynamicKCore`
 oracle *and* from-scratch Batagelj–Zaveršnik. On top of the grid:
-forced mid-trace compaction, duplicate-edge / self-loop rejection
-parity, nodes appearing and vanishing (and reappearing under the same
-id), the ChurnService facade, the approx (ELM) lane's
+row reuse under leave-then-join batches, duplicate-edge / self-loop
+rejection parity, nodes appearing and vanishing (and reappearing under
+the same id), the ChurnService facade, the approx (ELM) lane's
 sample-exactness, hypothesis-generated edit scripts in the style of
 ``test_backend_equivalence.py``, and the delete-side re-convergence
 (:func:`~repro.streaming.flat_maintenance.reconverge_from_bounds`)
@@ -161,16 +161,13 @@ def _apply_to_oracle(oracle: DynamicKCore, event: ChurnEvent) -> None:
 
 
 def _drive(flat: FlatDynamicKCore, oracle: DynamicKCore, events,
-           batch: int = BATCH, compact_at: int | None = None):
+           batch: int = BATCH):
     """Batched differential replay; asserts equality after every batch."""
     for at in range(0, len(events), batch):
         chunk = events[at:at + batch]
         flat.apply_events(chunk)
         for event in chunk:
             _apply_to_oracle(oracle, event)
-        if compact_at is not None and at >= compact_at:
-            flat.compact()
-            compact_at = None
         expected = batagelj_zaversnik(oracle.graph)
         assert flat.coreness == oracle.coreness == expected, (
             f"divergence after batch at event {at}"
@@ -194,13 +191,36 @@ class TestChurnGrid:
             assert flat.verify()
 
     @pytest.mark.parametrize("build", BUILDS)
-    def test_forced_mid_trace_compaction(self, build):
+    def test_leave_then_join_batches_reuse_rows(self, build):
+        # every batch has as many joins as leaves, after them: each
+        # join takes a row a leave freed, so the row count never grows
         graph = FAMILIES["ba"]()
-        events = _script(graph, "mixed", 3, length=64)
         flat = FlatDynamicKCore(_seed(graph, build))
         oracle = DynamicKCore(graph)
-        _drive(flat, oracle, events, compact_at=len(events) // 2)
-        assert flat.metrics["compactions"] >= 1
+        rows = flat.graph.num_rows
+        rng = random.Random(5)
+        live = sorted(graph.nodes())
+        next_id = live[-1] + 1
+        for step in range(24):
+            leaving = rng.sample(live, 1 + step % 3)
+            events = [ChurnEvent(float(step), "leave", (x,)) for x in leaving]
+            live = [x for x in live if x not in leaving]
+            for _ in leaving:
+                contacts = tuple(rng.sample(live, 2))
+                events.append(
+                    ChurnEvent(float(step), "join", (next_id, *contacts))
+                )
+                live.append(next_id)
+                next_id += 1
+            flat.apply_events(events)
+            for event in events:
+                _apply_to_oracle(oracle, event)
+            assert flat.graph.num_rows <= rows, f"batch {step} added a row"
+            flat.check_invariants()
+            flat.graph.check_invariants()
+            assert flat.coreness == oracle.coreness \
+                == batagelj_zaversnik(oracle.graph)
+        assert flat.verify()
 
     @requires_numpy
     def test_backends_agree_on_metrics_and_rounds(self):
@@ -214,8 +234,8 @@ class TestChurnGrid:
                 engine.apply_events(events[at:at + BATCH])
         a, b = engines
         assert a.coreness == b.coreness
-        # dirty counts, round counts and the compaction schedule do not
-        # depend on which backend built the starting CSR
+        # dirty counts and round counts do not depend on which backend
+        # built the starting CSR
         assert a.metrics == b.metrics
 
 
@@ -511,7 +531,6 @@ class TestEditEdgeCases:
             ChurnEvent(1.0, "link", (7, 10)),
             ChurnEvent(2.0, "unlink", (7, 10)),
         ])
-        flat.compact()
         assert flat.coreness == {7: 0, 10: 0}
 
     def test_unknown_event_kind_rejected(self):
@@ -734,7 +753,7 @@ class TestReconvergeFromBounds:
         est = array("q", [5] * 6)     # old coreness of K6
         g.delete_edge(0, 1)
         changed, rounds = reconverge_from_bounds(
-            g.starts, g.used, g.targets, est, list(range(6)), []
+            g.rows, est, list(range(6)), []
         )
         oracle = batagelj_zaversnik_csr(g.to_csr())
         assert list(est) == list(oracle) == [4] * 6
@@ -750,18 +769,16 @@ class TestReconvergeFromBounds:
         g.insert_edge(1, 2)
         g.add_node(7)                  # isolated: est 0, never touched
         est = array("q", [1, 1, 1, 0])
-        changed, rounds = reconverge_from_bounds(
-            g.starts, g.used, g.targets, est, [0, 1, 2, 3], []
-        )
+        changed, rounds = reconverge_from_bounds(g.rows, est, [0, 1, 2, 3], [])
         assert changed == [] and list(est) == [1, 1, 1, 0]
 
 
-def _jacobi_oracle(starts, used, targets, est, frontier, scratch, drops):
+def _jacobi_oracle(rows, est, frontier, scratch, drops):
     """Re-convergence by full recompute: every round runs computeIndex
     on the whole frontier (the re-convergence before it counted
     supports). Appends ``(k, new)`` to ``drops`` for every drop of a row
-    with a live slot, once per round it drops in."""
-    changed_flag = bytearray(len(used))
+    with a neighbour, once per round it drops in."""
+    changed_flag = bytearray(len(rows))
     changed: list[int] = []
     work = [u for u in frontier if est[u] > 0]
     rounds = 0
@@ -769,8 +786,7 @@ def _jacobi_oracle(starts, used, targets, est, frontier, scratch, drops):
         rounds += 1
         round_drops: list[tuple[int, int]] = []
         for u in work:
-            s = starts[u]
-            vals = [est[t] for t in targets[s:s + used[u]] if t >= 0]
+            vals = [est[t] for t in rows[u]]
             k = compute_index(vals, est[u], scratch) if vals else 0
             if k < est[u]:
                 round_drops.append((u, k))
@@ -785,9 +801,8 @@ def _jacobi_oracle(starts, used, targets, est, frontier, scratch, drops):
                 changed_flag[u] = 1
                 changed.append(u)
         for u, _ in round_drops:
-            s = starts[u]
-            for t in targets[s:s + used[u]]:
-                if t >= 0 and est[t] > 0:
+            for t in rows[u]:
+                if est[t] > 0:
                     nxt.add(t)
         work = sorted(nxt)
     return sorted(changed), rounds
@@ -799,8 +814,8 @@ def _reconverge_inputs(draw):
     coreness, and a frontier that holds every row off its fixpoint.
 
     The estimates start at the coreness of the graph before the edits.
-    Then edges are deleted (tombstones, maybe every slot of a row) and
-    nodes removed (dead rows at est 0), random rows are raised above
+    Then edges are deleted (maybe every entry of a row) and nodes
+    removed (freed rows at est 0), random rows are raised above
     their coreness, and the frontier gathers the rows each edit
     touched plus random ones, in random order."""
     from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
@@ -846,7 +861,7 @@ class TestReconvergeDifferential:
     ``est``, the coreness of the edited graph, on generated inputs. It
     decides drops from support counts, so it calls ``computeIndex``
     once per row and round in which the row drops, and never for a row
-    with no live slot (it drops to 0 without one).
+    with no neighbour (it drops to 0 without one).
     """
 
     @staticmethod
@@ -857,8 +872,7 @@ class TestReconvergeDifferential:
         for row in range(g.num_rows):
             if row in inside or est[row] <= 0:
                 continue
-            s = g.starts[row]
-            vals = [est[t] for t in g.targets[s:s + g.used[row]] if t >= 0]
+            vals = [est[t] for t in g.rows[row]]
             if not vals or compute_index(vals, est[row]) != est[row]:
                 return False
         return True
@@ -872,9 +886,7 @@ class TestReconvergeDifferential:
         assert self._stable_outside(g, est, frontier)
         want_est = array("q", est)
         drops: list[tuple[int, int]] = []
-        want = _jacobi_oracle(
-            g.starts, g.used, g.targets, want_est, frontier, [], drops
-        )
+        want = _jacobi_oracle(g.rows, want_est, frontier, [], drops)
         calls: list[tuple[int, int]] = []
 
         def spy(vals, k, scratch=None):
@@ -886,9 +898,7 @@ class TestReconvergeDifferential:
             return new
 
         with mock.patch.object(flat_maintenance, "compute_index", spy):
-            got = reconverge_from_bounds(
-                g.starts, g.used, g.targets, est, frontier, []
-            )
+            got = reconverge_from_bounds(g.rows, est, frontier, [])
         assert got == want
         assert est == want_est
         assert sorted(calls) == sorted(drops)
