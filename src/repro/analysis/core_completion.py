@@ -15,8 +15,10 @@ shaped exactly like Table 2.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik
-from repro.core.one_to_one import KCoreNode, OneToOneConfig, build_node_processes
+from repro.core.one_to_one import KCoreNode, OneToOneConfig, run_one_to_one
 from repro.core.result import DecompositionResult
 from repro.graph.graph import Graph
 from repro.sim.engine import RoundEngine
@@ -62,7 +64,10 @@ def core_completion_table(
     config: OneToOneConfig | None = None,
     truth: dict[int, int] | None = None,
 ) -> tuple[DecompositionResult, CoreCompletionObserver, list[list[object]]]:
-    """Run the protocol and build Table-2-shaped rows.
+    """Run the protocol on the round engine and build Table-2-shaped rows.
+
+    ``config`` runs as given (``fixed_rounds``, ``telemetry`` and its
+    ``observers`` included) with the completion observer added.
 
     Returns ``(result, observer, rows)`` where each row is
     ``[k, shell_size, pct@t1, pct@t2, ...]`` for every shell that is
@@ -72,21 +77,13 @@ def core_completion_table(
     config = config or OneToOneConfig()
     truth = truth if truth is not None else batagelj_zaversnik(graph)
     observer = CoreCompletionObserver(truth, checkpoints)
-    processes = build_node_processes(graph, config.optimize_sends)
-    engine = RoundEngine(
-        processes,
-        mode=config.mode,
-        seed=config.seed,
-        max_rounds=config.max_rounds,
-        strict=config.strict,
-        observers=[observer],
+    result = run_one_to_one(
+        graph,
+        dataclasses.replace(
+            config, engine="round", observers=(*config.observers, observer)
+        ),
     )
-    stats = engine.run()
-    result = DecompositionResult(
-        coreness={pid: p.core for pid, p in processes.items()},
-        stats=stats,
-        algorithm="one-to-one/core-completion",
-    )
+    result.algorithm = "one-to-one/core-completion"
 
     first = observer.checkpoints[0]
     rows: list[list[object]] = []

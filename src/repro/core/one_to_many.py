@@ -256,7 +256,7 @@ class OneToManyConfig:
     #: :mod:`repro.core.paths`. ``"flat"`` runs the sharded CSR fast
     #: path — an exact replay of the round engine (identical coreness,
     #: rounds, message counts and ``estimates_sent`` per seed), just
-    #: faster; it rejects generic ``observers``. ``"mp"`` spawns one OS
+    #: faster; it rejects ``observers``. ``"mp"`` spawns one OS
     #: process per host shard with host-to-host batches
     #: over real pipes — an exact replay of the flat lockstep path; it
     #: requires ``mode="lockstep"`` and >= 2 hosts and rejects
@@ -316,6 +316,12 @@ class OneToManyConfig:
     #: policy (the paper notes the §3.1.2 filter "cannot be applied" as
     #: is; this is the sound host-level analogue). Default off.
     p2p_filter: bool = False
+    #: ``observer(round_number, engine)`` callables run after every
+    #: round of ``engine="round"``, such as
+    #: :class:`~repro.sim.tracing.TraceRecorder` (which reads each
+    #: host's owned estimates). Only that engine takes them; the flat
+    #: and mp engines replay it round for round, so its trace is also
+    #: theirs.
     observers: Sequence[Observer] = field(default_factory=tuple)
     #: ``True``/``False`` or a :class:`repro.telemetry.Tracer`; when
     #: enabled, the run is bracketed in spans — rounds on every engine,
@@ -505,7 +511,8 @@ def run_flat(
     policy, seed); the cut comes from the shard build instead of an
     O(m) sweep. ``use_worklist`` selects nothing here: the flat cascade
     is always a worklist, and both object variants compute the same
-    fixpoint and changed set.
+    fixpoint and changed set. The flat and mp rows take no
+    ``observers``: a per-round trace runs on ``engine="round"``.
     """
     from repro.sim.flat_many_engine import FlatOneToManyEngine
 
@@ -522,7 +529,6 @@ def run_flat(
         strict=config.strict,
         backend=backend,
         telemetry=tracer,
-        recorders=tuple(config.observers),
     )
     stats = engine.run()
     _export_extra(
@@ -578,7 +584,6 @@ def run_mp(
         checkpoint=config.checkpoint,
         fault_plan=fault_plan,
         telemetry=tracer,
-        recorders=tuple(config.observers),
     )
     # persisted into checkpoint manifests so a resumed run packages the
     # same label and placement keys without the original Graph or

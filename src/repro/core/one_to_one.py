@@ -133,15 +133,21 @@ class OneToOneConfig:
     engine:
         ``"round"`` (object engine), ``"async"`` (event-driven,
         arbitrary latencies) or ``"flat"`` (the array fast path of
-        :mod:`repro.sim.flat_engine`; supports both ``mode`` values, no
-        observers, bit-identical results — including the RNG-driven
-        activation order under ``mode="peersim"`` — to
-        ``engine="round"`` with the same mode and seed). Which fields
+        :mod:`repro.sim.flat_engine`; supports both ``mode`` values,
+        bit-identical results — including the RNG-driven activation
+        order under ``mode="peersim"`` — to ``engine="round"`` with the
+        same mode and seed). Which fields
         each engine takes is one row of :mod:`repro.core.paths`: the
         async engine has no rounds and no activation modes, so
         combining it with ``fixed_rounds``, ``mode="lockstep"`` or
         ``observers`` raises :class:`ConfigurationError`; likewise
         ``latency`` and ``async_max_time`` are async-only.
+    observers:
+        ``observer(round_number, engine)`` callables run after every
+        round of ``engine="round"``, such as
+        :class:`~repro.sim.tracing.TraceRecorder`. Only that engine
+        takes them; the flat engines replay it round for round, so its
+        trace is also theirs.
     backend:
         Kernel backend for ``engine="flat"`` (see
         :mod:`repro.sim.kernels`): ``"stdlib"`` (canonical, default)
@@ -256,9 +262,8 @@ def run_flat(
     :class:`~repro.sim.flat_engine.FlatOneToOneEngine` (the Section-4
     synchronous model), ``mode="peersim"`` on
     :class:`~repro.sim.flat_engine.FlatPeerSimEngine` (RNG-identical to
-    the object engine for every seed). ``config.observers`` holds only
-    :class:`~repro.sim.tracing.TraceRecorder` instances here, fed
-    through the engines' array-diff recording path.
+    the object engine for every seed). The flat rows take no
+    ``observers``: a per-round trace runs on ``engine="round"``.
     """
     from repro.sim.flat_engine import FlatOneToOneEngine, FlatPeerSimEngine
 
@@ -280,7 +285,6 @@ def run_flat(
         max_rounds=config.max_rounds,
         strict=config.strict,
         telemetry=tracer,
-        recorders=tuple(config.observers),
     )
     if config.mode == "peersim":
         engine: "FlatOneToOneEngine | FlatPeerSimEngine" = FlatPeerSimEngine(

@@ -73,9 +73,9 @@ class Path:
     fleet: bool = False
     #: Runs in rounds, so takes ``max_rounds`` and ``fixed_rounds``.
     rounds: bool = False
-    #: ``"any"`` (round-engine hooks), ``"recorders"``
-    #: (:class:`~repro.sim.tracing.TraceRecorder` only) or ``None``.
-    observers: "str | None" = None
+    #: Takes round-engine ``observers`` (the ``round`` rows: per-round
+    #: hooks and :class:`~repro.sim.tracing.TraceRecorder` traces).
+    observers: bool = False
     telemetry: bool = False
     #: The algorithm name that implies this row's engine and first mode.
     alias: "str | None" = None
@@ -87,7 +87,7 @@ class Path:
             "engine": self.engine is not None,
             "mode": bool(self.modes),
             "backend": bool(self.backends),
-            "observers": self.observers is not None,
+            "observers": self.observers,
             **dict.fromkeys(ROUND_OPTIONS, self.rounds),
             **dict.fromkeys(TELEMETRY_OPTIONS, self.telemetry),
             **dict.fromkeys(FLEET_OPTIONS, self.fleet),
@@ -105,33 +105,30 @@ _O2M = "repro.core.one_to_many:"
 PATHS: "tuple[Path, ...]" = (
     Path("one-to-one", "round", _O2O + "run_objects",
          modes=("peersim", "lockstep"), backends=STDLIB, rounds=True,
-         observers="any", telemetry=True, options=_ONE_TO_ONE),
+         observers=True, telemetry=True, options=_ONE_TO_ONE),
     Path("one-to-one", "async", _O2O + "run_objects",
          modes=("peersim",), backends=STDLIB,
          options=_ONE_TO_ONE + ("latency", "async_max_time")),
     # peersim first: engine="flat" without a mode keeps the config's
     # default mode; only the alias implies lockstep
     Path("one-to-one", "flat", _O2O + "run_flat",
-         modes=("peersim",), backends=STDLIB, rounds=True,
-         observers="recorders", telemetry=True, options=_ONE_TO_ONE),
-    Path("one-to-one", "flat", _O2O + "run_flat",
-         modes=("lockstep",), backends=BOTH, rounds=True,
-         observers="recorders", telemetry=True, alias="one-to-one-flat",
+         modes=("peersim",), backends=STDLIB, rounds=True, telemetry=True,
          options=_ONE_TO_ONE),
+    Path("one-to-one", "flat", _O2O + "run_flat",
+         modes=("lockstep",), backends=BOTH, rounds=True, telemetry=True,
+         alias="one-to-one-flat", options=_ONE_TO_ONE),
     Path("one-to-many", "round", _O2M + "run_objects",
          modes=("peersim", "lockstep"), backends=STDLIB, rounds=True,
-         observers="any", telemetry=True, options=_ONE_TO_MANY),
+         observers=True, telemetry=True, options=_ONE_TO_MANY),
     Path("one-to-many", "async", _O2M + "run_objects",
          modes=("peersim",), backends=STDLIB, options=_ONE_TO_MANY),
     Path("one-to-many", "flat", _O2M + "run_flat",
          modes=("peersim", "lockstep"), backends=BOTH, rounds=True,
-         observers="recorders", telemetry=True, alias="one-to-many-flat",
-         options=_ONE_TO_MANY),
+         telemetry=True, alias="one-to-many-flat", options=_ONE_TO_MANY),
     # a process fleet can replay only lockstep, so that is its default
     Path("one-to-many", "mp", _O2M + "run_mp",
          modes=("lockstep",), backends=BOTH, fleet=True, rounds=True,
-         observers="recorders", telemetry=True, alias="one-to-many-mp",
-         options=_ONE_TO_MANY),
+         telemetry=True, alias="one-to-many-mp", options=_ONE_TO_MANY),
     Path("bz", None, "repro.core.api:run_bz"),
     Path("peeling", None, "repro.core.api:run_peeling"),
     Path("hindex", None, "repro.core.api:run_hindex",
@@ -248,10 +245,6 @@ def resolve(
             f"does not run; it runs {list(path.backends)} (see the support "
             "matrix in repro.sim.kernels)"
         )
-    if path.observers == "recorders" and values.get("observers"):
-        from repro.sim.tracing import recorders_from_observers
-
-        recorders_from_observers(values["observers"], path.engine)
     return path
 
 

@@ -63,16 +63,13 @@ activation order *is* observable, so the flat engine replays it
 verbatim from the shared RNG stream.
 
 **When is each selected?** ``run_one_to_one(engine="flat")`` routes
-here, choosing the class by ``config.mode``. Generic observers are not
-supported (use the object engine for per-round callbacks, failure
-injection, or the async engine — i.e. fidelity features over
-throughput); the two sanctioned pure observers are supported natively:
-``telemetry=`` brackets rounds and kernel phases in
-:mod:`repro.telemetry` spans, and ``recorders=`` feeds
-:class:`~repro.sim.tracing.TraceRecorder` instances the same per-round
-aggregates the object engine's observer path produces (array diff per
-round, only when a recorder is attached). Neither can perturb the
-replay: both are write-only sinks the protocol never reads back.
+here, choosing the class by ``config.mode``. Observers are not
+supported: per-round callbacks, :class:`~repro.sim.tracing.TraceRecorder`
+traces, failure injection and asynchrony run on the object engines
+(fidelity over throughput), which this replay matches round for round.
+The one pure observer here is ``telemetry=``, which brackets rounds and
+kernel phases in :mod:`repro.telemetry` spans — a write-only sink the
+protocol never reads back, so it cannot perturb the replay.
 """
 
 from __future__ import annotations
@@ -87,7 +84,6 @@ from repro.errors import ConvergenceError, SimulationError
 from repro.graph.csr import CSRGraph
 from repro.sim.kernels import KernelBackend, export_send_counts, resolve_backend
 from repro.sim.metrics import SimulationStats
-from repro.sim.tracing import record_flat_round, reference_slice
 from repro.telemetry.spans import resolve_tracer
 from repro.utils.rng import make_rng
 
@@ -117,7 +113,6 @@ class FlatOneToOneEngine:
         "core",
         "stats",
         "tracer",
-        "recorders",
     )
 
     def __init__(
@@ -128,7 +123,6 @@ class FlatOneToOneEngine:
         strict: bool = True,
         backend: "str | KernelBackend" = "stdlib",
         telemetry: object = None,
-        recorders: Sequence = (),
     ) -> None:
         self.csr = csr
         self.optimize_sends = optimize_sends
@@ -137,12 +131,9 @@ class FlatOneToOneEngine:
         self.backend = resolve_backend(backend)
         self.core = self.backend.full(0)
         self.stats = SimulationStats()
-        # telemetry and recorders are pure observers: with telemetry
-        # disabled the tracer is the shared no-op singleton and with no
-        # recorders the per-round diff never runs, so the replay hot
-        # loop is untouched in the default configuration
+        # telemetry is a pure observer: disabled, the tracer is the
+        # shared no-op singleton, so the replay hot loop is untouched
         self.tracer = resolve_tracer(telemetry)
-        self.recorders = list(recorders)
 
     # ------------------------------------------------------------------
     def coreness(self) -> dict[int, int]:
@@ -172,7 +163,6 @@ class FlatOneToOneEngine:
         csr = self.csr
         stats = self.stats
         tracer = self.tracer
-        recorders = self.recorders
         n = csr.num_nodes
         offsets = kb.graph_array(csr.offsets)
         targets = kb.graph_array(csr.targets)
@@ -208,10 +198,6 @@ class FlatOneToOneEngine:
         stats.sends_per_round.append(sends)
         if sends:
             stats.execution_time += 1
-        if recorders:
-            prev = [-1] * n
-            refs = [reference_slice(r.reference, csr.ids) for r in recorders]
-            record_flat_round(recorders, refs, rnd, sends, core, prev)
 
         seeded = False
         slots = None
@@ -249,10 +235,6 @@ class FlatOneToOneEngine:
             stats.sends_per_round.append(int(sends))
             if sends:
                 stats.execution_time += 1
-            if recorders:
-                record_flat_round(
-                    recorders, refs, rnd, int(sends), core, prev
-                )
 
         stats.rounds_executed = rnd
         export_send_counts(stats, sent, csr.ids)
@@ -301,7 +283,6 @@ class FlatPeerSimEngine:
         "core",
         "stats",
         "tracer",
-        "recorders",
         "_base_order",
     )
 
@@ -314,7 +295,6 @@ class FlatPeerSimEngine:
         strict: bool = True,
         activation_ids: Sequence[int] | None = None,
         telemetry: object = None,
-        recorders: Sequence = (),
     ) -> None:
         self.csr = csr
         self.seed = seed
@@ -323,11 +303,10 @@ class FlatPeerSimEngine:
         self.strict = strict
         self.core: array = array("q")
         self.stats = SimulationStats()
-        # pure observers, as in the lockstep engine: the inherently
+        # a pure observer, as in the lockstep engine: the inherently
         # sequential per-activation loop is never bracketed — only the
         # round boundaries are, so tracing costs one span per round
         self.tracer = resolve_tracer(telemetry)
-        self.recorders = list(recorders)
         if activation_ids is None:
             self._base_order = list(range(csr.num_nodes))
         else:
@@ -367,7 +346,6 @@ class FlatPeerSimEngine:
         csr = self.csr
         stats = self.stats
         tracer = self.tracer
-        recorders = self.recorders
         n = csr.num_nodes
         offsets = csr.offsets
         targets = csr.targets
@@ -412,10 +390,6 @@ class FlatPeerSimEngine:
         stats.sends_per_round.append(sends)
         if sends:
             stats.execution_time += 1
-        if recorders:
-            prev = [-1] * n
-            refs = [reference_slice(r.reference, csr.ids) for r in recorders]
-            record_flat_round(recorders, refs, rnd, sends, core, prev)
 
         while sends or pending:
             if rnd >= self.max_rounds:
@@ -470,8 +444,6 @@ class FlatPeerSimEngine:
             stats.sends_per_round.append(sends)
             if sends:
                 stats.execution_time += 1
-            if recorders:
-                record_flat_round(recorders, refs, rnd, sends, core, prev)
 
         stats.rounds_executed = rnd
         export_send_counts(stats, sent, csr.ids)

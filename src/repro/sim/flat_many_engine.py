@@ -64,15 +64,14 @@ and ``tests/test_backend_equivalence.py`` asserts stdlib/numpy
 bit-identity on the same grid.
 
 **When is it selected?** ``run_one_to_many(engine="flat")`` routes here
-via the flat row of :mod:`repro.core.paths`. Generic observers are not
-supported — use the object engine for arbitrary per-round callbacks —
-but the two sanctioned pure observers are: ``telemetry=`` brackets
-rounds and per-shard kernel phases in :mod:`repro.telemetry` spans, and
-``recorders=`` feeds :class:`~repro.sim.tracing.TraceRecorder`
-instances per-round node-level aggregates (owned-estimate diffs and
-residual error — strictly more informative than observing object
-``KCoreHost`` processes, which expose no per-node ``core``). Both are
-write-only sinks the protocol never reads back.
+via the flat row of :mod:`repro.core.paths`. Observers are not
+supported: per-round callbacks and
+:class:`~repro.sim.tracing.TraceRecorder` traces (which read every
+host's owned estimates) run on the object engine, which this replay
+matches round for round. The one pure observer here is
+``telemetry=``, which brackets rounds and per-shard kernel phases in
+:mod:`repro.telemetry` spans — a write-only sink the protocol never
+reads back.
 """
 
 from __future__ import annotations
@@ -80,14 +79,12 @@ from __future__ import annotations
 import random
 import time as _time
 from array import array
-from typing import Sequence
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.sharded import ShardedCSR
 from repro.sim.host_step import HostStep
 from repro.sim.kernels import KernelBackend, export_send_counts, resolve_backend
 from repro.sim.metrics import SimulationStats
-from repro.sim.tracing import diff_round, record_shard_round, reference_slice
 from repro.telemetry.spans import resolve_tracer
 from repro.utils.rng import make_rng
 
@@ -126,9 +123,6 @@ class FlatOneToManyEngine:
         bracket each round and each per-shard kernel phase
         (``kernel.seed_shard`` / ``kernel.fold_mailbox`` /
         ``kernel.cascade`` / ``emit``). Pure observer.
-    recorders:
-        :class:`~repro.sim.tracing.TraceRecorder` instances fed
-        node-level per-round aggregates (see module docstring).
 
     After :meth:`run`, :attr:`estimates_sent` holds the Figure-5
     overhead numerator per host and :meth:`coreness` the result.
@@ -146,7 +140,6 @@ class FlatOneToManyEngine:
         "stats",
         "estimates_sent",
         "tracer",
-        "recorders",
         "_est",
     )
 
@@ -161,7 +154,6 @@ class FlatOneToManyEngine:
         strict: bool = True,
         backend: "str | KernelBackend" = "stdlib",
         telemetry: object = None,
-        recorders: Sequence = (),
     ) -> None:
         if communication not in ("broadcast", "p2p"):
             raise ConfigurationError(
@@ -186,10 +178,9 @@ class FlatOneToManyEngine:
         self.stats = SimulationStats()
         #: Figure-5 overhead numerator per host (filled by :meth:`run`).
         self.estimates_sent: array = array("q")
-        # pure observers: the no-op tracer and an empty recorder list
-        # leave the replay loop untouched (see flat_engine)
+        # a pure observer: the no-op tracer leaves the replay loop
+        # untouched (see flat_engine)
         self.tracer = resolve_tracer(telemetry)
-        self.recorders = list(recorders)
         self._est: list = []
 
     # ------------------------------------------------------------------
@@ -219,7 +210,6 @@ class FlatOneToManyEngine:
         kb = self.backend
         stats = self.stats
         tracer = self.tracer
-        recorders = self.recorders
         sharded = self.sharded
         shards = sharded.shards
         num_hosts = sharded.num_hosts
@@ -236,7 +226,7 @@ class FlatOneToManyEngine:
             )
             for x, shard in enumerate(shards)
         ]
-        est_list = self._est = [step.est for step in steps]
+        self._est = [step.est for step in steps]
         sent_msgs = array("q", [0]) * num_hosts
 
         # Mailboxes: parallel (ext-slot, value) array('q') buffers per
@@ -290,22 +280,6 @@ class FlatOneToManyEngine:
             if updates:
                 emit(x, updates)
 
-        # recorder state: per-shard prev copies of the owned estimates
-        # plus per-(shard, recorder) reference slices — allocated only
-        # when a recorder is attached
-        if recorders:
-            ids = sharded.csr.ids
-            prev_lists = [[-1] * s.n_owned for s in shards]
-            refs_by_shard = [
-                [
-                    reference_slice(
-                        rec.reference, [ids[g] for g in s.owned_global]
-                    )
-                    for rec in recorders
-                ]
-                for s in shards
-            ]
-
         # Round 1 always runs. Under peersim its shuffle keeps the RNG
         # stream aligned with the object engine even though init never
         # reads a mailbox.
@@ -341,11 +315,6 @@ class FlatOneToManyEngine:
             stats.sends_per_round.append(sends)
             if sends:
                 stats.execution_time += 1
-            if recorders:
-                record_shard_round(recorders, rnd, sends, [
-                    diff_round(est_list[x], prev_lists[x], refs_by_shard[x])
-                    for x in range(num_hosts)
-                ])
 
         stats.rounds_executed = rnd
         self._finish(steps, sent_msgs)

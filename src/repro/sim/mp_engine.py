@@ -159,7 +159,6 @@ from repro.sim.shm_transport import (
     build_shm_layout,
     create_segments,
 )
-from repro.sim.tracing import diff_round, record_shard_round, reference_slice
 from repro.telemetry.merge import merge_worker_buffers
 from repro.telemetry.spans import NULL_TRACER, Tracer, resolve_tracer
 
@@ -276,42 +275,6 @@ class _ShardWorker:
         #: worker-local span buffer (pure observer; NULL_TRACER when
         #: telemetry is off, so the hot path pays one attribute lookup)
         self.tracer = tracer
-        #: TraceRecorder feeding state: reference slices over the owned
-        #: nodes and the previous round's values (None = not recording)
-        self.record_refs: "list[list[int] | None] | None" = None
-        self.record_prev: "list[int] | None" = None
-
-    def enable_recording(
-        self, refs: "list[list[int] | None]", restored: bool
-    ) -> None:
-        """Arm the per-round array diff shipped with the round reports.
-
-        ``prev`` after any recorded round equals the owned estimate
-        slice exactly (the diff copies every changed value), so a
-        restored worker reseeds it from the adopted snapshot's
-        estimates; a fresh worker seeds ``-1`` so round 1 counts every
-        node (the observer path's first-observation rule).
-        """
-        self.record_refs = refs
-        n_owned = self.step.shard.n_owned
-        if restored:
-            est = self.step.est
-            self.record_prev = [int(est[u]) for u in range(n_owned)]
-        else:
-            self.record_prev = [-1] * n_owned
-
-    def record_diff(self) -> "tuple | None":
-        """One round's ``(changed, errors)`` aggregate, or ``None``."""
-        if self.record_refs is None:
-            return None
-        return diff_round(self.step.est, self.record_prev, self.record_refs)
-
-    def resync_record_prev(self) -> None:
-        """Re-align ``prev`` with the estimates after a recovery replay
-        (equivalent to having diffed every replayed round)."""
-        if self.record_prev is not None:
-            est = self.step.est
-            self.record_prev = [int(est[u]) for u in range(len(self.record_prev))]
 
     # ------------------------------------------------------------------
     # state snapshot / restore (checkpointing + worker recovery)
@@ -540,10 +503,10 @@ def _worker_main(
 
     The spawn arguments are small handles only. The worker's first act
     is a ``("ready",)`` reply; the coordinator then sends the boot
-    message ``(shard_blob, faults_blob, restore_blob, record_blob)``
-    over the control pipe. ``shard_blob`` is the coordinator's pickled
-    :class:`HostShard` — shipped as bytes so the one serialization pass
-    also yields the ``shard_payload_bytes`` metric. ``restore_blob``
+    message ``(shard_blob, faults_blob, restore_blob)`` over the control
+    pipe. ``shard_blob`` is the coordinator's pickled :class:`HostShard`
+    — shipped as bytes so the one serialization pass also yields the
+    ``shard_payload_bytes`` metric. ``restore_blob``
     (respawned replacements and whole-fleet resumes) is a prior
     :meth:`_ShardWorker.snapshot` to adopt before the command loop;
     ``faults_blob`` is this worker's slice of a
@@ -560,10 +523,8 @@ def _worker_main(
 
     ``telemetry`` arms a worker-local :class:`~repro.telemetry.Tracer`
     (lane ``worker-<host>``) whose buffer ships up the control pipe on
-    ``_TELEMETRY`` at gather time; ``record_blob`` is the pickled
-    reference slices arming the per-round
-    :class:`~repro.sim.tracing.TraceRecorder` diff. Both are pure
-    observers — neither touches protocol state or message flow.
+    ``_TELEMETRY`` at gather time. It is a pure observer — it touches
+    neither protocol state nor message flow.
 
     Runs the command loop: fold/cascade/emit on ``_STEP``, holding back
     early-arriving batches tagged for a later round. Any exception is
@@ -573,7 +534,7 @@ def _worker_main(
     mailbox = None
     try:
         conn.send(("ready",))
-        shard_blob, faults_blob, restore_blob, record_blob = conn.recv()
+        shard_blob, faults_blob, restore_blob = conn.recv()
         faults = pickle.loads(faults_blob) if faults_blob else None
         tracer = Tracer(lane=f"worker-{host}") if telemetry else NULL_TRACER
         worker = _ShardWorker(
@@ -587,10 +548,6 @@ def _worker_main(
             worker.mailbox = mailbox
         if restore_blob is not None:
             worker.restore(restore_blob)
-        if record_blob is not None:
-            worker.enable_recording(
-                pickle.loads(record_blob), restored=restore_blob is not None
-            )
         while True:
             cmd = conn.recv()
             op = cmd[0]
@@ -611,7 +568,7 @@ def _worker_main(
                     _die(inboxes, host)
                 if faults:
                     faults.stall_before_report(rnd)
-                conn.send(("done",) + report + (worker.record_diff(),))
+                conn.send(("done",) + report)
             elif op == _CHECKPOINT:
                 rnd, expect = cmd[1], cmd[2]
                 with tracer.span("checkpoint.snapshot", round=rnd):
@@ -655,7 +612,6 @@ def _worker_main(
                         else:
                             batches = worker.pull(inbox, rnd, expect)
                             worker.activate(rnd + 1, batches, transport=False)
-                    worker.resync_record_prev()
                 conn.send(("replayed",))
             elif op == _TELEMETRY:
                 conn.send(("telemetry", tracer.events()))
@@ -734,14 +690,6 @@ class MultiProcessOneToManyEngine:
         at gather time into one fleet timeline. A pure observer: the
         protocol messages, their ordering and every counter are
         bit-identical with tracing on or off.
-    recorders:
-        :class:`~repro.sim.tracing.TraceRecorder` instances. Workers
-        diff their owned estimate slice per round and ship
-        ``(changed, errors)`` with the round report; the coordinator
-        sums the shard aggregates (addition is associative, so sharding
-        does not change the totals) and records one snapshot per
-        executed round — identical output to the object engine's
-        observer path.
 
     After :meth:`run`: :meth:`coreness`, :attr:`estimates_sent` (per
     host), :attr:`pipe_bytes_per_round` / :attr:`pipe_bytes_total` (the
@@ -770,7 +718,6 @@ class MultiProcessOneToManyEngine:
         fault_plan: "FaultPlan | None" = None,
         recover: "bool | None" = None,
         telemetry: object = None,
-        recorders=(),
     ) -> None:
         if communication not in ("broadcast", "p2p"):
             raise ConfigurationError(
@@ -847,8 +794,6 @@ class MultiProcessOneToManyEngine:
             else (checkpoint is not None or fault_plan is not None)
         )
         self.tracer = resolve_tracer(telemetry, lane="coordinator")
-        self.recorders = list(recorders)
-        self._record_blobs: "list[bytes] | None" = None
         #: Extra manifest fields the runner wants persisted (e.g. the
         #: algorithm label a resume should report).
         self.checkpoint_meta: dict = {}
@@ -942,8 +887,8 @@ class MultiProcessOneToManyEngine:
         self, x: int, restore_blob: "bytes | None", with_faults: bool
     ) -> None:
         """Await started worker ``x``'s first reply (under :meth:`_recv`'s
-        timeout and EOF checks), then send its shard, restore, fault and
-        recorder blobs over the control pipe."""
+        timeout and EOF checks), then send its shard, restore and fault
+        blobs over the control pipe."""
         blob = pickle.dumps(
             self.sharded.shards[x], protocol=pickle.HIGHEST_PROTOCOL
         )
@@ -956,12 +901,9 @@ class MultiProcessOneToManyEngine:
                 faults_blob = pickle.dumps(
                     mine, protocol=pickle.HIGHEST_PROTOCOL
                 )
-        record_blob = (
-            None if self._record_blobs is None else self._record_blobs[x]
-        )
         self._recv(x, 0)
         try:
-            self._conns[x].send((blob, faults_blob, restore_blob, record_blob))
+            self._conns[x].send((blob, faults_blob, restore_blob))
         except OSError:
             raise _WorkerLost(
                 x, f"mp worker {x} died before taking its shard", wedged=False
@@ -1279,23 +1221,6 @@ class MultiProcessOneToManyEngine:
         shm_bytes = self.shm_bytes_per_round = []
         all_hosts = range(num_hosts)
         tracer = self.tracer
-        recorders = self.recorders
-        if recorders:
-            # reference slices per worker, pickled once — workers diff
-            # their owned slice per round and ship the aggregates
-            ids = sharded.csr.ids
-            self._record_blobs = [
-                pickle.dumps(
-                    [
-                        reference_slice(
-                            rec.reference, [ids[g] for g in shard.owned_global]
-                        )
-                        for rec in recorders
-                    ],
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                for shard in sharded.shards
-            ]
 
         def run_round(rnd: int, expect: list[int]) -> tuple[int, list[int]]:
             """One lockstep round on every worker (round 1: Algorithm 3
@@ -1313,7 +1238,7 @@ class MultiProcessOneToManyEngine:
                 round_shm = 0
                 next_expect = [0] * num_hosts
                 for x in all_hosts:
-                    _tag, dests, nbytes, shm_nb, _diff = reports[x]
+                    _tag, dests, nbytes, shm_nb = reports[x]
                     sends += len(dests)
                     sent_msgs[x] += len(dests)
                     round_bytes += nbytes
@@ -1326,10 +1251,6 @@ class MultiProcessOneToManyEngine:
             shm_bytes.append(round_shm)
             if sends:
                 stats.execution_time += 1
-            if recorders:
-                record_shard_round(
-                    recorders, rnd, sends, [reports[x][4] for x in all_hosts]
-                )
             return sends, next_expect
 
         rnd = 0

@@ -476,8 +476,8 @@ class FlatDynamicKCore:
         for node in (u, v):
             if not self._graph.has_node(node):
                 self._add_row(node)
-        if self._graph.has_edge(u, v):
-            raise EdgeError(f"edge ({u}, {v}) already present")
+        # a present edge raises in insert_edge before anything changes:
+        # both its rows existed, and the sample kept it
         if not self._keeps(u, v):
             return  # ELM lane: the sample never takes this edge
         self._graph.insert_edge(u, v)

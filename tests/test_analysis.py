@@ -88,6 +88,24 @@ class TestCoreCompletion:
         )
         assert observer.percentage(shell=999, checkpoint=5) == 0.0
 
+    def test_runs_the_config_as_given(self):
+        """``fixed_rounds`` stops the run and the caller's observers see
+        every round, as in :func:`run_with_error_trace`."""
+        seen: list[int] = []
+        result, observer, _ = core_completion_table(
+            gen.worst_case_graph(40),
+            checkpoints=[2, 3, 10],
+            config=OneToOneConfig(
+                mode="lockstep",
+                fixed_rounds=3,
+                observers=(lambda rnd, engine: seen.append(rnd),),
+            ),
+        )
+        assert result.stats.rounds_executed == 3
+        assert seen == [1, 2, 3]
+        assert sorted(observer.wrong_at) == [2, 3]
+        assert result.algorithm == "one-to-one/core-completion"
+
 
 class TestTable1Row:
     def test_row_fields(self, social):

@@ -542,6 +542,24 @@ class TestEditEdgeCases:
         with pytest.raises(ConfigurationError, match="merge"):
             flat.apply_events([Bogus()])
 
+    def test_a_link_tests_its_edge_twice(self, monkeypatch):
+        """A ``link`` between present nodes scans a row for the edge in
+        the replay guard and in ``insert_edge``, and nowhere else."""
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        flat = FlatDynamicKCore(gen.path_graph(4))
+        calls = []
+        original = DynamicCSRGraph.has_edge
+
+        def spy(self, u, v):
+            calls.append((u, v))
+            return original(self, u, v)
+
+        monkeypatch.setattr(DynamicCSRGraph, "has_edge", spy)
+        assert flat.apply_events([ChurnEvent(0.0, "link", (0, 3))]) == 1
+        assert calls == [(0, 3), (0, 3)]
+        assert flat.coreness == {0: 2, 1: 2, 2: 2, 3: 2}
+
 
 class TestBatchThatRaises:
     """A batch whose event raises still settles the edits before it,

@@ -18,8 +18,9 @@ Three contracts, in increasing order of teeth:
 
 Plus the satellites riding on the same layer: the typed metrics
 registry behind ``stats.extra``, the exporters (Chrome trace-event
-JSON, JSONL, summary table), the :class:`~repro.sim.tracing.
-TraceRecorder` port to the flat/mp engines, and the
+JSON, JSONL, summary table), the one per-round trace lane (a
+:class:`~repro.sim.tracing.TraceRecorder` on the object engine, hosts
+included, which the flat and mp rows refuse) and the
 ``SimulationStats`` dict round-trip.
 """
 
@@ -31,12 +32,13 @@ import warnings
 import pytest
 
 from repro.baselines import batagelj_zaversnik
+from repro.core.api import decompose
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
 from repro.errors import ConfigurationError, TelemetryError
 from repro.graph import generators as gen
 from repro.sim.metrics import SimulationStats
-from repro.sim.tracing import TraceRecorder, recorders_from_observers
+from repro.sim.tracing import TraceRecorder
 from repro.telemetry import (
     METRICS,
     NULL_TRACER,
@@ -366,54 +368,32 @@ class TestMpFleetTimeline:
         assert fork == spawn
 
 
-class TestRecorderPort:
-    """Satellite: TraceRecorder runs on flat and mp engines too."""
+class TestTraceLane:
+    """A per-round trace runs on the object engine, hosts included; the
+    flat and mp rows replay it round for round and take no observers."""
 
-    def _reference(self, g):
-        return batagelj_zaversnik(g)
-
-    def test_flat_one_to_one_matches_object_observer_path(self):
+    def test_object_one_to_many_trace(self):
         g = graph()
-        obj_rec = TraceRecorder(reference=self._reference(g))
-        run_one_to_one(
-            g, OneToOneConfig(mode="lockstep", seed=0, observers=[obj_rec])
-        )
-        flat_rec = TraceRecorder(reference=self._reference(g))
-        run_one_to_one(
+        rec = TraceRecorder(reference=batagelj_zaversnik(g))
+        result = run_one_to_many(
             g,
-            OneToOneConfig(
-                engine="flat", mode="lockstep", seed=0, observers=[flat_rec]
+            OneToManyConfig(
+                mode="lockstep", num_hosts=3, seed=0, observers=[rec]
             ),
         )
-        assert flat_rec.to_json() == obj_rec.to_json()
-        assert flat_rec.snapshots[-1].total_error == 0
+        assert rec.snapshots[0].estimates_changed == g.num_nodes
+        assert [
+            snap.messages_sent for snap in rec.snapshots
+        ] == result.stats.sends_per_round
+        assert rec.snapshots[-1].total_error == 0
 
-    def test_mp_matches_flat_many_recorder_path(self):
-        g = graph()
-        flat_rec = TraceRecorder(reference=self._reference(g))
-        _flat_many(g, num_hosts=3, observers=[flat_rec])
-        mp_rec = TraceRecorder(reference=self._reference(g))
-        _mp_many(g, observers=[mp_rec])
-        assert mp_rec.to_json() == flat_rec.to_json()
-        assert mp_rec.snapshots[-1].total_error == 0
-
-    def test_mp_recorder_without_reference(self):
-        rec = TraceRecorder()
-        _mp_many(graph(), observers=[rec])
-        assert rec.snapshots and all(
-            s.total_error is None for s in rec.snapshots
-        )
-
-    def test_generic_observers_still_rejected(self):
-        for engine in ("flat", "mp"):
-            with pytest.raises(ConfigurationError, match="observers"):
-                recorders_from_observers((lambda r, e: None,), engine)
-        # mixed lists are rejected too, not silently filtered
-        with pytest.raises(ConfigurationError, match="observers"):
-            recorders_from_observers(
-                (TraceRecorder(), lambda r, e: None), "flat"
-            )
-        assert recorders_from_observers((), "flat") == ()
+    @pytest.mark.parametrize(
+        "algorithm", ["one-to-one-flat", "one-to-many-flat", "one-to-many-mp"]
+    )
+    def test_fast_rows_reject_a_recorder(self, algorithm):
+        with pytest.raises(ConfigurationError, match="observers") as info:
+            decompose(graph(), algorithm, observers=[TraceRecorder()])
+        assert "'round'" in str(info.value)
 
 
 class TestStatsRoundTrip:
