@@ -29,7 +29,10 @@ from repro.errors import ConfigurationError
 from repro.sim.kernels import BACKEND_NAMES, resolve_backend
 from repro.telemetry import finish_run_telemetry, run_tracer
 
-__all__ = ["Path", "PATHS", "ALGORITHMS", "select", "resolve", "run"]
+__all__ = [
+    "Path", "PATHS", "ALGORITHMS", "select", "resolve", "run", "unset",
+    "field_defaults",
+]
 
 STDLIB = ("stdlib",)
 BOTH = ("stdlib", "numpy")
@@ -177,12 +180,24 @@ def select(algorithm: str, engine: "str | None" = None) -> Path:
     )
 
 
-def _unset(value: object, default: object) -> bool:
+def unset(value: object, default: object) -> bool:
     """Whether ``value`` leaves a field at ``default`` (an off default —
     ``None`` or ``()`` — is also left by ``False`` or an empty list)."""
     if default is None or default == ():
         return value is None or value is False or value == () or value == []
     return value == default
+
+
+def field_defaults(config: Any) -> "dict[str, object]":
+    """The default of every field of the config dataclass ``config``."""
+    return {
+        f.name: (
+            f.default_factory()  # type: ignore[misc]
+            if f.default is dataclasses.MISSING
+            else f.default
+        )
+        for f in dataclasses.fields(config)
+    }
 
 
 def resolve(
@@ -221,7 +236,7 @@ def resolve(
         if path.takes(name) or (
             defaults is not None
             and name in defaults
-            and _unset(value, defaults[name])
+            and unset(value, defaults[name])
         ):
             continue
         takers = [
@@ -257,14 +272,7 @@ def run(algorithm: str, graph: object, config: Any, **extra: object) -> Any:
     runner keywords that are not config fields (``assignment``,
     ``fault_plan``).
     """
-    defaults = {
-        f.name: (
-            f.default_factory()  # type: ignore[misc]
-            if f.default is dataclasses.MISSING
-            else f.default
-        )
-        for f in dataclasses.fields(config)
-    }
+    defaults = field_defaults(config)
     values = {name: getattr(config, name) for name in defaults}
     path = resolve(
         algorithm, {**values, **extra}, {**defaults, **dict.fromkeys(extra)}

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.one_to_one import KCoreNode, OneToOneConfig, build_node_processes
+from repro.core.paths import field_defaults, unset
 from repro.core.result import DecompositionResult
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
@@ -231,12 +232,36 @@ class TerminationMaster(Process):
                 ctx.send(pid, (_STOP, None))
 
 
+#: The :class:`OneToOneConfig` fields the in-band detectors read. They
+#: wrap the node processes on their own object round engine, so any
+#: other field set off its default would be ignored, and is rejected.
+DETECTOR_FIELDS = ("mode", "optimize_sends", "seed", "max_rounds", "strict")
+
+
+def _detector_config(
+    config: OneToOneConfig | None, wrapper: str
+) -> OneToOneConfig:
+    config = config or OneToOneConfig()
+    ignored = []
+    for name, default in field_defaults(config).items():
+        value = getattr(config, name)
+        if name not in DETECTOR_FIELDS and not unset(value, default):
+            ignored.append(f"{name}={value!r}")
+    if ignored:
+        raise ConfigurationError(
+            f"{wrapper} runs the object round engine and reads only "
+            f"{', '.join(DETECTOR_FIELDS)}; it would ignore "
+            f"{', '.join(ignored)}"
+        )
+    return config
+
+
 def run_with_centralized_termination(
     graph: Graph,
     config: OneToOneConfig | None = None,
 ) -> TerminationReport:
     """One-to-one protocol under master-slave termination detection."""
-    config = config or OneToOneConfig()
+    config = _detector_config(config, "run_with_centralized_termination")
     inner = build_node_processes(graph, config.optimize_sends)
     master_pid = (max(inner) + 1) if inner else 0
     wrapped: dict[int, Process] = {
@@ -361,7 +386,7 @@ def run_with_gossip_termination(
     """
     if threshold < 1:
         raise ConfigurationError("threshold must be >= 1")
-    config = config or OneToOneConfig()
+    config = _detector_config(config, "run_with_gossip_termination")
     inner = build_node_processes(graph, config.optimize_sends)
     pids = sorted(inner)
     seed_base = config.seed if config.seed is not None else 0

@@ -20,17 +20,18 @@ Two execution paths (PR 4):
   :class:`~repro.pregel.framework.PregelMaster` run over
   :class:`KCoreVertex` objects, with combiners, aggregators and
   observers of the BSP machinery itself.
-* ``engine="flat"`` — the same program as flat CSR sweeps on the
-  shared kernel layer (:mod:`repro.sim.kernels`): supersteps are
-  lockstep kernel rounds (seed / fold / frontier), and the
-  inter-/intra-worker message split is recomputed per superstep from
-  the worker placement array. Supersteps, per-superstep message *and
+* ``engine="flat"`` — the same program on the flat lockstep engine:
+  each superstep is one round of
+  :meth:`~repro.sim.flat_engine.FlatOneToOneEngine.rounds`, and the
+  inter-/intra-worker message split and the active-vertex count are
+  recomputed per superstep from that round's slots and the worker
+  placement array. Supersteps, per-superstep message *and
   active-vertex* counts (``stats.extra["active_per_superstep"]``, both
   engines), total messages, the worker traffic split and the coreness
   are identical to the object path (``combined_away`` is identically 0
   for this program: a vertex sends at most one message per neighbour
   per superstep, so the per-(sender, destination) combiner never
-  fires).
+  fires); ``tests/replay.py`` holds it to that replay.
   ``backend="stdlib"`` or ``"numpy"`` picks the kernel backend.
 """
 
@@ -108,113 +109,60 @@ def _run_flat(
     max_supersteps: int,
     backend: str,
 ) -> DecompositionResult:
-    """The BSP program as flat kernel sweeps (see module docstring).
+    """The BSP program on the flat lockstep engine (see module docstring).
 
-    One superstep == one lockstep kernel round: superstep 0 broadcasts
-    every degree (one message per directed edge slot), superstep 1
-    seeds the estimate table from those degrees, and every later
-    superstep folds the previous superstep's slots and recomputes the
-    frontier. The guard and termination tests mirror
-    :meth:`PregelMaster.run` exactly (guard *before* the empty-inbox
-    break, so ``max_supersteps == actual supersteps`` still raises).
+    One superstep is one round of
+    :meth:`~repro.sim.flat_engine.FlatOneToOneEngine.rounds`: superstep
+    0 broadcasts every degree, superstep 1 seeds the estimate table from
+    them, and every later superstep folds the previous one's slots. This
+    adds the Pregel accounting per round, and the guard of
+    :meth:`PregelMaster.run`, which also counts the final quiet
+    superstep (``max_supersteps == supersteps`` raises).
     """
-    from array import array as _array
+    from array import array
 
     from repro.graph.csr import CSRGraph
-    from repro.sim.kernels import resolve_backend
+    from repro.sim.flat_engine import FlatOneToOneEngine
 
-    kb = resolve_backend(backend)
     csr = CSRGraph.from_graph(graph)
-    assignment = assign(graph, num_workers, policy=partition_policy)
-    n = csr.num_nodes
-    offsets = kb.graph_array(csr.offsets)
-    targets = kb.graph_array(csr.targets)
-    mirror = kb.graph_array(csr.mirror())
-    owner = kb.graph_array(csr.edge_owners())
-    host_of = assignment.host_of
-    worker_of = kb.graph_array(
-        _array("q", [host_of[csr.ids[i]] for i in range(n)])
+    host_of = assign(graph, num_workers, policy=partition_policy).host_of
+    engine = FlatOneToOneEngine(
+        csr, optimize_sends, max_rounds=max_supersteps, backend=backend
     )
-    num_slots = len(csr.targets)
-
-    sentinel = csr.max_degree() + 1
-    est = kb.full(num_slots, sentinel)
-    incoming = kb.full(num_slots, 0)
-    core = kb.full(n, 0)
-    sup = kb.full(n, 0)
-    sent = kb.full(n, 0)  # unused by the result (the object path
-    # exports no per-vertex counts either) but required by the kernel
-    in_frontier = bytearray(n)
-    scratch: list[int] = []
-    degree = kb.degrees(offsets, n)
-
-    superstep = 0
-    messages_per_superstep: list[int] = []
+    kb = engine.backend
+    owner = kb.graph_array(csr.edge_owners())
+    targets = kb.graph_array(csr.targets)
+    worker_of = kb.graph_array(array("q", [host_of[u] for u in csr.ids]))
     active_per_superstep: list[int] = []
     intra = 0
-    sends = 0
-    slots = None
-    seeded = False
-    while True:
-        if superstep >= max_supersteps:
+    previous = None
+    for supersteps, slots in enumerate(engine.rounds(), 1):
+        # a vertex is active exactly when last superstep's slots address
+        # it (every vertex votes to halt each superstep, so only an
+        # incoming message reactivates; superstep 0 activates all)
+        active_per_superstep.append(
+            csr.num_nodes if supersteps == 1
+            else kb.count_distinct_owners(previous, owner, csr.num_nodes)
+        )
+        intra += kb.count_intra(slots, owner, targets, worker_of)
+        if supersteps >= max_supersteps:
             raise ConvergenceError(
-                superstep, "Pregel run exceeded max_supersteps"
+                max(max_supersteps, 0), "Pregel run exceeded max_supersteps"
             )
-        if superstep > 0 and not sends:
-            break
-        if superstep == 0:
-            # every vertex is initially active and computes once
-            active_per_superstep.append(n)
-            core[:] = degree
-            sends = num_slots
-            intra += kb.count_intra(None, owner, targets, worker_of)
-        else:
-            # a vertex is active exactly when last superstep's slots
-            # address it (every vertex votes to halt each superstep, so
-            # only an incoming message reactivates) — the master's
-            # active_per_superstep, recomputed from the slot owners
-            active_per_superstep.append(
-                kb.count_distinct_owners(slots, owner, n)
-            )
-            if not seeded:
-                seeded = True
-                frontier = kb.seed_estimates(
-                    offsets, targets, owner, degree, est, sup, in_frontier
-                )
-            else:
-                frontier = kb.fold_slots(
-                    slots, incoming, est, owner, core, sup, in_frontier
-                )
-            sends, slots = kb.process_frontier(
-                frontier, offsets, targets, mirror, est, core, sup,
-                incoming, sent, optimize_sends, scratch, in_frontier,
-            )
-            sends = int(sends)
-            intra += kb.count_intra(slots, owner, targets, worker_of)
-        messages_per_superstep.append(sends)
-        superstep += 1
+        previous = slots
 
-    total = sum(messages_per_superstep)
-    stats = SimulationStats(
-        rounds_executed=superstep,
-        execution_time=sum(1 for count in messages_per_superstep if count),
-        total_messages=total,
-        sent_per_process={},
-        sends_per_round=messages_per_superstep,
-        converged=True,
-    )
+    stats = engine.stats
+    stats.sent_per_process = {}  # the object master exports none either
     stats.extra.update(
-        supersteps=superstep,
-        inter_worker_messages=total - intra,
+        supersteps=stats.rounds_executed,
+        inter_worker_messages=stats.total_messages - intra,
         intra_worker_messages=intra,
         combined_away=0,
         active_per_superstep=active_per_superstep,
         num_workers=num_workers,
     )
-    ids = csr.ids
-    coreness = {ids[i]: int(core[i]) for i in range(n)}
     return DecompositionResult(
-        coreness=coreness,
+        coreness=engine.coreness(),
         stats=stats,
         algorithm=f"pregel/{num_workers}w-flat",
     )

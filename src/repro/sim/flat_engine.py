@@ -52,10 +52,9 @@ Both delivery disciplines of the object engine are covered:
   this engine is inherently sequential and **stdlib-only** (see the
   support matrix in :mod:`repro.sim.kernels`).
 
-**Semantics.** Bit-exactness is asserted by
-``tests/test_flat_equivalence.py`` (lockstep) and
-``tests/test_flat_peersim_equivalence.py`` (peersim); backend
-bit-exactness by ``tests/test_backend_equivalence.py``. For lockstep
+**Semantics.** Bit-exactness against the object engine, and across
+backends, is asserted by the replay harness (``tests/replay.py``) in
+every mode, on the family grids and on fuzzed graphs. For lockstep
 this holds because message folding is a min and sends are buffered for
 the next round, so replacing "activate every process in pid order" with
 "drain the frontier" changes no observable state. For peersim the
@@ -77,7 +76,7 @@ from __future__ import annotations
 import random
 import time as _time
 from array import array
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core.compute_index import compute_index
 from repro.errors import ConvergenceError, SimulationError
@@ -143,7 +142,20 @@ class FlatOneToOneEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationStats:
-        """Run to quiescence (or ``max_rounds``); returns the stats.
+        """Run to quiescence (or ``max_rounds``); returns the stats."""
+        for _ in self.rounds():
+            pass
+        return self.stats
+
+    def rounds(self) -> Iterator["Sequence[int] | None"]:
+        """Run round by round, yielding after each round's span closes.
+
+        Each yield hands over the edge slots that round sent on (their
+        estimates reach the slot owners next round): ``None`` after
+        round 1, whose degree broadcast sends on every slot. The run
+        ends after the first round that sends nothing. :meth:`run`
+        drains this generator; the flat Pregel engine
+        (:mod:`repro.pregel.kcore`) adds its per-superstep counts here.
 
         The replay skips work the object engine does without observable
         effect, using one extra array: ``sup[v]`` counts the slots in
@@ -198,6 +210,7 @@ class FlatOneToOneEngine:
         stats.sends_per_round.append(sends)
         if sends:
             stats.execution_time += 1
+        yield None
 
         seeded = False
         slots = None
@@ -209,7 +222,7 @@ class FlatOneToOneEngine:
                 stats.wall_seconds = _time.perf_counter() - start
                 if self.strict:
                     raise ConvergenceError(rnd)
-                return stats
+                return
             rnd += 1
             with tracer.span("round", round=rnd) as round_span:
                 if not seeded:
@@ -235,11 +248,11 @@ class FlatOneToOneEngine:
             stats.sends_per_round.append(int(sends))
             if sends:
                 stats.execution_time += 1
+            yield slots
 
         stats.rounds_executed = rnd
         export_send_counts(stats, sent, csr.ids)
         stats.wall_seconds = _time.perf_counter() - start
-        return stats
 
 
 class FlatPeerSimEngine:

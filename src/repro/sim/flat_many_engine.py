@@ -59,9 +59,8 @@ those are the only cascade outputs the protocol observes. Coreness,
 round counts, per-round send counts, per-host message counts, and the
 Figure-5 ``estimates_sent`` overhead (under ``broadcast``, ``p2p``, and
 the ``p2p_filter`` extension) all match the object engine bit-for-bit
-per seed; ``tests/test_flat_one_to_many_equivalence.py`` asserts it,
-and ``tests/test_backend_equivalence.py`` asserts stdlib/numpy
-bit-identity on the same grid.
+per seed. The replay harness (``tests/replay.py``) asserts it, and
+stdlib/numpy bit-identity, on the 12-family grid and on fuzzed graphs.
 
 **When is it selected?** ``run_one_to_many(engine="flat")`` routes here
 via the flat row of :mod:`repro.core.paths`. Observers are not

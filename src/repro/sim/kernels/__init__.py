@@ -21,9 +21,11 @@ implementations:
 **Backend contract.** The stdlib backend defines the semantics;
 ``numpy`` must be bit-identical on every observable (final coreness,
 round counts, per-round and per-node message counts, Figure-5
-``estimates_sent``) for every configuration that accepts it —
-``tests/test_backend_equivalence.py`` asserts this across the 12-family
-grid. Kernel-level pre/post-conditions live in
+``estimates_sent``) for every configuration that accepts it — the
+replay harness (``tests/replay.py``) holds every numpy run to the same
+row on stdlib, over the 12-family grid in
+``tests/test_backend_equivalence.py`` and on fuzzed graphs in
+``tests/test_replay.py``. Kernel-level pre/post-conditions live in
 :mod:`repro.sim.kernels.base`.
 
 **Engine × backend support matrix.**

@@ -1,13 +1,9 @@
-"""The flat engine is a bit-exact replay of the lockstep object engine.
+"""The flat lockstep engine (:class:`repro.sim.flat_engine.FlatOneToOneEngine`).
 
-The contract of :mod:`repro.sim.flat_engine`: for every graph and every
-configuration it supports, the flat path produces *identical* coreness,
-executed-round count, execution time, per-round send counts, and
-per-node message counts to ``RoundEngine(mode="lockstep")`` driving
-``KCoreNode`` processes — and the coreness matches the Batagelj–
-Zaveršnik oracle. Parametrized across generator families × seeds,
-including isolated nodes and non-contiguous ids (via ``Graph.shuffled``
-and sparse relabelings), plus hypothesis-generated graphs.
+Its :mod:`tests.replay` cells (graph-seeded families, shuffled and
+sparse ids, the send filter off, truncated runs), then its own
+contracts: rejections, prebuilt CSR input, ``computeIndex``'s scratch
+post-condition and the CSR arrays it reads.
 """
 
 from __future__ import annotations
@@ -23,153 +19,89 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 
-from tests.conftest import graphs
+from tests.replay import (
+    SEEDED_FAMILIES, SPARSE_FAMILIES, cells, check, replay, sparse,
+)
+
+FLAT = dict(engine="flat", mode="lockstep")
 
 
-def _lockstep(graph: Graph, **kw) -> object:
-    return run_one_to_one(graph, OneToOneConfig(mode="lockstep", **kw))
-
-
-def _flat(graph: Graph, **kw) -> object:
-    return run_one_to_one(
-        graph, OneToOneConfig(mode="lockstep", engine="flat", **kw)
-    )
-
-
-def assert_bit_identical(graph: Graph, exact: bool = True, **kw) -> None:
-    obj = _lockstep(graph, **kw)
-    flat = _flat(graph, **kw)
-    assert flat.coreness == obj.coreness
-    if exact:
-        oracle = batagelj_zaversnik(graph)
-        assert flat.coreness == oracle
-    so, sf = obj.stats, flat.stats
-    assert sf.rounds_executed == so.rounds_executed
-    assert sf.execution_time == so.execution_time
-    assert sf.sends_per_round == so.sends_per_round
-    assert sf.total_messages == so.total_messages
-    assert sf.sent_per_process == so.sent_per_process
-    assert sf.converged == so.converged
-
-
-#: name -> builder; spans sparse/dense, regular/heavy-tailed, isolated
-#: nodes, huge-diameter, and the paper's N-1-round adversarial family.
-FAMILIES = {
-    "empty": lambda seed: gen.empty_graph(11),
-    "path": lambda seed: gen.path_graph(17),
-    "clique": lambda seed: gen.clique_graph(9),
-    "star": lambda seed: gen.star_graph(12),
-    "grid": lambda seed: gen.grid_graph(7, 9),
-    "worst-case": lambda seed: gen.worst_case_graph(24),
-    "figure1": lambda seed: gen.figure1_example(),
-    "figure2": lambda seed: gen.figure2_example(),
-    "er": lambda seed: gen.erdos_renyi_graph(140, 0.04, seed=seed),
-    "er-with-isolated": lambda seed: gen.erdos_renyi_graph(
-        150, 0.012, seed=seed
-    ),
-    "ba": lambda seed: gen.preferential_attachment_graph(160, 3, seed=seed),
-    "plc": lambda seed: gen.powerlaw_cluster_graph(130, 3, 0.3, seed=seed),
-    "ws": lambda seed: gen.watts_strogatz_graph(120, 4, 0.2, seed=seed),
-    "caveman": lambda seed: gen.caveman_graph(7, 6),
-}
-
-SEEDS = (0, 1, 2)
+def _run(graph, engine="flat", **kw):
+    return run_one_to_one(graph, OneToOneConfig(engine=engine, **kw))
 
 
 class TestFamilies:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("family", sorted(SEEDED_FAMILIES))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_bit_identical(self, family, seed):
-        assert_bit_identical(FAMILIES[family](seed))
+        check("one-to-one", SEEDED_FAMILIES[family](seed), **FLAT)
 
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(SEEDED_FAMILIES))
     def test_bit_identical_without_send_filter(self, family):
-        assert_bit_identical(FAMILIES[family](0), optimize_sends=False)
+        check("one-to-one", SEEDED_FAMILIES[family](0), optimize_sends=False,
+              **FLAT)
 
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(SEEDED_FAMILIES))
     def test_bit_identical_shuffled_ids(self, family):
-        """Non-contiguous / permuted ids through Graph.shuffled."""
-        assert_bit_identical(FAMILIES[family](1).shuffled(seed=99))
+        check("one-to-one", SEEDED_FAMILIES[family](1).shuffled(seed=99),
+              **FLAT)
 
-    @pytest.mark.parametrize("family", ["er", "ba", "worst-case", "grid"])
+    @pytest.mark.parametrize("family", SPARSE_FAMILIES)
     def test_bit_identical_sparse_ids(self, family):
-        """Ids spread out with gaps (13u + 5), exercising compaction."""
-        g = FAMILIES[family](2)
-        sparse = Graph.from_adjacency(
-            {13 * u + 5: [13 * v + 5 for v in g.neighbors(u)] for u in g}
-        )
-        assert_bit_identical(sparse)
+        check("one-to-one", sparse(SEEDED_FAMILIES[family](2)), **FLAT)
 
 
 class TestEdgeCases:
     def test_empty_graph(self):
-        assert_bit_identical(Graph())
+        check("one-to-one", Graph(), **FLAT)
 
     def test_single_node(self):
-        assert_bit_identical(gen.empty_graph(1))
+        check("one-to-one", gen.empty_graph(1), **FLAT)
 
     def test_single_edge(self):
-        assert_bit_identical(Graph.from_edges([(4, 9)]))
+        check("one-to-one", Graph.from_edges([(4, 9)]), **FLAT)
 
     def test_isolated_plus_component(self):
         g = gen.clique_graph(5)
         g.add_node(100)
         g.add_node(50)
-        assert_bit_identical(g)
+        check("one-to-one", g, **FLAT)
 
     @pytest.mark.parametrize("fixed_rounds", [1, 2, 3, 7])
     def test_truncated_runs_match(self, fixed_rounds):
-        """fixed_rounds (approximate) runs replay identically too."""
-        g = gen.worst_case_graph(30)
-        assert_bit_identical(g, exact=False, fixed_rounds=fixed_rounds)
+        check("one-to-one", gen.worst_case_graph(30),
+              fixed_rounds=fixed_rounds, **FLAT)
 
     def test_strict_max_rounds_raises_like_object_engine(self):
         g = gen.worst_case_graph(30)
-        with pytest.raises(ConvergenceError):
-            _flat(g, max_rounds=3)
-        with pytest.raises(ConvergenceError):
-            _lockstep(g, max_rounds=3)
+        for engine in ("flat", "round"):
+            with pytest.raises(ConvergenceError):
+                _run(g, mode="lockstep", engine=engine, max_rounds=3)
 
     def test_flat_peersim_mode_now_supported(self):
-        """mode='peersim' routes to FlatPeerSimEngine (see
-        test_flat_peersim_equivalence.py for its contract); only
-        unknown modes are rejected."""
-        result = run_one_to_one(
-            gen.path_graph(4),
-            OneToOneConfig(mode="peersim", engine="flat", seed=0),
-        )
+        """mode='peersim' routes to FlatPeerSimEngine; only unknown
+        modes are rejected."""
+        result = _run(gen.path_graph(4), mode="peersim", seed=0)
         assert result.algorithm == "one-to-one/peersim-flat"
         with pytest.raises(ConfigurationError):
-            run_one_to_one(
-                gen.path_graph(4),
-                OneToOneConfig(mode="warp", engine="flat"),
-            )
+            _run(gen.path_graph(4), mode="warp")
 
     def test_flat_rejects_observers(self):
         with pytest.raises(ConfigurationError):
-            run_one_to_one(
-                gen.path_graph(4),
-                OneToOneConfig(
-                    mode="lockstep",
-                    engine="flat",
-                    observers=(lambda r, e: None,),
-                ),
-            )
+            _run(gen.path_graph(4), mode="lockstep",
+                 observers=(lambda r, e: None,))
 
     def test_accepts_prebuilt_csr(self):
         g = gen.figure1_example()
-        csr = CSRGraph.from_graph(g)
-        result = run_one_to_one(
-            csr, OneToOneConfig(mode="lockstep", engine="flat")
-        )
+        result = _run(CSRGraph.from_graph(g), mode="lockstep")
         assert result.coreness == batagelj_zaversnik(g)
 
 
 class TestHypothesis:
-    @given(graphs(), st.integers(0, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_random_graphs_bit_identical(self, g: Graph, salt: int):
-        assert_bit_identical(g.shuffled(seed=salt) if salt else g)
+    @given(cells())
+    @settings(max_examples=20, deadline=None)
+    def test_random_graphs_bit_identical(self, example):
+        replay(example, "one-to-one", backend="stdlib", **FLAT)
 
 
 class TestComputeIndexScratchContract:

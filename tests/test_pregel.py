@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.baselines import batagelj_zaversnik
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph import generators as gen
+from repro.graph.graph import Graph
 from repro.pregel.framework import (
     MaxAggregator,
     MinCombiner,
@@ -19,6 +20,7 @@ from repro.pregel.framework import (
 from repro.pregel.kcore import run_pregel_kcore
 
 from tests.conftest import graphs
+from tests.replay import FAMILIES, check
 
 
 class Forwarder(Vertex[int]):
@@ -198,36 +200,38 @@ class TestFlatEngineEquivalence:
     including the per-superstep active-vertex trace, which the flat
     path recomputes from the slot owners instead of vertex flags."""
 
-    FAMILIES = {
-        "er": lambda: gen.erdos_renyi_graph(120, 0.045, seed=7),
-        "er-with-isolated": lambda: gen.erdos_renyi_graph(130, 0.012, seed=5),
-        "star": lambda: gen.star_graph(12),
-        "worst-case": lambda: gen.worst_case_graph(24),
-        "caveman": lambda: gen.caveman_graph(6, 6),
-        "empty": lambda: gen.empty_graph(9),
-    }
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(
+        ("er", "er-with-isolated", "star", "worst-case", "caveman", "empty")
+    ))
     @pytest.mark.parametrize("optimize_sends", (True, False))
     def test_counters_match(self, family, optimize_sends):
-        g = self.FAMILIES[family]()
-        obj = run_pregel_kcore(
-            g, num_workers=3, optimize_sends=optimize_sends
-        )
-        flat = run_pregel_kcore(
-            g, num_workers=3, optimize_sends=optimize_sends, engine="flat"
-        )
-        assert flat.coreness == obj.coreness
-        assert flat.stats.rounds_executed == obj.stats.rounds_executed
-        assert flat.stats.sends_per_round == obj.stats.sends_per_round
-        assert flat.stats.extra == obj.stats.extra
+        check("pregel", FAMILIES[family](), engine="flat", num_workers=3,
+              optimize_sends=optimize_sends)
 
     def test_active_per_superstep_surfaced(self, small_social):
-        obj = run_pregel_kcore(small_social, num_workers=2)
-        flat = run_pregel_kcore(small_social, num_workers=2, engine="flat")
-        active_obj = obj.stats.extra["active_per_superstep"]
-        active_flat = flat.stats.extra["active_per_superstep"]
-        assert active_flat == active_obj
+        flat = check("pregel", small_social, engine="flat", num_workers=2)
+        active = flat.stats.extra["active_per_superstep"]
         # one entry per superstep; superstep 0 activates every vertex
-        assert len(active_obj) == obj.stats.extra["supersteps"]
-        assert active_obj[0] == small_social.num_nodes
+        assert len(active) == flat.stats.extra["supersteps"]
+        assert active[0] == small_social.num_nodes
+
+
+class TestSuperstepGuard:
+    """Both engines raise exactly when ``max_supersteps`` is at most the
+    superstep count, which includes the final quiet superstep."""
+
+    @pytest.mark.parametrize("engine", ("object", "flat"))
+    @pytest.mark.parametrize("graph, supersteps", (
+        (gen.worst_case_graph(10), 9), (Graph(), 1), (gen.empty_graph(3), 1),
+    ), ids=("worst-case", "no-nodes", "no-edges"))
+    def test_raises_exactly_at_the_superstep_count(self, engine, graph,
+                                                   supersteps):
+        for cap in range(supersteps + 2):
+            kw = dict(optimize_sends=False, max_supersteps=cap, engine=engine)
+            if cap <= supersteps:
+                with pytest.raises(ConvergenceError) as raised:
+                    run_pregel_kcore(graph, **kw)
+                assert raised.value.rounds == cap
+            else:
+                run = run_pregel_kcore(graph, **kw)
+                assert run.stats.extra["supersteps"] == supersteps

@@ -1,25 +1,11 @@
 """Shared-memory estimate transport + cut-aware refined placement.
 
-Two contracts, one test module:
-
-1. ``transport="shm"`` on the mp engine
-   (:mod:`repro.sim.shm_transport`) is an **exact replay** of
-   ``FlatOneToManyEngine(mode="lockstep")`` — coreness, rounds,
-   per-round sends, per-host messages, Figure-5 ``estimates_sent`` —
-   with **zero pickled bytes on the estimate hot path**
-   (``pipe_bytes_total == 0``), under both start methods, both kernel
-   backends, scripted worker kills and whole-fleet checkpoint/resume —
-   and every batch fits its ring, because ring capacities are exact
-   per-round upper bounds.
-
-2. ``policy="refined"`` (:func:`repro.core.assignment.refine_assignment`)
-   is a deterministic greedy cut reducer: the cut never increases, the
-   5% load-slack cap holds, and — placement being invisible to the
-   protocol's fixpoint — every per-node coreness stays bit-identical.
-
-The acceptance grid runs the same 12 dataset families as
-``tests/test_mp_engine.py`` under ``fork`` (cheap, identical
-semantics); representative slices re-prove ``spawn`` and numpy.
+1. ``mp_transport="shm"``: :mod:`tests.replay` cells (families, spawn,
+   numpy, refined placement) plus the shm leg's own checks — zero
+   pickled bytes on the estimate hot path, every batch within its ring's
+   exact capacity, recovery and checkpoint/resume keeping the transport.
+2. ``policy="refined"``: the cut never increases, the 5% load-slack cap
+   holds, and the result is deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import batagelj_zaversnik
 from repro.core.assignment import assign, refine_assignment
 from repro.core.one_to_many import (
     INFINITY_INT,
@@ -47,7 +32,7 @@ from repro.graph.sharded import ShardedCSR
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.faults import Fault, FaultPlan
 from repro.sim.host_step import HostStep
-from repro.sim.kernels import numpy_available, resolve_backend
+from repro.sim.kernels import resolve_backend
 from repro.sim.mp_engine import MultiProcessOneToManyEngine
 from repro.sim.shm_transport import (
     HEADER_WORDS,
@@ -59,51 +44,27 @@ from repro.sim.shm_transport import (
 from repro.telemetry import Tracer
 
 from tests.conftest import graphs
-from tests.test_flat_one_to_many_equivalence import COMMUNICATIONS, FAMILIES
+from tests.replay import COMMUNICATIONS, FAMILIES, check, run
 
 
 def _flat(graph: Graph, **kw):
-    return run_one_to_many(
-        graph, OneToManyConfig(engine="flat", mode="lockstep", **kw)
-    )
+    return run("one-to-many-flat", graph, mode="lockstep", **kw)
 
 
-def _shm(graph: Graph, start_method: str = "fork", **kw):
-    # the serialization-cost guard rightly flags every test-sized run
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return run_one_to_many(
-            graph,
-            OneToManyConfig(
-                engine="mp", mode="lockstep", mp_transport="shm",
-                mp_start_method=start_method, **kw,
-            ),
-        )
+def _shm(graph: Graph, **kw):
+    return run("one-to-many-mp", graph, mp_transport="shm", **kw)
 
 
-def assert_shm_replays_flat(
-    graph: Graph, start_method: str = "fork", **kw
-) -> None:
-    flat = _flat(graph, **kw)
-    shm = _shm(graph, start_method=start_method, **kw)
-    assert shm.coreness == flat.coreness
-    assert shm.coreness == batagelj_zaversnik(graph)
-    sf, sm = flat.stats, shm.stats
-    assert sm.rounds_executed == sf.rounds_executed
-    assert sm.execution_time == sf.execution_time
-    assert sm.sends_per_round == sf.sends_per_round
-    assert sm.total_messages == sf.total_messages
-    assert sm.sent_per_process == sf.sent_per_process
-    assert sm.converged == sf.converged
-    assert sm.extra["estimates_sent_total"] == sf.extra["estimates_sent_total"]
-    assert sm.extra["cut_edges"] == sf.extra["cut_edges"]
+def check_shm(graph: Graph, **kw) -> None:
+    """The shm cell, and the checks of the shm leg alone."""
+    extra = check("one-to-many-mp", graph, mp_transport="shm", **kw).stats.extra
     # the whole point: ring capacities are exact upper bounds, so every
     # batch lands in a ring and nothing is pickled in flight
-    assert sm.extra["transport"] == "shm"
-    assert sm.extra["pipe_bytes_total"] == 0
-    if sm.extra["estimates_sent_total"]:
-        assert sm.extra["shm_bytes_total"] > 0
-    assert sum(sm.extra["shm_bytes_per_round"]) == sm.extra["shm_bytes_total"]
+    assert extra["transport"] == "shm"
+    assert extra["pipe_bytes_total"] == 0
+    if extra["estimates_sent_total"]:
+        assert extra["shm_bytes_total"] > 0
+    assert sum(extra["shm_bytes_per_round"]) == extra["shm_bytes_total"]
 
 
 class TestLayout:
@@ -150,20 +111,12 @@ class TestGrid:
     @pytest.mark.parametrize("communication", COMMUNICATIONS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_exact_replay_zero_pickle(self, family, communication):
-        assert_shm_replays_flat(
-            FAMILIES[family](),
-            num_hosts=3,
-            communication=communication,
-            seed=0,
-        )
+        check_shm(FAMILIES[family](), num_hosts=3,
+                  communication=communication, seed=0)
 
     def test_exact_replay_shuffled_ids(self):
-        assert_shm_replays_flat(
-            FAMILIES["er"]().shuffled(seed=99),
-            num_hosts=4,
-            communication="p2p",
-            seed=11,
-        )
+        check_shm(FAMILIES["er"]().shuffled(seed=99), num_hosts=4,
+                  communication="p2p", seed=11)
 
 
 class TestSpawn:
@@ -171,28 +124,17 @@ class TestSpawn:
 
     @pytest.mark.parametrize("communication", COMMUNICATIONS)
     def test_exact_replay_spawn(self, communication):
-        assert_shm_replays_flat(
-            FAMILIES["ba"](),
-            start_method="spawn",
-            num_hosts=3,
-            communication=communication,
-            seed=0,
-        )
+        check_shm(FAMILIES["ba"](), mp_start_method="spawn", num_hosts=3,
+                  communication=communication, seed=0)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestNumpyBackend:
     """The vectorised ring primitives replay the stdlib ones exactly."""
 
     @pytest.mark.parametrize("communication", COMMUNICATIONS)
     def test_exact_replay_numpy(self, communication):
-        assert_shm_replays_flat(
-            FAMILIES["er"](),
-            num_hosts=3,
-            communication=communication,
-            backend="numpy",
-            seed=0,
-        )
+        check_shm(FAMILIES["er"](), num_hosts=3,
+                  communication=communication, backend="numpy", seed=0)
 
     def test_numpy_matches_stdlib_byte_counts(self):
         g = FAMILIES["ba"]()
@@ -286,17 +228,13 @@ class TestRecovery:
     def _graph(self):
         return gen.preferential_attachment_graph(300, 3, seed=1)
 
-    def _mp_fault(self, graph, plan, **kw):
+    def _mp_fault(self, graph, plan):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return run_one_to_many(
-                graph,
-                OneToManyConfig(
-                    engine="mp", mode="lockstep", num_hosts=4,
-                    mp_start_method="fork", mp_transport="shm", **kw,
-                ),
-                fault_plan=plan,
-            )
+            return run_one_to_many(graph, OneToManyConfig(
+                engine="mp", mode="lockstep", num_hosts=4,
+                mp_start_method="fork", mp_transport="shm",
+            ), fault_plan=plan)
 
     @pytest.mark.parametrize("when", ("start", "after_emit"))
     @pytest.mark.parametrize("round", (1, 2, 3))
@@ -369,13 +307,8 @@ class TestRefinedPlacement:
             refine_assignment(g, base).host_of
 
     def test_refined_mp_shm_replays_flat(self):
-        assert_shm_replays_flat(
-            FAMILIES["ba"](),
-            num_hosts=4,
-            policy="refined",
-            communication="p2p",
-            seed=0,
-        )
+        check_shm(FAMILIES["ba"](), num_hosts=4, policy="refined",
+                  communication="p2p", seed=0)
 
     def test_refined_exports_cut_gauge(self):
         g = FAMILIES["er"]()

@@ -128,3 +128,43 @@ class TestFixedRounds:
     def test_invalid_rounds(self, social):
         with pytest.raises(ConfigurationError):
             run_fixed_rounds(social, rounds=0)
+
+
+#: One off-default value per OneToOneConfig field the detectors do not
+#: read; each would otherwise be silently ignored.
+IGNORED = {
+    "engine": "flat",
+    "backend": "numpy",
+    "fixed_rounds": 3,
+    "observers": (lambda rnd, engine: None,),
+    "latency": lambda rng: 1.0,
+    "async_max_time": 10.0,
+    "telemetry": True,
+    "trace_out": "trace.json",
+}
+
+
+class TestIgnoredFieldsRejected:
+    @pytest.mark.parametrize("field", sorted(IGNORED))
+    @pytest.mark.parametrize(
+        "wrapper",
+        (
+            run_with_centralized_termination,
+            lambda g, config: run_with_gossip_termination(g, 4, config),
+        ),
+        ids=("centralized", "gossip"),
+    )
+    def test_rejected(self, wrapper, field):
+        config = OneToOneConfig(**{field: IGNORED[field]})
+        with pytest.raises(ConfigurationError, match=field):
+            wrapper(gen.worst_case_graph(12), config)
+
+    def test_read_fields_accepted(self):
+        config = OneToOneConfig(
+            mode="lockstep", optimize_sends=False, seed=2, max_rounds=500,
+            strict=False, observers=[], telemetry=False,
+        )
+        g = gen.worst_case_graph(12)
+        truth = batagelj_zaversnik(g)
+        assert run_with_centralized_termination(g, config).result.coreness == truth
+        assert run_with_gossip_termination(g, 30, config).result.coreness == truth
