@@ -49,7 +49,9 @@ def decompose(
       host shard and host-to-host batches over real pipes (defaults to
       ``mode="lockstep"``, the only mode a process fleet can replay);
       identical results to the flat lockstep path, plus pipe-traffic
-      metrics in ``stats.extra`` (see ``BENCH_mp.json``).
+      metrics in ``stats.extra`` (see ``BENCH_mp.json``). It also takes
+      ``fault_plan``, a :class:`~repro.sim.faults.FaultPlan` of
+      scripted failures the fleet recovers from.
     * ``"bz"`` — sequential Batagelj–Zaveršnik (reference [3]).
     * ``"peeling"`` — sequential peeling by definition.
     * ``"hindex"`` — the synchronous h-index iteration baseline (Lü et
@@ -77,10 +79,12 @@ def decompose(
         return run_one_to_one(graph, OneToOneConfig(**options))  # type: ignore[arg-type]
     if path.algorithm == "one-to-many":
         assignment = options.pop("assignment", None)
+        fault_plan = options.pop("fault_plan", None)
         return run_one_to_many(
             graph,
             OneToManyConfig(**options),  # type: ignore[arg-type]
             assignment=assignment,  # type: ignore[arg-type]
+            fault_plan=fault_plan,  # type: ignore[arg-type]
         )
     return path.load()(graph, **options)
 

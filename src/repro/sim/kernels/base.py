@@ -207,6 +207,9 @@ class KernelBackend(Protocol):
         returned frontier (each node at most once). ``slots`` is
         whatever container the same backend's :meth:`process_frontier`
         returned last round.
+        Pre: the slots are distinct, each ``incoming[slot]`` strictly
+        below ``est[slot]`` (a node sends only when it drops below all
+        it sent before); the numpy kernel writes them without comparing.
         """
         raise NotImplementedError
 
@@ -234,6 +237,9 @@ class KernelBackend(Protocol):
         with ``est <= new core`` when ``optimize``), bumping ``sent``.
         Returns ``(sends, slots)`` — the emitted message count and the
         written slots, to be folded next round by :meth:`fold_slots`.
+        Pre: the frontier nodes are distinct, each with an exact
+        ``sup`` below ``core``, so each one drops; the numpy kernel
+        lowers and emits without testing for a drop.
         """
         raise NotImplementedError
 
@@ -284,6 +290,9 @@ class KernelBackend(Protocol):
         crossing). The fixpoint, the changed set and the final ``sup``
         are schedule-independent, so worklist and batched
         implementations agree bit-for-bit.
+        Pre: the dirty nodes are distinct, each with an exact ``sup``
+        below its estimate, so each one drops; the numpy kernel lowers
+        them without testing for a drop.
         """
         raise NotImplementedError
 

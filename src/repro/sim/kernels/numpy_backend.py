@@ -2,7 +2,7 @@
 
 Implements the :class:`~repro.sim.kernels.base.KernelBackend` contract
 with whole-phase array operations instead of per-node Python loops:
-bucket counting becomes a segmented sort, support seeding becomes a
+bucket counting becomes a segmented count, support seeding becomes a
 ``bincount``, mailbox folds become masked gathers, and the shard
 cascade runs as synchronous (Jacobi) relaxation rounds of the same
 monotone operator — safe because Algorithm 4's fixpoint, changed set
@@ -11,17 +11,17 @@ one-to-many engine's module docstring carries the argument; the
 backend-equivalence suite asserts bit-identity against the stdlib
 backend on every gated configuration).
 
-The heart is :meth:`NumpyBackend._batch_core`: Algorithm 2 for many
-nodes at once. Per node, ``computeIndex`` needs the largest
-``i <= k`` with at least ``i`` neighbour estimates ``>= i``. Clamp the
-estimates to ``k``, sort them *descending within each node's segment*
-(one global ``np.sort`` over ``segment * B - value`` keys — segments
-occupy disjoint key blocks, so one flat sort sorts every segment), and
-the answer is the largest in-segment position ``p`` with
-``sorted[p] >= p + 1`` — the classic h-index-by-sorting identity,
-floored at 1 to match the scalar kernel's downward scan. The
-post-condition support ``#{clamped >= t}`` falls out of the same
-sorted array with a segmented sum.
+The heart is :func:`_compute_index`: Algorithm 2 for many nodes at
+once, counted as the scalar kernel counts. A node's answer is at most
+``top = min(cap, degree)``, and clamping its estimates to ``top``
+changes no suffix count up to ``top``; so each node gets ``top + 1``
+buckets, one ``bincount`` fills every block and one reversed
+``cumsum`` suffix-sums them all. A block's count is ``>= i`` on a
+prefix of its buckets; that prefix's length, floored at 1 as the
+scalar scan bottoms out, is ``t``, and the count at ``t`` the support.
+The frontier, fold and cascade kernels rely on the preconditions
+:class:`~repro.sim.kernels.base.KernelBackend` states: every node they
+recompute drops, and every folded slot value is a lowering.
 
 The SNAP text parse (:meth:`NumpyBackend.parse_edge_block`) validates a
 block before it converts it: every byte an ASCII digit, space, tab or
@@ -111,6 +111,49 @@ def _first_seen(values, scratch):
     return distinct, rank
 
 
+def _compute_index(seg, lens, caps, vals):
+    """Algorithm 2 per segment, by counting (module doc): segment ``s``
+    holds the ``lens[s] >= 1`` values ``vals[seg == s]`` and has cap
+    ``caps[s] >= 1``. Returns ``(t, support)`` per segment, as
+    ``compute_index`` and its ``scratch[t]``."""
+    top = np.minimum(caps, lens)
+    base = _csr_offsets(top + 1)  # segment s: buckets base[s]..+top[s]
+    lo = base[:-1]
+    buckets = np.minimum(vals, top[seg])
+    buckets += lo[seg]
+    # suffix[p]: how many values fell in buckets >= p, over all blocks
+    size = int(base[-1])
+    suffix = np.zeros(size + 1, dtype=_I64)
+    np.cumsum(np.bincount(buckets, minlength=size)[::-1], out=suffix[-2::-1])
+    end = suffix[base[1:]]
+    # block s counts >= i at bucket p = lo[s] + i iff
+    # p - suffix[p] <= lo[s] - end[s], and p - suffix[p] increases
+    key = np.arange(size + 1, dtype=_I64)
+    key -= suffix
+    t = np.searchsorted(key, lo - end, side="right") - lo - 1
+    np.maximum(t, 1, out=t)
+    return t, suffix[lo + t] - end
+
+
+#: A batch of at least this share of the table's rows is counted with
+#: one ``bincount`` over the table, a smaller one by ``ufunc.at`` and a
+#: sort (``_starve``); the two cost about the same there.
+_COUNT_SHARE = 0.5
+
+
+def _starve(sup, starved, level):
+    """Take one support from each entry of ``starved`` (repeats take
+    several); returns the distinct nodes left below ``level``, ascending."""
+    if len(starved) >= _COUNT_SHARE * len(sup):
+        lost = np.bincount(starved, minlength=len(sup))
+        sup -= lost
+        cand = np.flatnonzero(lost)
+    else:
+        np.subtract.at(sup, starved, 1)
+        cand = _distinct(starved)
+    return cand[sup[cand] < level[cand]]
+
+
 def _to_q(values) -> array:
     """Copy an i64 ndarray into a fresh ``array('q')`` (one block copy)."""
     out = array("q")
@@ -143,34 +186,6 @@ class NumpyBackend(KernelBackend):
         return None  # dedupe happens by sorting, no flag scratch
 
     # ------------------------------------------------------------------
-    # Algorithm 2
-    # ------------------------------------------------------------------
-    def _batch_core(self, seg, starts, caps_seg, vals):
-        """Segmented Algorithm 2 over pre-gathered neighbour values.
-
-        ``vals[p]`` is a neighbour estimate belonging to segment
-        ``seg[p]`` with cap ``caps_seg[p]``; all segments are non-empty
-        and all caps >= 1. Returns ``(t, support)`` per segment.
-        """
-        clamped = np.minimum(vals, caps_seg)
-        # disjoint key blocks per segment; caps >= clamped >= 0
-        bound = int(clamped.max()) + 2 if len(clamped) else 2
-        key = seg * bound + (bound - 1 - clamped)
-        key.sort()
-        desc = (bound - 1) - (key - seg * bound)  # descending per segment
-        pos = np.arange(len(vals), dtype=_I64) - starts[seg]
-        rank = pos + 1
-        t = np.maximum.reduceat(
-            np.where(desc >= rank, rank, 0), starts[:-1]
-        )
-        # the scalar kernel's downward scan bottoms out at 1
-        np.maximum(t, 1, out=t)
-        support = np.add.reduceat(
-            (desc >= t[seg]).astype(_I64), starts[:-1]
-        )
-        return t, support
-
-    # ------------------------------------------------------------------
     # one-to-one lockstep phases
     # ------------------------------------------------------------------
     def seed_estimates(self, offsets, targets, owner, degree, est, sup, in_frontier):
@@ -180,25 +195,14 @@ class NumpyBackend(KernelBackend):
         return np.nonzero(sup < degree)[0]
 
     def fold_slots(self, slots, incoming, est, owner, core, sup, in_frontier):
-        empty = np.zeros(0, dtype=_I64)
-        if not len(slots):
-            return empty
+        # every slot is fresh this round and lowers its estimate (base.py)
         vals = incoming[slots]
         old = est[slots]
-        lowered = vals < old
-        if not lowered.any():
-            return empty
-        hit = slots[lowered]
-        vals = vals[lowered]
-        old = old[lowered]
-        est[hit] = vals  # slots are unique within a round: plain scatter
-        owners = owner[hit]
+        est[slots] = vals
+        owners = owner[slots]
         levels = core[owners]
-        crossing = (old >= levels) & (vals < levels)
-        starved = owners[crossing]
-        np.subtract.at(sup, starved, 1)
-        cand = _distinct(starved)
-        return cand[sup[cand] < core[cand]]
+        crossing = np.flatnonzero((old >= levels) & (vals < levels))
+        return _starve(sup, owners[crossing], core)
 
     def process_frontier(
         self,
@@ -215,26 +219,24 @@ class NumpyBackend(KernelBackend):
         scratch,
         in_frontier,
     ):
-        if not len(frontier):
-            return 0, np.zeros(0, dtype=_I64)
-        caps = core[frontier]
-        seg, idx, starts, _ = _segments(offsets, frontier)
+        # every frontier node drops (base.py), so every one emits
+        seg, idx, _, counts = _segments(offsets, frontier)
         vals = est[idx]
-        t, support = self._batch_core(seg, starts, caps[seg], vals)
-        sup[frontier] = support
-        dropped = t < caps
-        core[frontier[dropped]] = t[dropped]
-        emitting = dropped[seg]
+        t, sup[frontier] = _compute_index(seg, counts, core[frontier], vals)
+        core[frontier] = t
+        emit = t[seg]
         if optimize:
             # the Section 3.1.2 filter: only send below the neighbour's
-            # last-heard estimate (est is untouched during this phase)
-            emitting &= t[seg] < vals
-        slots = mirror[idx[emitting]]
-        incoming[slots] = t[seg[emitting]]
-        counts = np.bincount(seg[emitting], minlength=len(frontier))
-        senders = counts > 0
-        sent[frontier[senders]] += counts[senders]
-        return int(counts.sum()), slots
+            # last-heard estimate (est is untouched during this phase),
+            # as positions: numpy takes them faster than it applies a mask
+            keep = np.flatnonzero(emit < vals)
+            idx = idx[keep]
+            emit = emit[keep]
+            counts = np.bincount(seg[keep], minlength=len(frontier))
+        slots = mirror[idx]
+        incoming[slots] = emit
+        sent[frontier] += counts
+        return len(slots), slots
 
     # ------------------------------------------------------------------
     # one-to-many shard phases
@@ -266,41 +268,29 @@ class NumpyBackend(KernelBackend):
     ):
         # Jacobi relaxation rounds of Algorithm 4's monotone operator:
         # recompute the whole dirty set from a snapshot, apply every
-        # drop at once, then derive the next dirty set from the level
-        # crossings — same fixpoint, changed set and exact sup as the
-        # stdlib worklist (schedule independence).
+        # drop at once (each dirty node drops), then derive the next
+        # dirty set from the level crossings — same fixpoint, changed
+        # set and exact sup as the stdlib worklist (schedule
+        # independence).
         flags = np.frombuffer(changed_flag, dtype=np.uint8)
         while len(dirty):
             caps = est[dirty]
-            seg, idx, starts, _ = _segments(offsets, dirty)
-            snapshot = est[targets[idx]]
-            t, support = self._batch_core(seg, starts, caps[seg], snapshot)
-            sup[dirty] = support
-            drop = t < caps
-            du = dirty[drop]
-            if not len(du):
-                break
-            new_levels = t[drop]
-            old_levels = caps[drop]
-            est[du] = new_levels
-            fresh = du[flags[du] == 0]
+            seg, idx, _, lens = _segments(offsets, dirty)
+            nbrs = targets[idx]
+            t, sup[dirty] = _compute_index(seg, lens, caps, est[nbrs])
+            est[dirty] = t
+            fresh = dirty[flags[dirty] == 0]
             flags[fresh] = 1
             changed_list.extend(fresh.tolist())
             # propagate: internal neighbours whose level the drop
             # crossed lose one support each (batch formula: crossings
             # are measured against the *post-round* neighbour levels)
-            seg2, idx2, _, _ = _segments(offsets, du)
-            nbrs = targets[idx2]
-            internal = nbrs < n_owned
+            internal = np.flatnonzero(nbrs < n_owned)
             nbrs = nbrs[internal]
-            cur = old_levels[seg2[internal]]
-            new = new_levels[seg2[internal]]
+            seg = seg[internal]
             levels = est[nbrs]
-            crossing = (cur >= levels) & (new < levels)
-            starved = nbrs[crossing]
-            np.subtract.at(sup, starved, 1)
-            cand = _distinct(starved)
-            dirty = cand[sup[cand] < est[cand]]
+            crossing = np.flatnonzero((caps[seg] >= levels) & (t[seg] < levels))
+            dirty = _starve(sup, nbrs[crossing], est)
 
     def fold_mailbox(
         self, slots, vals, n_owned, est, sup, watch_offsets, watch_targets, queued
@@ -315,8 +305,8 @@ class NumpyBackend(KernelBackend):
         slots = as_i64(slots, dtype=_I64)
         vals = as_i64(vals, dtype=_I64)
         ext = est[n_owned:]
-        lowering = vals < ext[slots]
-        if not lowering.any():
+        lowering = np.flatnonzero(vals < ext[slots])
+        if not len(lowering):
             return empty
         slots = slots[lowering]
         uniq = _distinct(slots)
@@ -328,11 +318,8 @@ class NumpyBackend(KernelBackend):
         seg, idx, _, _ = _segments(watch_offsets, uniq)
         watchers = watch_targets[idx]
         levels = est[watchers]  # owned estimates are untouched by folds
-        crossing = (old[seg] >= levels) & (new[seg] < levels)
-        starved = watchers[crossing]
-        np.subtract.at(sup, starved, 1)
-        cand = _distinct(starved)
-        return cand[sup[cand] < est[cand]]
+        crossing = np.flatnonzero((old[seg] >= levels) & (new[seg] < levels))
+        return _starve(sup, watchers[crossing], est)
 
     # ------------------------------------------------------------------
     # SNAP ingest and CSR build
@@ -539,11 +526,10 @@ class NumpyBackend(KernelBackend):
             nodes = np.nonzero(
                 ((offsets[1:] - offsets[:-1]) > 0) & (values > 0)
             )[0]
-            seg, idx, starts, _ = _segments(offsets, nodes)
-            t, _ = self._batch_core(
-                seg, starts, values[nodes][seg], values[targets[idx]]
+            seg, idx, _, lens = _segments(offsets, nodes)
+            out[nodes], _ = _compute_index(
+                seg, lens, values[nodes], values[targets[idx]]
             )
-            out[nodes] = t
         changed = bool((out != values).any())
         return changed, out
 

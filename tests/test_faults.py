@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.api import decompose
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many
 from repro.errors import ConfigurationError, FleetTimeoutError
 from repro.graph import generators as gen
@@ -191,6 +192,19 @@ class TestKillRecovery:
         assert_bit_identical(run, flat_reference["broadcast"])
         events = run.stats.extra["recoveries"]
         assert [e["worker"] for e in events] == [0, 3]
+
+    def test_kill_through_decompose(self, graph, flat_reference):
+        """``decompose`` hands a plan to the fleet as the runner does."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = decompose(
+                graph, "one-to-many-mp", num_hosts=4,
+                mp_start_method="fork",
+                fault_plan=FaultPlan([Fault.kill(2, 3)]),
+            )
+        assert_bit_identical(run, flat_reference["broadcast"])
+        (event,) = run.stats.extra["recoveries"]
+        assert (event["worker"], event["round"]) == (2, 3)
 
     def test_recovery_event_telemetry(self, graph):
         run = _mp_fault(graph, FaultPlan([Fault.kill(2, 5)]))
@@ -407,6 +421,13 @@ class TestRunnerRejections:
     def test_fault_plan_type_checked(self, graph):
         with pytest.raises(ConfigurationError, match="FaultPlan"):
             _mp_fault(graph, plan="kill everything")
+
+    def test_decompose_checks_the_fault_plan_type(self, graph):
+        with pytest.raises(ConfigurationError, match="FaultPlan"):
+            decompose(
+                graph, "one-to-many-mp", num_hosts=4,
+                mp_start_method="fork", fault_plan="kill everything",
+            )
 
     def test_checkpoint_type_checked(self, graph):
         with warnings.catch_warnings():

@@ -4,7 +4,7 @@ The engine-level bit-identity of the backends is asserted end-to-end in
 ``tests/test_backend_equivalence.py``; here the registry contract and
 the individual kernel primitives are pinned directly — the registry's
 error behaviour, that every kernel has a caller, the numpy backend's
-segmented ``computeIndex`` against the scalar kernel, the h-index sweep
+counting ``computeIndex`` against the scalar kernel, the h-index sweep
 against the pre-kernel reference implementation, the worker-traffic
 counting helper, the shared stats-export utility, the dynamic CSR's
 slot layout, and the CSR build from an edge list and its companion
@@ -136,46 +136,93 @@ class TestTables:
         assert len(backend.graph_array(array("q"))) == 0
 
 
+def _count_core(segments):
+    """The numpy counting core over ``[(cap, values), ...]``, one
+    segment each: ``(t, support)`` lists."""
+    import numpy as np
+
+    from repro.sim.kernels.numpy_backend import _compute_index
+
+    lens = np.array([len(values) for _, values in segments], dtype=np.int64)
+    seg = np.repeat(np.arange(len(segments), dtype=np.int64), lens)
+    vals = np.array(
+        [v for _, values in segments for v in values], dtype=np.int64
+    )
+    caps = np.array([cap for cap, _ in segments], dtype=np.int64)
+    t, support = _compute_index(seg, lens, caps, vals)
+    return t.tolist(), support.tolist()
+
+
+def _assert_scalar(segments):
+    values, supports = _count_core(segments)
+    for at, (cap, estimates) in enumerate(segments):
+        scratch: list[int] = []
+        expected = compute_index(estimates, cap, scratch)
+        assert values[at] == expected, (cap, estimates)
+        assert supports[at] == scratch[expected], (cap, estimates)
+
+
+#: One ``computeIndex`` instance as the counting core takes it: a cap
+#: >= 1 and at least one value; caps and values reach past the
+#: segment length, and values reach past the cap and down to 0.
+_segment = st.tuples(
+    st.integers(1, 12), st.lists(st.integers(0, 15), min_size=1, max_size=9)
+)
+
+
 @requires_numpy
 class TestBatchComputeIndex:
-    """The numpy backend's segmented ``computeIndex`` (``_batch_core``,
-    behind its frontier, cascade, re-convergence and sweep kernels) ==
-    the scalar kernel, value and support."""
+    """The numpy backend's counting ``computeIndex`` (``_compute_index``,
+    behind its frontier, cascade and sweep kernels) == the scalar
+    kernel, value and support; and its starvation count takes the same
+    supports whichever way it counts."""
 
     def test_against_scalar_on_random_instances(self):
+        rng = random.Random(5)
+        # 200 segments of mixed lengths, one-element segments included;
+        # caps up to twice the longest segment and values up to three
+        # times it, zeros included
+        segments = [
+            (rng.randrange(1, 17), [rng.randrange(0, 25) for _ in range(ln)])
+            for ln in (rng.randrange(1, 9) for _ in range(200))
+        ]
+        assert any(cap > len(values) for cap, values in segments)
+        assert any(cap < len(values) for cap, values in segments)
+        assert any(len(values) == 1 for _, values in segments)
+        assert any(0 in values for _, values in segments)
+        assert any(max(values) > cap for cap, values in segments)
+        _assert_scalar(segments)
+
+    @given(st.lists(_segment, min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    @example([(1, [0])])
+    @example([(5, [0, 0, 0])])
+    @example([(12, [15])])
+    @example([(3, [3, 3, 3]), (1, [9]), (4, [0, 4, 4, 4])])
+    def test_matches_the_scalar_kernel(self, segments):
+        _assert_scalar(segments)
+
+    def test_starvation_count_is_the_same_either_way(self, monkeypatch):
         import numpy as np
 
-        from repro.sim.kernels.numpy_backend import _segments
+        from repro.sim.kernels import numpy_backend
 
-        backend = resolve_backend("numpy")
-        rng = random.Random(5)
-        # a synthetic "edge value" layout: 40 nodes with mixed degrees,
-        # including degree-0 nodes and cap-0 nodes
-        lens = [rng.randrange(0, 9) for _ in range(40)]
-        offsets = array("q", [0] * 41)
-        for i, ln in enumerate(lens):
-            offsets[i + 1] = offsets[i] + ln
-        edge_values = array(
-            "q", [rng.randrange(0, 12) for _ in range(offsets[-1])]
-        )
-        caps = array("q", [rng.randrange(0, 10) for _ in range(40)])
-        # the core takes non-empty segments with caps >= 1; its callers
-        # settle degree-0 and cap-0 rows before calling it
-        run = [p for p in range(40) if lens[p] and caps[p] > 0]
-        assert 0 < len(run) < 40
-        seg, idx, starts, _ = _segments(
-            backend.graph_array(offsets), np.array(run, dtype=np.int64)
-        )
-        values, supports = backend._batch_core(
-            seg, starts, np.array([caps[p] for p in run])[seg],
-            backend.graph_array(edge_values)[idx],
-        )
-        for at, p in enumerate(run):
-            scratch: list[int] = []
-            estimates = edge_values[offsets[p]:offsets[p + 1]]
-            expected = compute_index(estimates, caps[p], scratch)
-            assert values[at] == expected, p
-            assert supports[at] == scratch[expected], p
+        rng = np.random.default_rng(3)
+        level = rng.integers(1, 6, 40)
+        sup = rng.integers(0, 8, 40)
+        starved = rng.integers(0, 40, 30)  # repeats take several
+        out = []
+        for share in (0.0, float("inf")):  # count always, sort always
+            monkeypatch.setattr(numpy_backend, "_COUNT_SHARE", share)
+            table = sup.copy()
+            cand = numpy_backend._starve(table, starved, level)
+            out.append((table.tolist(), cand.tolist()))
+        assert out[0] == out[1]
+        lost = np.bincount(starved, minlength=40)
+        assert out[0][0] == (sup - lost).tolist()
+        assert out[0][1] == [
+            u for u in range(40) if lost[u] and sup[u] - lost[u] < level[u]
+        ]
 
 
 class TestHindexSweep:
