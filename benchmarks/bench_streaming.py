@@ -12,7 +12,8 @@ on one neighbour array per row) against the
 only alternative a system without maintenance has — recomputing
 Batagelj–Zaveršnik from scratch after every batch. Lanes:
 
-* ``recompute``    — plain graph edits + full BZ per batch (baseline);
+* ``recompute``    — plain graph edits (the same ``apply_event``
+  guards) + full BZ per batch (baseline);
 * ``object``       — the per-edit :class:`DynamicKCore` oracle;
 * ``flat``         — the batched flat engine.
 
@@ -40,6 +41,7 @@ import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -50,6 +52,7 @@ from repro.datasets import amazon_like  # noqa: E402
 from repro.streaming import FlatDynamicKCore  # noqa: E402
 from repro.workloads.churn import (  # noqa: E402
     ChurnTrace,
+    apply_event,
     generate_churn_trace,
     replay_trace,
 )
@@ -86,45 +89,35 @@ def _steady_state_trace(graph, edits, seed):
         duration *= 2.0
 
 
-def _apply_plain(graph, event):
-    """Apply one churn event to a bare graph with the exact guard
-    semantics of :func:`replay_trace` (so every lane sees the same
-    final graph)."""
-    if event.kind == "join":
-        new, *contacts = event.nodes
-        graph.add_node(new)
-        for contact in contacts:
-            if graph.has_node(contact):
-                graph.add_edge(new, contact)
-    elif event.kind == "leave":
-        (victim,) = event.nodes
-        if graph.has_node(victim):
-            graph.remove_node(victim)
-    elif event.kind == "link":
-        u, v = event.nodes
-        if graph.has_node(u) and graph.has_node(v) and not graph.has_edge(u, v):
-            graph.add_edge(u, v)
-    else:  # unlink
-        u, v = event.nodes
-        if graph.has_edge(u, v):
-            graph.remove_edge(u, v)
+def _plain(graph):
+    """``graph`` under the churn vocabulary's edit names, so
+    :func:`apply_event` replays a trace onto a bare graph with the
+    guards every engine applies (every lane sees the same final
+    graph)."""
+    return SimpleNamespace(
+        has_node=graph.has_node, has_edge=graph.has_edge,
+        add_node=graph.add_node, insert_edge=graph.add_edge,
+        remove_node=graph.remove_node, delete_edge=graph.remove_edge,
+    )
 
 
 def _final_oracle(trace):
     """BZ coreness of the end state (computed once, outside timing)."""
     current = trace.initial.copy()
+    plain = _plain(current)
     for event in trace.events:
-        _apply_plain(current, event)
+        apply_event(plain, event)
     return current, batagelj_zaversnik(current)
 
 
 def _run_recompute(trace):
     current = trace.initial.copy()
+    plain = _plain(current)
     coreness = None
     start = time.perf_counter()
     for at in range(0, len(trace.events), BATCH):
         for event in trace.events[at:at + BATCH]:
-            _apply_plain(current, event)
+            apply_event(plain, event)
         coreness = batagelj_zaversnik(current)
     return time.perf_counter() - start, coreness
 

@@ -243,8 +243,6 @@ class OneToManyConfig:
     ``num_hosts``, the assignment ``policy`` (Section 3.2.2, default the
     paper's modulo) and the ``communication`` policy (Section 3.2.1)
     select the scenario; the rest mirrors :class:`OneToOneConfig`.
-    ``use_worklist=False`` switches the internal cascade to the
-    paper-verbatim full-sweep loop (same fixpoint, more recompute).
     """
 
     num_hosts: int = 4
@@ -311,6 +309,9 @@ class OneToManyConfig:
     max_rounds: int = 1_000_000
     strict: bool = True
     fixed_rounds: int | None = None
+    #: ``False`` runs the object hosts' cascade as the paper-verbatim
+    #: full sweep (same fixpoint, more recompute); the flat and mp rows,
+    #: whose cascade is always a worklist, reject it.
     use_worklist: bool = True
     #: Extension beyond the paper: host-level send filter for the p2p
     #: policy (the paper notes the §3.1.2 filter "cannot be applied" as
@@ -509,10 +510,11 @@ def run_flat(
 
     An exact replay of the object path per (mode, communication,
     policy, seed); the cut comes from the shard build instead of an
-    O(m) sweep. ``use_worklist`` selects nothing here: the flat cascade
-    is always a worklist, and both object variants compute the same
-    fixpoint and changed set. The flat and mp rows take no
-    ``observers``: a per-round trace runs on ``engine="round"``.
+    O(m) sweep. The flat cascade is always a worklist, so this row
+    and the mp one reject ``use_worklist``; both object variants
+    compute the same fixpoint and changed set. The flat and mp rows
+    take no ``observers``: a per-round trace runs on
+    ``engine="round"``.
     """
     from repro.sim.flat_many_engine import FlatOneToManyEngine
 

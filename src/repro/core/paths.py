@@ -49,9 +49,11 @@ FLEET_OPTIONS = (
 #: Options every row of a protocol or baseline family takes.
 _ONE_TO_ONE = ("seed", "optimize_sends", "strict")
 _ONE_TO_MANY = (
-    "seed", "strict", "num_hosts", "policy", "communication",
-    "use_worklist", "p2p_filter", "assignment",
+    "seed", "strict", "num_hosts", "policy", "communication", "p2p_filter",
+    "assignment",
 )
+#: Only the object hosts pick their cascade.
+_ONE_TO_MANY_OBJECTS = _ONE_TO_MANY + ("use_worklist",)
 _PREGEL = (
     "num_workers", "optimize_sends", "partition_policy", "use_combiner",
     "max_supersteps",
@@ -122,9 +124,9 @@ PATHS: "tuple[Path, ...]" = (
          alias="one-to-one-flat", options=_ONE_TO_ONE),
     Path("one-to-many", "round", _O2M + "run_objects",
          modes=("peersim", "lockstep"), backends=STDLIB, rounds=True,
-         observers=True, telemetry=True, options=_ONE_TO_MANY),
+         observers=True, telemetry=True, options=_ONE_TO_MANY_OBJECTS),
     Path("one-to-many", "async", _O2M + "run_objects",
-         modes=("peersim",), backends=STDLIB, options=_ONE_TO_MANY),
+         modes=("peersim",), backends=STDLIB, options=_ONE_TO_MANY_OBJECTS),
     Path("one-to-many", "flat", _O2M + "run_flat",
          modes=("peersim", "lockstep"), backends=BOTH, rounds=True,
          telemetry=True, alias="one-to-many-flat", options=_ONE_TO_MANY),

@@ -151,7 +151,13 @@ class CSRGraph:
             view._base = held
             return view
         node_ids = sorted(graph.nodes())
-        ids = array("q", node_ids)
+        try:
+            ids = array("q", node_ids)
+        except OverflowError:
+            bad = next(u for u in node_ids if not -(1 << 63) <= u < 1 << 63)
+            raise GraphError(
+                f"node id {bad} outside the signed 64-bit range"
+            ) from None
         n = len(node_ids)
         contiguous = n == 0 or (node_ids[0] == 0 and node_ids[-1] == n - 1)
         index_of = (

@@ -146,18 +146,24 @@ class DynamicCSRGraph:
     # ------------------------------------------------------------------
     def add_node(self, node: int) -> int:
         """Give ``node`` an isolated row, the last freed one if any;
-        returns the row."""
+        returns the row. An id that is not a signed 64-bit integer
+        raises :class:`GraphError` naming it, with nothing changed."""
         if node in self._index_of:
             raise GraphError(f"node {node} already present")
-        if self._free:
-            row = self._free.pop()
-            self.ids[row] = node
-            self.alive[row] = 1
-        else:
-            row = len(self.rows)
-            self.rows.append(array("q"))
-            self.ids.append(node)
-            self.alive.append(1)
+        try:  # each branch writes the id first
+            if self._free:
+                row = self._free[-1]
+                self.ids[row] = node
+                self._free.pop()
+                self.alive[row] = 1
+            else:
+                row = len(self.rows)
+                self.ids.append(node)
+                self.rows.append(array("q"))
+                self.alive.append(1)
+        except (OverflowError, TypeError):
+            raise GraphError(
+                f"node id {node!r} is not a signed 64-bit integer") from None
         self._index_of[node] = row
         return row
 
@@ -203,14 +209,15 @@ class DynamicCSRGraph:
         self.num_edges += 1
 
     def delete_edge(self, u: int, v: int) -> None:
-        """Delete edge ``{u, v}`` (endpoints stay).
-
-        A missing edge raises :class:`~repro.errors.EdgeError`.
-        """
-        if not self.has_edge(u, v):
-            raise EdgeError(f"edge ({u}, {v}) not present")
-        ru, rv = self._index_of[u], self._index_of[v]
-        self.rows[ru].remove(rv)
+        """Delete edge ``{u, v}`` (endpoints stay); the removal from
+        ``u``'s row finds it. A missing edge or endpoint raises
+        :class:`~repro.errors.EdgeError`, with nothing changed."""
+        index_of = self._index_of
+        try:
+            ru, rv = index_of[u], index_of[v]
+            self.rows[ru].remove(rv)
+        except (KeyError, ValueError):
+            raise EdgeError(f"edge ({u}, {v}) not present") from None
         self.rows[rv].remove(ru)
         self.num_edges -= 1
 

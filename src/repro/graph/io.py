@@ -211,7 +211,9 @@ def write_edge_list(
     path: str | os.PathLike[str],
     header: bool = True,
 ) -> str:
-    """Write ``graph`` as a SNAP-style edge list; returns the path."""
+    """Write ``graph`` as a SNAP-style edge list; returns the path.
+    An isolated node gets a ``u<TAB>u`` line after the edges, so
+    ``read_edge_list(path, relabel=False)`` reads back every node."""
     path = os.fspath(path)
     parent = os.path.dirname(path)
     if parent:
@@ -225,4 +227,6 @@ def write_edge_list(
             handle.write("# FromNodeId\tToNodeId\n")
         for u, v in sorted(graph.edges()):
             handle.write(f"{u}\t{v}\n")
+        for u in sorted(u for u in graph.nodes() if not graph.degree(u)):
+            handle.write(f"{u}\t{u}\n")
     return path

@@ -63,8 +63,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr, \
@@ -76,6 +78,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dynamic_csr import DynamicCSRGraph
 from repro.streaming.korder import SHIFT, KOrder
 from repro.telemetry.spans import resolve_tracer
+from repro.workloads.churn import apply_event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
@@ -365,8 +368,6 @@ class FlatDynamicKCore:
     # ------------------------------------------------------------------
     def add_node(self, node: int) -> None:
         """Add an isolated node (coreness 0)."""
-        if self._graph.has_node(node):
-            raise GraphError(f"node {node} already present")
         self._begin_batch()
         self._add_row(node)
         self._finish_batch(1)
@@ -393,68 +394,37 @@ class FlatDynamicKCore:
     # batch API
     # ------------------------------------------------------------------
     def apply_events(self, events: Iterable) -> int:
-        """Apply one churn batch with replay guard semantics.
+        """Apply one churn batch; returns the primitive edits applied.
 
-        ``events`` are :class:`~repro.workloads.churn.ChurnEvent`-shaped
-        objects (``kind`` / ``nodes``); guards match ``replay_trace``:
-        joins insert edges only to present contacts, leaves of absent
-        nodes are skipped, links require both endpoints present and the
-        edge absent, unlinks require the edge present. Guards are
-        evaluated sequentially against live state, so intra-batch
-        dependencies (join then link to the new node) behave exactly
-        like event-at-a-time replay. Returns the number of primitive
-        edits applied; coreness is exact when the call returns, and
-        also when an event raises: the edits before it are settled and
-        recorded before the exception propagates.
+        Each :class:`~repro.workloads.churn.ChurnEvent` goes through
+        :func:`~repro.workloads.churn.apply_event`, as in
+        ``replay_trace`` and on the object oracle; deletes re-converge
+        together up to the next insert or the batch's end. Coreness is
+        exact when the call returns, and also when an event raises: the
+        edits before it are settled and recorded before the exception
+        propagates.
         """
         self._begin_batch()
         applied = 0
+        edits = self._edits
         try:
             with self._tracer.span("churn.apply_batch") as span:
                 for event in events:
-                    applied += self._apply_event(event)
+                    applied += apply_event(edits, event)
                 self._flush()
                 span.note(edits=applied)
         finally:
             self._finish_batch(applied)
         return applied
 
-    def _apply_event(self, event) -> int:
-        kind = event.kind
-        if kind == "join":
-            new, *contacts = event.nodes
-            if self._graph.has_node(new):
-                raise GraphError(f"node {new} already present")
-            self._add_row(new)
-            applied = 1
-            for contact in contacts:
-                if self._graph.has_node(contact):
-                    self._insert(new, contact)
-                    applied += 1
-            return applied
-        if kind == "leave":
-            (victim,) = event.nodes
-            if self._graph.has_node(victim):
-                self._remove(victim)
-                return 1
-            return 0
-        if kind == "link":
-            u, v = event.nodes
-            if (
-                self._graph.has_node(u)
-                and self._graph.has_node(v)
-                and not self._graph.has_edge(u, v)
-            ):
-                self._insert(u, v)
-                return 1
-            return 0
-        if kind == "unlink":
-            u, v = event.nodes
-            if self._graph.has_edge(u, v):
-                self._delete(u, v)
-                return 1
-            return 0
-        raise ConfigurationError(f"unknown churn event kind {kind!r}")
+    @cached_property
+    def _edits(self) -> SimpleNamespace:
+        """The edits ``apply_event`` calls, minus the per-edit flush."""
+        g = self._graph
+        return SimpleNamespace(
+            has_node=g.has_node, has_edge=g.has_edge, add_node=self._add_row,
+            insert_edge=self._insert, remove_node=self._remove,
+            delete_edge=self._delete)
 
     # ------------------------------------------------------------------
     # internals

@@ -6,25 +6,30 @@ the style of P2P measurement studies: Poisson joins, exponential
 session lengths (so departures follow the current population), and
 rewiring. Traces drive the streaming-maintenance benchmarks and the
 ``live_overlay_churn`` example, and double as fuzzing input for the
-:class:`~repro.streaming.DynamicKCore` property tests.
+streaming tests. :func:`apply_event` is the one definition of an event.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Literal
+from typing import TYPE_CHECKING, Any, Iterator, Literal
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphError
 from repro.graph.graph import Graph
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.streaming import DynamicKCore, FlatDynamicKCore
 
-__all__ = ["ChurnEvent", "ChurnTrace", "generate_churn_trace", "replay_trace"]
+__all__ = ["ARITY", "ChurnEvent", "ChurnTrace", "apply_event",
+           "generate_churn_trace", "replay_trace"]
 
 EventKind = Literal["join", "leave", "link", "unlink"]
+
+#: Each event kind and the node ids it carries: a join names its new
+#: node and then any number of contacts.
+ARITY = {"join": 1, "leave": 1, "link": 2, "unlink": 2}
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,47 @@ def generate_churn_trace(
     return ChurnTrace(initial=initial.copy(), events=events)
 
 
+def apply_event(target: Any, event: ChurnEvent) -> int:
+    """Apply one churn event to ``target`` (the edit API of
+    :class:`~repro.streaming.DynamicKCore`); returns the edits applied.
+
+    The one definition of a churn request: a join adds its new node (a
+    present one raises :class:`~repro.errors.GraphError`) and links it
+    to each present contact; a leave removes a present node; a link
+    inserts an absent edge between present nodes; an unlink deletes a
+    present edge; anything else is skipped. An unknown kind or a wrong
+    number of ids raises :class:`~repro.errors.ConfigurationError`.
+    """
+    kind, nodes = event.kind, event.nodes
+    if len(nodes) != ARITY.get(kind) and not (kind == "join" and nodes):
+        raise ConfigurationError(
+            f"churn event {kind!r} with nodes {nodes!r}: each kind names "
+            f"{ARITY} node ids (a join: its new node, then any contacts)"
+        )
+    if kind == "join":
+        new = nodes[0]
+        if target.has_node(new):
+            raise GraphError(f"node {new} already present")
+        target.add_node(new)
+        applied = 1
+        for contact in nodes[1:]:
+            if target.has_node(contact):
+                target.insert_edge(new, contact)
+                applied += 1
+        return applied
+    u, v = nodes[0], nodes[-1]
+    if kind == "leave" and target.has_node(u):
+        target.remove_node(u)
+    elif kind == "link" and target.has_node(u) and target.has_node(v) \
+            and not target.has_edge(u, v):
+        target.insert_edge(u, v)
+    elif kind == "unlink" and target.has_edge(u, v):
+        target.delete_edge(u, v)
+    else:
+        return 0
+    return 1
+
+
 def _make_engine(engine, trace, telemetry):
     from repro.streaming import DynamicKCore, FlatDynamicKCore
 
@@ -185,8 +231,9 @@ def replay_trace(
     returning. Wall time per batch is a telemetry concern: pass
     ``telemetry=`` and read the ``churn.apply_batch`` spans.
 
-    ``batch_size`` groups events into ``apply_events`` batches on the
-    flat engine (the object oracle always replays per-event).
+    Every event goes through :func:`apply_event`, the one definition
+    of its guards: on the flat engine in ``apply_events`` batches of
+    ``batch_size``, on the object oracle one event at a time.
     ``verify_every`` cross-checks the maintained coreness against full
     recomputation every N events (slow; for tests). The flat engine is
     checked between batches only, so a ``verify_every`` below
@@ -200,47 +247,19 @@ def replay_trace(
         raise ConfigurationError("batch_size must be >= 1")
     engine = _make_engine(engine, trace, telemetry)
 
-    def checkpoint(index: int) -> None:
-        if verify_every and index % verify_every == 0:
-            if not engine.verify():
-                raise AssertionError(
-                    f"maintained coreness diverged after event {index}"
-                )
-
-    if isinstance(engine, FlatDynamicKCore):
-        events = trace.events
-        step = batch_size if not verify_every else min(
-            batch_size, verify_every
-        )
-        for at in range(0, len(events), step):
+    flat = isinstance(engine, FlatDynamicKCore)
+    # the object oracle takes one event at a time
+    step = min(batch_size, verify_every or batch_size) if flat else 1
+    events = trace.events
+    for at in range(0, len(events), step):
+        if flat:
             engine.apply_events(events[at:at + step])
-            checkpoint(at + step)
-        validate_extra(engine.metrics, "replay_trace metrics")
-        return engine
-
-    for index, event in enumerate(trace.events, start=1):
-        if event.kind == "join":
-            new, *contacts = event.nodes
-            engine.add_node(new)
-            for contact in contacts:
-                if engine.graph.has_node(contact):
-                    engine.insert_edge(new, contact)
-        elif event.kind == "leave":
-            (victim,) = event.nodes
-            if engine.graph.has_node(victim):
-                engine.remove_node(victim)
-        elif event.kind == "link":
-            u, v = event.nodes
-            if (
-                engine.graph.has_node(u)
-                and engine.graph.has_node(v)
-                and not engine.graph.has_edge(u, v)
-            ):
-                engine.insert_edge(u, v)
-        else:  # unlink
-            u, v = event.nodes
-            if engine.graph.has_edge(u, v):
-                engine.delete_edge(u, v)
-        checkpoint(index)
+        else:
+            apply_event(engine, events[at])
+        index = at + step
+        if verify_every and index % verify_every == 0 and not engine.verify():
+            raise AssertionError(
+                f"maintained coreness diverged after event {index}"
+            )
     validate_extra(engine.metrics, "replay_trace metrics")
     return engine

@@ -1,4 +1,4 @@
-"""One replay harness over the table of execution paths.
+"""One replay harness over the table of execution paths and edit traces.
 
 Every engine row of :data:`repro.core.paths.PATHS` replays the run that
 :data:`REFERENCE` names for it bit for bit (the coreness and every
@@ -9,11 +9,21 @@ each engine's suite parametrizes its cells over the family table here
 and fuzzes its own legs with :func:`replay`, and ``tests/test_replay.py``
 checks the tables cover the registry and fuzzes every in-process leg. A
 new path is one ``PATHS`` row and one :data:`REFERENCE` line.
+
+The edit-trace leg, :func:`check_churn`, holds the streaming engine to
+the same bar batch by batch against the object oracle; the churn grid
+of ``tests/test_streaming_equivalence.py`` runs on it, and its
+``TestPropertyBased`` fuzzes it on :func:`churn_cells`. :func:`cells`
+sometimes hands its graph through a SNAP file, so the fuzzed legs also
+run on what ``graph/io`` reads back.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 import warnings
+from array import array
 
 import pytest
 from hypothesis import strategies as st
@@ -21,9 +31,14 @@ from hypothesis import strategies as st
 from repro.baselines import batagelj_zaversnik
 from repro.core import paths, theory
 from repro.core.api import decompose
+from repro.errors import ReproError
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.sim.kernels import numpy_available
+from repro.graph.io import read_edge_list, write_edge_list
+from repro.sim.kernels import numpy_available, resolve_backend
+from repro.streaming import DynamicKCore, FlatDynamicKCore
+from repro.workloads.churn import ARITY, ChurnEvent, apply_event
 
 from tests.conftest import graphs
 
@@ -219,11 +234,33 @@ LEGS = [
 ]
 
 
+def through_file(graph: Graph, draw) -> Graph:
+    """``graph`` written by ``write_edge_list``, its lines shuffled in
+    among duplicate, reversed and self-loop lines, comments and blank
+    lines, and read back by ``read_edge_list(path, relabel=False)``,
+    which must return its nodes and edges."""
+    edges = sorted(graph.edges())
+    noise = [f"{u} {v}\n" for u, v in edges] + [f"{v}\t{u}\n" for u, v in edges]
+    noise += [f"{u} {u}\n" for u in graph.nodes()] + ["% note\n", "\n", " \t\n"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_edge_list(graph, os.path.join(tmp, "graph.txt"))
+        with open(path) as handle:
+            lines = handle.readlines()
+        lines += draw(st.lists(st.sampled_from(noise), max_size=8))
+        with open(path, "w") as handle:
+            handle.writelines(draw(st.permutations(lines)))
+        back = read_edge_list(path, relabel=False)
+    assert sorted(back.nodes()) == sorted(graph.nodes())
+    assert sorted(back.edges()) == edges
+    return back
+
+
 @st.composite
 def cells(draw):
     """A graph of ``conftest.graphs``, a star or a clique, with extra
-    isolated nodes and plain, shuffled, sparse or huge ids, and the
-    options every row draws from (more hosts than nodes included)."""
+    isolated nodes and plain, shuffled, sparse or huge ids, sometimes
+    read back from a SNAP file (:func:`through_file`), and the options
+    every row draws from (more hosts than nodes included)."""
     graph = draw(st.one_of(
         graphs(),
         st.integers(1, 12).map(gen.star_graph),
@@ -236,6 +273,8 @@ def cells(draw):
         graph = graph.shuffled(seed=draw(st.integers(0, 5)))
     elif ids != "plain":
         graph = sparse(graph) if ids == "sparse" else huge(graph)
+    if draw(st.booleans()):
+        graph = through_file(graph, draw)
     n = graph.num_nodes
     communication = draw(st.sampled_from(COMMUNICATIONS))
     return graph, {
@@ -245,7 +284,9 @@ def cells(draw):
         "policy": draw(st.sampled_from(POLICIES)),
         "communication": communication,
         "p2p_filter": communication == "p2p" and draw(st.booleans()),
+        "use_worklist": draw(st.booleans()),
         "num_workers": draw(st.integers(1, 6)),
+        "use_combiner": draw(st.booleans()),
     }
 
 
@@ -263,3 +304,114 @@ def replay(example, algorithm: "str | None" = None, **match) -> None:
             taken = {k: v for k, v in options.items() if row.takes(k)}
             check(row.algorithm, graph, runs, **leg, **taken)
     assert runs, "no leg matches"
+
+
+#: The kernel backend that built the CSR the streaming engine starts
+#: from. The engine runs no kernel, but ``read_edge_list`` builds a file
+#: of at least ``NUMPY_MIN_PAIRS`` lines on numpy (the
+#: ``overlay-joinleave`` workload's file) and a shorter one on the
+#: stdlib.
+BUILDS = ("stdlib", "numpy")
+
+
+def seeded(graph: "Graph | None", build: str):
+    """What the streaming engine is handed: ``graph`` itself on the
+    stdlib build, or the CSR the ``build`` backend's ``csr_from_edges``
+    kernel makes of it (``None`` is the empty graph; a self-loop per
+    node keeps the isolated ones, as it does in a file)."""
+    if build == "stdlib":
+        return graph
+    if not numpy_available():
+        pytest.skip("the numpy kernel backend needs numpy")
+    pairs = [*graph.edges(), *((u, u) for u in graph)] if graph else []
+    us, vs = array("q", [u for u, _ in pairs]), array("q", [v for _, v in pairs])
+    return CSRGraph(*resolve_backend(build).csr_from_edges(us, vs))
+
+
+def check_churn(graph: "Graph | None", events, batch: int,
+                build: str = "stdlib") -> FlatDynamicKCore:
+    """Replay ``events`` on a :class:`FlatDynamicKCore` seeded from
+    ``build`` (:func:`seeded`), ``batch`` events per ``apply_events``
+    call, and one at a time on the :class:`DynamicKCore` oracle, both
+    through :func:`~repro.workloads.churn.apply_event`.
+
+    After every call both sides raised the same error type, or none, at
+    the same event; the flat engine and the oracle hold the same
+    coreness, which is BZ's; and the engine's k-order and its dynamic
+    CSR pass ``check_invariants()``. As in
+    :class:`~repro.streaming.ChurnService`, an event that raises is
+    dropped and the rest of its batch is the next call. At the end both
+    hold the same graph. Returns the flat engine.
+    """
+    flat = FlatDynamicKCore(seeded(graph, build))
+    oracle = DynamicKCore(graph)
+
+    def one_at_a_time(rest):
+        for event in rest:
+            apply_event(oracle, event)
+
+    for at in range(0, len(events), batch):
+        pending = events[at:at + batch]
+        while pending:
+            outcomes = []
+            for apply in (flat.apply_events, one_at_a_time):
+                rest = iter(pending)
+                try:
+                    apply(rest)
+                    error = None
+                except ReproError as exc:
+                    error = type(exc)
+                outcomes.append((error, list(rest)))
+            assert outcomes[0] == outcomes[1], f"batch at event {at}"
+            pending = outcomes[0][1]
+            truth = batagelj_zaversnik(oracle.graph)
+            assert flat.coreness == oracle.coreness == truth, (
+                f"divergence in the batch at event {at}"
+            )
+            flat.check_invariants()
+            flat.graph.check_invariants()
+    assert flat.graph.to_graph() == oracle.graph
+    return flat
+
+
+@st.composite
+def churn_cells(draw, batch: "int | None" = None, kinds=tuple(ARITY)):
+    """A :func:`cells` graph, an edit trace over it and a batch size of
+    1-8 (or ``batch``), for :func:`check_churn` on either build.
+
+    Events name present nodes, nodes that left and a node never seen; a
+    join may name a known node (present or gone), a join or link may
+    name a node twice, unlinks mostly name edges the trace has seen,
+    and half the traces of all ``kinds`` carry one event of an unknown
+    kind. Ids stay inside int64; out-of-range ids have their own tests.
+    """
+    graph, _ = draw(cells())
+    known = sorted(graph.nodes())
+    edges = sorted(graph.edges())
+    fresh = known[-1] + 1 if known else 0
+    events = []
+    for time in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(kinds))
+        node = st.sampled_from(known + [fresh])
+        if kind == "join":
+            new = draw(node) if draw(st.booleans()) else fresh
+            if new == fresh:
+                known.append(fresh)
+                fresh += 1
+            contacts = draw(st.lists(st.sampled_from(known + [fresh]), max_size=3))
+            nodes = (new, *contacts)
+            edges += [(new, c) for c in contacts]
+        elif kind == "leave":
+            nodes = (draw(node),)
+        elif kind == "unlink" and edges and draw(st.booleans()):
+            nodes = draw(st.sampled_from(edges))
+        else:
+            nodes = (draw(node), draw(node))
+            if kind == "link":
+                edges.append(nodes)
+        events.append(ChurnEvent(float(time), kind, nodes))
+    if kinds == tuple(ARITY) and draw(st.booleans()):
+        at = draw(st.integers(0, len(events)))
+        pair = draw(st.sampled_from(edges)) if edges else (0, 1)
+        events.insert(at, ChurnEvent(float(at), "merge", pair))
+    return graph, events, batch or draw(st.integers(1, 8))

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
-from repro.core.one_to_one import OneToOneConfig, run_one_to_one
+from repro.core.one_to_one import (
+    OneToOneConfig, build_node_processes, run_one_to_one,
+)
 from repro.errors import SimulationError
-from repro.graph import generators as gen
 from repro.sim.async_engine import AsyncEngine
 from repro.sim.node import Process
 
@@ -27,6 +28,15 @@ class TestKCoreUnderAsynchrony:
     def test_converges_to_exact_coreness(self, g, seed):
         result = run_one_to_one(g, OneToOneConfig(engine="async", seed=seed))
         assert result.coreness == batagelj_zaversnik(g)
+
+    @given(graphs(max_nodes=20), st.integers(0, 2**31))
+    @settings(max_examples=15, deadline=None)
+    def test_duplicated_deliveries_converge_to_exact_coreness(self, g, seed):
+        """Min-folding makes redelivery harmless on any graph."""
+        processes = build_node_processes(g, optimize_sends=True)
+        AsyncEngine(processes, seed=seed, duplicate_prob=0.3).run()
+        coreness = {pid: p.core for pid, p in processes.items()}
+        assert coreness == batagelj_zaversnik(g)
 
     def test_heavy_tailed_latency(self, small_social):
         """Occasional 20-period delays (non-FIFO reordering) are fine."""

@@ -131,6 +131,9 @@ class TestOptionsThePathDoesNotTake:
             ("one-to-many", "latency", 0.5),
             ("one-to-many-flat", "async_max_time", 5.0),
             ("one-to-many-mp", "num_workers", 2),
+            # only the object hosts choose their cascade
+            ("one-to-many-flat", "use_worklist", False),
+            ("one-to-many-mp", "use_worklist", False),
         ],
     )
     def test_rejected_by_name(self, small_graph, algorithm, option, value):

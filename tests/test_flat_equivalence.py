@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik, batagelj_zaversnik_csr
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError, GraphError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
@@ -157,6 +157,17 @@ class TestCSRGraph:
                 assert mirror[mirror[e]] == e
                 assert csr.targets[mirror[e]] == owner[e]
                 assert owner[mirror[e]] == csr.targets[e]
+
+    @pytest.mark.parametrize(
+        "algorithm", ["bz", "one-to-one-flat", "one-to-many-flat"]
+    )
+    def test_an_id_outside_int64_is_named(self, algorithm):
+        from repro.core.api import decompose
+
+        graph = gen.path_graph(3)
+        graph.add_edge(2, 2**63)
+        with pytest.raises(GraphError, match=f"node id {2**63} outside"):
+            decompose(graph, algorithm)
 
     def test_bz_csr_matches_dict_oracle(self):
         g = gen.preferential_attachment_graph(120, 4, seed=8).shuffled(seed=1)

@@ -73,6 +73,16 @@ class TestRoundTrip:
         loaded = read_edge_list(path, relabel=False)
         assert loaded == graph
 
+    def test_isolated_nodes_survive_the_round_trip(self, tmp_path):
+        graph = Graph.from_edges([(5, 7)])
+        for u in (3, 9):
+            graph.add_node(u)
+        path = tmp_path / "isolated.txt"
+        write_edge_list(graph, path, header=False)
+        assert path.read_text() == "5\t7\n3\t3\n9\t9\n"
+        loaded = read_edge_list(path, relabel=False)
+        assert sorted(loaded.nodes()) == [3, 5, 7, 9] and loaded == graph
+
     def test_read_relabels_sparse_ids(self, tmp_path):
         path = tmp_path / "sparse.txt"
         path.write_text("1000\t2000\n2000\t5\n")

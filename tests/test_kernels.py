@@ -677,8 +677,9 @@ class TestDynamicCSRKernels:
         assert list(g.rows[row(1)]) == [row(2)]
         assert list(g.rows[row(2)]) == [row(0), row(1)]  # untouched
         assert g.degree(0) == 1 and g.num_edges == 2
-        with pytest.raises(EdgeError, match="not present"):
-            g.delete_edge(0, 1)
+        for u, v in ((0, 1), (0, 9), (9, 0), (2, 2)):  # the scan finds none
+            with pytest.raises(EdgeError, match="not present"):
+                g.delete_edge(u, v)
         g.check_invariants()
 
     def test_remove_node_empties_and_frees_the_row(self):

@@ -13,6 +13,8 @@ from repro.errors import EdgeError, GraphError
 from repro.graph import generators as gen
 from repro.streaming import DynamicKCore
 
+from tests.replay import check_churn, churn_cells
+
 
 class TestBasics:
     def test_starts_from_existing_graph(self):
@@ -83,29 +85,11 @@ class TestLocality:
 
 
 class TestAgainstRecomputation:
-    @given(st.integers(0, 2**31), st.integers(5, 18))
-    @settings(max_examples=40, deadline=None)
-    def test_random_edit_sequences(self, seed, n):
-        rng = random.Random(seed)
-        graph = gen.erdos_renyi_graph(n, 0.3, seed=seed)
-        engine = DynamicKCore(graph)
-        for _ in range(15):
-            edges = list(engine.graph.edges())
-            non_edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if not engine.graph.has_edge(u, v)
-            ]
-            if edges and (not non_edges or rng.random() < 0.5):
-                u, v = edges[rng.randrange(len(edges))]
-                engine.delete_edge(u, v)
-            elif non_edges:
-                u, v = non_edges[rng.randrange(len(non_edges))]
-                engine.insert_edge(u, v)
-            assert engine.verify(), (
-                f"divergence after edit on seed={seed}"
-            )
+    @given(churn_cells(batch=1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_edit_sequences(self, example):
+        """The oracle holds BZ's coreness after every single drawn edit."""
+        check_churn(*example)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
@@ -114,17 +98,10 @@ class TestAgainstRecomputation:
         engine = DynamicKCore()
         inserted: list[tuple[int, int]] = []
         for _ in range(30):
-            u = rng.randrange(12)
-            v = rng.randrange(12)
-            if u != v and not engine.graph.has_node(u) or True:
-                if u != v and not (
-                    engine.graph.has_node(u)
-                    and engine.graph.has_node(v)
-                    and engine.graph.has_edge(u, v)
-                ):
-                    engine.insert_edge(u, v) if u != v else None
-                    if u != v:
-                        inserted.append((u, v))
+            u, v = rng.randrange(12), rng.randrange(12)
+            if u != v and not engine.has_edge(u, v):
+                engine.insert_edge(u, v)
+                inserted.append((u, v))
         assert engine.verify()
         rng.shuffle(inserted)
         for u, v in inserted:

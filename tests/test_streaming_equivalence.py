@@ -1,16 +1,20 @@
 """Differential churn grid: flat maintenance is bit-identical.
 
-The acceptance bar of the streaming tentpole: after **every batch** of
-every cell in the grid — 12 graph families × three trace shapes
-(insert-only, delete-only, mixed) × three seeds × both CSR builds the
-engine can start from — :class:`~repro.streaming.FlatDynamicKCore`'s
-coreness map equals the object :class:`~repro.streaming.DynamicKCore`
-oracle *and* from-scratch Batagelj–Zaveršnik. On top of the grid:
-row reuse under leave-then-join batches, duplicate-edge / self-loop
-rejection parity, nodes appearing and vanishing (and reappearing under
-the same id), the ChurnService facade, the approx (ELM) lane's
-sample-exactness, hypothesis-generated edit scripts in the style of
-``test_backend_equivalence.py``, and the delete-side re-convergence
+The grid runs on the replay harness's edit-trace leg
+(:func:`tests.replay.check_churn`): after **every batch** of every cell
+— the harness's 12 graph families × three trace shapes (insert-only,
+delete-only, mixed) × three seeds × both CSR builds the engine can
+start from — :class:`~repro.streaming.FlatDynamicKCore` and the object
+:class:`~repro.streaming.DynamicKCore` oracle raise alike and hold the
+same coreness, which is from-scratch Batagelj–Zaveršnik's.
+``TestPropertyBased`` fuzzes the same leg on the harness's drawn graphs
+and edit traces (:func:`tests.replay.churn_cells`). On top of the grid:
+every single insert checked alone, row reuse under leave-then-join
+batches, the churn vocabulary's rejections (unknown kinds, wrong arity,
+node ids outside int64), duplicate-edge / self-loop rejection parity,
+nodes appearing and vanishing (and reappearing under the same id), the
+ChurnService facade, the approx (ELM) lane's sample-exactness, and the
+delete-side re-convergence
 (:func:`~repro.streaming.flat_maintenance.reconverge_from_bounds`)
 against the full-recompute Jacobi loop.
 """
@@ -18,6 +22,7 @@ against the full-recompute Jacobi loop.
 from __future__ import annotations
 
 import random
+import re
 from array import array
 from collections import Counter
 from unittest import mock
@@ -35,60 +40,17 @@ from repro.errors import (
     NodeNotFoundError,
 )
 from repro.graph import generators as gen
-from repro.graph.csr import CSRGraph
-from repro.sim.kernels import numpy_available, resolve_backend
 from repro.streaming import ChurnService, DynamicKCore, FlatDynamicKCore
 from repro.streaming import flat_maintenance
 from repro.streaming.flat_maintenance import reconverge_from_bounds
-from repro.workloads.churn import ChurnEvent, generate_churn_trace
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend needs numpy"
+from repro.workloads.churn import (
+    ChurnEvent,
+    ChurnTrace,
+    generate_churn_trace,
+    replay_trace,
 )
 
-#: The kernel backend that built the CSR the engine starts from. The
-#: engine runs no kernel, but ``read_edge_list`` builds a file of at
-#: least ``NUMPY_MIN_PAIRS`` lines on numpy (the ``overlay-joinleave``
-#: workload's file) and a shorter one on the stdlib.
-BUILDS = (
-    "stdlib",
-    pytest.param("numpy", marks=requires_numpy),
-)
-
-
-def _seed(graph, build: str):
-    """What the engine is handed: ``graph`` itself on the stdlib build,
-    or the CSR the ``build`` backend's ``csr_from_edges`` kernel makes
-    of it (``None`` is the empty graph; a self-loop per node keeps the
-    isolated ones, as it does in a file)."""
-    if build == "stdlib":
-        return graph
-    us, vs = array("q"), array("q")
-    if graph is not None:
-        for u, v in graph.edges():
-            us.append(u)
-            vs.append(v)
-        nodes = array("q", graph.nodes())
-        us.extend(nodes)
-        vs.extend(nodes)
-    return CSRGraph(*resolve_backend(build).csr_from_edges(us, vs))
-
-
-#: The same twelve families as the engine-equivalence suites.
-FAMILIES = {
-    "empty": lambda: gen.empty_graph(9),
-    "path": lambda: gen.path_graph(17),
-    "clique": lambda: gen.clique_graph(9),
-    "star": lambda: gen.star_graph(12),
-    "grid": lambda: gen.grid_graph(5, 6),
-    "worst-case": lambda: gen.worst_case_graph(18),
-    "figure2": lambda: gen.figure2_example(),
-    "er": lambda: gen.erdos_renyi_graph(60, 0.07, seed=7),
-    "er-with-isolated": lambda: gen.erdos_renyi_graph(70, 0.02, seed=5),
-    "ba": lambda: gen.preferential_attachment_graph(70, 3, seed=6),
-    "plc": lambda: gen.powerlaw_cluster_graph(60, 3, 0.3, seed=4),
-    "caveman": lambda: gen.caveman_graph(5, 5),
-}
+from tests.replay import BUILDS, FAMILIES, check_churn, churn_cells, seeded
 
 SHAPES = ("insert-only", "delete-only", "mixed")
 SEEDS = (0, 1, 2)
@@ -99,9 +61,9 @@ def _script(graph, shape: str, seed: int, length: int = 48):
     """A deterministic churn-event script of the requested shape.
 
     Events carry enough state-tracking to stay mostly applicable, but
-    correctness does not depend on it: both engines share the replay
-    guard semantics, so an event invalidated by an earlier one is a
-    no-op on both sides.
+    correctness does not depend on it: both engines apply events through
+    the one churn vocabulary, so an event invalidated by an earlier one
+    is a no-op on both sides.
     """
     rng = random.Random((seed << 8) ^ graph.num_nodes)
     nodes = sorted(graph.nodes())
@@ -138,43 +100,6 @@ def _script(graph, shape: str, seed: int, length: int = 48):
     return events
 
 
-def _apply_to_oracle(oracle: DynamicKCore, event: ChurnEvent) -> None:
-    """Replay one event onto the object engine with the shared guards."""
-    if event.kind == "join":
-        new, *contacts = event.nodes
-        oracle.add_node(new)
-        for contact in contacts:
-            if oracle.has_node(contact):
-                oracle.insert_edge(new, contact)
-    elif event.kind == "leave":
-        if oracle.has_node(event.nodes[0]):
-            oracle.remove_node(event.nodes[0])
-    elif event.kind == "link":
-        u, v = event.nodes
-        if oracle.has_node(u) and oracle.has_node(v) \
-                and not oracle.has_edge(u, v):
-            oracle.insert_edge(u, v)
-    else:
-        u, v = event.nodes
-        if oracle.has_edge(u, v):
-            oracle.delete_edge(u, v)
-
-
-def _drive(flat: FlatDynamicKCore, oracle: DynamicKCore, events,
-           batch: int = BATCH):
-    """Batched differential replay; asserts equality after every batch."""
-    for at in range(0, len(events), batch):
-        chunk = events[at:at + batch]
-        flat.apply_events(chunk)
-        for event in chunk:
-            _apply_to_oracle(oracle, event)
-        expected = batagelj_zaversnik(oracle.graph)
-        assert flat.coreness == oracle.coreness == expected, (
-            f"divergence after batch at event {at}"
-        )
-        flat.check_invariants()
-
-
 class TestChurnGrid:
     """12 families × 3 shapes × 3 seeds × both seed builds."""
 
@@ -184,26 +109,20 @@ class TestChurnGrid:
     def test_cell(self, family, shape, build):
         for seed in SEEDS:
             graph = FAMILIES[family]()
-            events = _script(graph, shape, seed)
-            flat = FlatDynamicKCore(_seed(graph, build))
-            oracle = DynamicKCore(graph)
-            _drive(flat, oracle, events)
-            assert flat.verify()
+            check_churn(graph, _script(graph, shape, seed), BATCH, build)
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_leave_then_join_batches_reuse_rows(self, build):
-        # every batch has as many joins as leaves, after them: each
-        # join takes a row a leave freed, so the row count never grows
+        # each step's joins follow as many leaves: each join takes a row
+        # a leave freed, so the row count never grows
         graph = FAMILIES["ba"]()
-        flat = FlatDynamicKCore(_seed(graph, build))
-        oracle = DynamicKCore(graph)
-        rows = flat.graph.num_rows
         rng = random.Random(5)
         live = sorted(graph.nodes())
         next_id = live[-1] + 1
+        events = []
         for step in range(24):
             leaving = rng.sample(live, 1 + step % 3)
-            events = [ChurnEvent(float(step), "leave", (x,)) for x in leaving]
+            events += [ChurnEvent(float(step), "leave", (x,)) for x in leaving]
             live = [x for x in live if x not in leaving]
             for _ in leaving:
                 contacts = tuple(rng.sample(live, 2))
@@ -212,23 +131,13 @@ class TestChurnGrid:
                 )
                 live.append(next_id)
                 next_id += 1
-            flat.apply_events(events)
-            for event in events:
-                _apply_to_oracle(oracle, event)
-            assert flat.graph.num_rows <= rows, f"batch {step} added a row"
-            flat.check_invariants()
-            flat.graph.check_invariants()
-            assert flat.coreness == oracle.coreness \
-                == batagelj_zaversnik(oracle.graph)
-        assert flat.verify()
+        assert check_churn(graph, events, 4, build).graph.num_rows \
+            == graph.num_nodes
 
-    @requires_numpy
     def test_backends_agree_on_metrics_and_rounds(self):
         graph = FAMILIES["er"]()
         events = _script(graph, "mixed", 5, length=64)
-        engines = [
-            FlatDynamicKCore(_seed(graph, name)) for name in ("stdlib", "numpy")
-        ]
+        engines = [FlatDynamicKCore(seeded(graph, name)) for name in BUILDS]
         for engine in engines:
             for at in range(0, len(events), BATCH):
                 engine.apply_events(events[at:at + BATCH])
@@ -256,17 +165,6 @@ def _single_edge_inserts(events):
     return out
 
 
-@st.composite
-def insert_scripts(draw):
-    n = draw(st.integers(2, 14))
-    steps = draw(st.lists(
-        st.tuples(st.sampled_from(("link", "join")),
-                  st.integers(0, 16), st.integers(0, 16)),
-        min_size=1, max_size=40,
-    ))
-    return n, steps
-
-
 class TestEveryInsertIsExact:
     """OrderInsert alone leaves exact coreness and an exact k-order: no
     re-convergence follows an insert. So every single-edge insert batch
@@ -280,47 +178,47 @@ class TestEveryInsertIsExact:
         for seed in SEEDS:
             graph = FAMILIES[family]()
             events = _single_edge_inserts(_script(graph, "insert-only", seed))
-            flat = FlatDynamicKCore(_seed(graph, build))
-            _drive(flat, DynamicKCore(graph), events, batch=1)
+            check_churn(graph, events, 1, build)
 
     @pytest.mark.parametrize("build", BUILDS)
-    @given(script=insert_scripts())
-    @settings(max_examples=40, deadline=None)
-    def test_generated(self, build, script):
-        n, steps = script
-        graph = gen.erdos_renyi_graph(n, 0.35, seed=n)
-        events = []
-        for t, (kind, a, b) in enumerate(steps):
-            if kind == "join":
-                events.append(ChurnEvent(float(t), "join", (100 + t, a)))
-            elif a != b:
-                events.append(ChurnEvent(float(t), "link", (a, b)))
-        flat = FlatDynamicKCore(_seed(graph, build))
-        _drive(flat, DynamicKCore(graph), events, batch=1)
+    @given(example=churn_cells(batch=1, kinds=("join", "link")))
+    @settings(max_examples=20, deadline=None)
+    def test_generated(self, build, example):
+        graph, events, batch = example
+        check_churn(graph, _single_edge_inserts(events), batch, build)
 
     @pytest.mark.parametrize("build", BUILDS)
-    def test_insert_only_batch_runs_no_reconvergence(self, build,
-                                                     monkeypatch):
+    def test_insert_only_batch_runs_no_reconvergence(self, build):
         graph = FAMILIES["plc"]()
         events = _script(graph, "insert-only", 0)
-        flat = FlatDynamicKCore(_seed(graph, build))
+        flat = FlatDynamicKCore(seeded(graph, build))
         before = dict(flat.coreness)
-        calls = []
-        original = flat_maintenance.reconverge_from_bounds
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(flat_maintenance, "reconverge_from_bounds", spy)
-        assert flat.apply_events(events) > 0
-        assert not calls
+        with mock.patch.object(flat_maintenance, "reconverge_from_bounds",
+                               wraps=reconverge_from_bounds) as spy:
+            assert flat.apply_events(events) > 0
+        spy.assert_not_called()
         assert flat.metrics["reconverge_rounds_per_batch"] == [0]
         assert flat.metrics["dirty_nodes_per_batch"] == [0]
         # rows rose in the batch: the case a re-convergence would follow
         assert any(flat.coreness[x] > k for x, k in before.items())
         flat.check_invariants()
         assert flat.verify()
+
+
+def _spy(monkeypatch, method: str) -> Counter:
+    """Count the calls of a :class:`DynamicCSRGraph` method by argument
+    (the arguments' tuple when there are several)."""
+    from repro.graph.dynamic_csr import DynamicCSRGraph
+
+    calls: Counter = Counter()
+    original = getattr(DynamicCSRGraph, method)
+
+    def spy(self, *args):
+        calls[args if len(args) > 1 else args[0]] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(DynamicCSRGraph, method, spy)
+    return calls
 
 
 class TestOrderInsertWorkBound:
@@ -333,19 +231,6 @@ class TestOrderInsertWorkBound:
 
     K = 2
     RUNGS = 1500
-
-    def _spy(self, monkeypatch) -> Counter:
-        from repro.graph.dynamic_csr import DynamicCSRGraph
-
-        scans: Counter = Counter()
-        original = DynamicCSRGraph.neighbors_rows
-
-        def spy(self, row):
-            scans[row] += 1
-            return original(self, row)
-
-        monkeypatch.setattr(DynamicCSRGraph, "neighbors_rows", spy)
-        return scans
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_no_scan_when_the_first_endpoint_has_room(self, build,
@@ -367,9 +252,9 @@ class TestOrderInsertWorkBound:
             y for y in reversed(order)
             if pos[y] > pos[u] + 1 and not graph.has_edge(u, y)
         )
-        flat = FlatDynamicKCore(_seed(graph, build))
+        flat = FlatDynamicKCore(seeded(graph, build))
         oracle = DynamicKCore(graph)
-        scans = self._spy(monkeypatch)
+        scans = _spy(monkeypatch, "neighbors_rows")
         for engine in (flat, oracle):
             engine.insert_edge(u, v)
         assert not scans, f"{len(scans)} rows scanned"
@@ -387,10 +272,10 @@ class TestOrderInsertWorkBound:
         for x, y in ((a, c), (a, d), (b, c), (b, d), (c, d), (c, 0)):
             graph.add_edge(x, y)
         assert set(batagelj_zaversnik(graph).values()) == {self.K}
-        flat = FlatDynamicKCore(_seed(graph, build))
+        flat = FlatDynamicKCore(seeded(graph, build))
         oracle = DynamicKCore(graph)
         before = dict(flat.coreness)
-        scans = self._spy(monkeypatch)
+        scans = _spy(monkeypatch, "neighbors_rows")
         for engine in (flat, oracle):
             engine.insert_edge(a, b)
         seen = Counter(scans)  # before the checks below scan rows too
@@ -414,9 +299,9 @@ class TestOrderInsertWorkBound:
         # later neighbours becomes a candidate, finds no support among
         # the rows it reaches and is evicted; nothing rises
         graph = gen.grid_graph(self.RUNGS, 2)
-        flat = FlatDynamicKCore(_seed(graph, build))
+        flat = FlatDynamicKCore(seeded(graph, build))
         oracle = DynamicKCore(graph)
-        scans = self._spy(monkeypatch)
+        scans = _spy(monkeypatch, "neighbors_rows")
         rng = random.Random(3)
         evictions = 0
         for _ in range(40):
@@ -491,7 +376,7 @@ class TestKOrderSeed:
 class TestEditEdgeCases:
     @pytest.mark.parametrize("build", BUILDS)
     def test_duplicate_edge_and_self_loop_rejection(self, build):
-        flat = FlatDynamicKCore(_seed(None, build))
+        flat = FlatDynamicKCore(seeded(None, build))
         oracle = DynamicKCore()
         for engine in (flat, oracle):
             engine.insert_edge(0, 1)
@@ -511,7 +396,7 @@ class TestEditEdgeCases:
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_node_vanishes_and_reappears(self, build):
-        flat = FlatDynamicKCore(_seed(gen.clique_graph(5), build))
+        flat = FlatDynamicKCore(seeded(gen.clique_graph(5), build))
         oracle = DynamicKCore(gen.clique_graph(5))
         for engine in (flat, oracle):
             engine.remove_node(2)          # vanishes
@@ -524,7 +409,7 @@ class TestEditEdgeCases:
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_isolated_nodes_survive_batches_and_compaction(self, build):
-        flat = FlatDynamicKCore(_seed(None, build))
+        flat = FlatDynamicKCore(seeded(None, build))
         flat.add_node(7)
         flat.apply_events([
             ChurnEvent(0.0, "join", (10,)),
@@ -534,31 +419,63 @@ class TestEditEdgeCases:
         assert flat.coreness == {7: 0, 10: 0}
 
     def test_unknown_event_kind_rejected(self):
-        class Bogus:
-            kind = "merge"
-            nodes = (0, 1)
+        """An unknown kind or a wrong number of ids raises
+        ConfigurationError on every replay path, before any edit."""
+        graph = gen.path_graph(3)
+        for event in (
+            ChurnEvent(0.0, "merge", (0, 1)),
+            ChurnEvent(0.0, "unlink", (0, 1, 2)),
+            ChurnEvent(0.0, "leave", ()),
+            ChurnEvent(0.0, "join", ()),
+        ):
+            engines = [DynamicKCore(graph), FlatDynamicKCore(graph)]
+            service = ChurnService(graph, batch_size=1)
+            for engine in ("object", "flat", *engines):
+                with pytest.raises(ConfigurationError, match=repr(event.kind)):
+                    replay_trace(ChurnTrace(graph, [event]), engine=engine)
+            with pytest.raises(ConfigurationError, match=repr(event.kind)):
+                service.submit([event])
+            for engine in (*engines, service.engine):
+                assert engine.has_edge(0, 1) and engine.verify()
 
-        flat = FlatDynamicKCore()
-        with pytest.raises(ConfigurationError, match="merge"):
-            flat.apply_events([Bogus()])
+    @pytest.mark.parametrize("path", ["append", "free-list"])
+    @pytest.mark.parametrize("bad", [2**63, -2**63 - 1, "a", 1.5])
+    def test_a_rejected_id_changes_nothing(self, bad, path):
+        """An id the dynamic CSR cannot hold raises GraphError naming
+        it, on a new row or a freed one, and the service stays exact:
+        the next join applies."""
+        service = ChurnService(gen.clique_graph(4), batch_size=1)
+        engine = service.engine
+        if path == "free-list":
+            service.submit([ChurnEvent(0.0, "leave", (2,))])
+        with pytest.raises(GraphError, match=re.escape(repr(bad))):
+            service.submit([ChurnEvent(1.0, "join", (bad, 0))])
+        with pytest.raises(GraphError, match=re.escape(repr(bad))):
+            engine.insert_edge(0, bad)
+        for events in ([], [ChurnEvent(2.0, "join", (7, 0, 1))]):
+            service.submit(events)  # nothing, then the next join
+            engine.check_invariants()
+            engine.graph.check_invariants()
+            assert service.verify()
+        assert service.coreness_of(7) == 2
 
     def test_a_link_tests_its_edge_twice(self, monkeypatch):
         """A ``link`` between present nodes scans a row for the edge in
         the replay guard and in ``insert_edge``, and nowhere else."""
-        from repro.graph.dynamic_csr import DynamicCSRGraph
-
         flat = FlatDynamicKCore(gen.path_graph(4))
-        calls = []
-        original = DynamicCSRGraph.has_edge
-
-        def spy(self, u, v):
-            calls.append((u, v))
-            return original(self, u, v)
-
-        monkeypatch.setattr(DynamicCSRGraph, "has_edge", spy)
+        calls = _spy(monkeypatch, "has_edge")
         assert flat.apply_events([ChurnEvent(0.0, "link", (0, 3))]) == 1
-        assert calls == [(0, 3), (0, 3)]
+        assert calls == {(0, 3): 2}
         assert flat.coreness == {0: 2, 1: 2, 2: 2, 3: 2}
+
+    def test_an_unlink_tests_its_edge_once(self, monkeypatch):
+        """An ``unlink`` of a present edge scans a row for the edge in
+        the replay guard; ``delete_edge``'s removal finds its entry."""
+        flat = FlatDynamicKCore(gen.cycle_graph(4))
+        calls = _spy(monkeypatch, "has_edge")
+        assert flat.apply_events([ChurnEvent(0.0, "unlink", (0, 1))]) == 1
+        assert calls == {(0, 1): 1}
+        assert flat.coreness == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 class TestBatchThatRaises:
@@ -573,7 +490,7 @@ class TestBatchThatRaises:
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_engine(self, build):
-        flat = FlatDynamicKCore(_seed(gen.clique_graph(4), build))
+        flat = FlatDynamicKCore(seeded(gen.clique_graph(4), build))
         with pytest.raises(GraphError, match="already present"):
             flat.apply_events(self.EVENTS)
         assert not flat.has_node(4)  # the events after it are not applied
@@ -586,7 +503,7 @@ class TestBatchThatRaises:
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_service(self, build):
-        service = ChurnService(_seed(gen.clique_graph(4), build))
+        service = ChurnService(seeded(gen.clique_graph(4), build))
         service.submit(self.EVENTS)
         with pytest.raises(GraphError, match="already present"):
             service.coreness_of(0)
@@ -610,9 +527,7 @@ class TestGeneratedTraces:
             graph, duration=120, join_rate=0.6, mean_session=50,
             rewire_rate=0.5, seed=seed,
         )
-        flat = FlatDynamicKCore(_seed(graph, build))
-        oracle = DynamicKCore(graph)
-        _drive(flat, oracle, list(trace), batch=16)
+        check_churn(graph, list(trace), 16, build)
 
 
 class TestChurnService:
@@ -646,7 +561,7 @@ class TestChurnService:
     @pytest.mark.parametrize("build", BUILDS)
     def test_coreness_of_matches_full_map(self, build):
         graph = gen.erdos_renyi_graph(120, 0.08, seed=3)
-        service = ChurnService(_seed(graph, build), batch_size=BATCH)
+        service = ChurnService(seeded(graph, build), batch_size=BATCH)
         for event in _script(graph, "mixed", seed=1):
             service.submit([event])
             full = service.coreness()
@@ -663,7 +578,7 @@ class TestCorenessOf:
     @pytest.mark.parametrize("approx", [None, 0.5])
     def test_matches_full_map(self, build, approx):
         graph = gen.erdos_renyi_graph(200, 0.1, seed=9)
-        engine = FlatDynamicKCore(_seed(graph, build), approx=approx,
+        engine = FlatDynamicKCore(seeded(graph, build), approx=approx,
                                   approx_floor=150, seed=4)
         if approx is not None:
             assert engine.sample_probability < 1.0  # scaling is exercised
@@ -711,10 +626,6 @@ class TestApproxLane:
         graph = gen.clique_graph(12)
         engine = FlatDynamicKCore(graph, approx=0.5, approx_floor=200)
         p = engine.sample_probability
-        sample_core = {
-            node: engine.graph.degree(node) for node in engine.coreness
-        }
-        del sample_core
         for node, scaled in engine.coreness.items():
             row = engine.graph.row_of(node)
             assert scaled == int(engine._est[row] / p + 0.5)
@@ -723,37 +634,12 @@ class TestApproxLane:
         assert FlatDynamicKCore().sample_probability == 1.0
 
 
-@st.composite
-def edit_scripts(draw):
-    n = draw(st.integers(3, 12))
-    steps = draw(st.lists(
-        st.tuples(st.sampled_from(("link", "unlink", "leave", "join")),
-                  st.integers(0, 14), st.integers(0, 14)),
-        min_size=1, max_size=40,
-    ))
-    return n, steps
-
-
 class TestPropertyBased:
     @pytest.mark.parametrize("build", BUILDS)
-    @given(script=edit_scripts())
-    @settings(max_examples=25, deadline=None)
-    def test_random_scripts_never_diverge(self, build, script):
-        n, steps = script
-        graph = gen.erdos_renyi_graph(n, 0.3, seed=n)
-        flat = FlatDynamicKCore(_seed(graph, build))
-        oracle = DynamicKCore(graph)
-        events = []
-        for t, (kind, a, b) in enumerate(steps):
-            if kind == "join":
-                events.append(ChurnEvent(float(t), "join", (100 + t, a)))
-            elif kind == "leave":
-                events.append(ChurnEvent(float(t), "leave", (a,)))
-            elif a != b:
-                events.append(ChurnEvent(float(t), kind, (a, b)))
-        _drive(flat, oracle, events, batch=5)
-        flat.check_invariants()
-        assert flat.verify() and oracle.verify()
+    @given(example=churn_cells())
+    @settings(max_examples=40, deadline=None)
+    def test_random_scripts_never_diverge(self, build, example):
+        check_churn(*example, build)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
@@ -13,6 +15,8 @@ from repro.core.termination import (
 )
 from repro.errors import ConfigurationError
 from repro.graph import generators as gen
+
+from tests.conftest import graphs
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +107,18 @@ class TestGossip:
             social, threshold=10, config=OneToOneConfig(seed=6), fanout=2
         )
         assert fast.detected_round <= slow.detected_round + 3
+
+
+class TestGeneratedGraphs:
+    @given(graphs(max_nodes=20), st.integers(0, 2**31))
+    @settings(max_examples=15, deadline=None)
+    def test_both_detectors_return_exact_coreness(self, g, seed):
+        """Detection is advisory: a run under either in-band detector
+        still ends at BZ's coreness."""
+        config = OneToOneConfig(seed=seed)
+        for report in (run_with_centralized_termination(g, config),
+                       run_with_gossip_termination(g, 6, config)):
+            assert report.result.coreness == batagelj_zaversnik(g)
 
 
 class TestFixedRounds:

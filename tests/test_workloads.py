@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import batagelj_zaversnik
 from repro.errors import ConfigurationError
 from repro.graph import generators as gen
 from repro.streaming import DynamicKCore
 from repro.workloads import generate_churn_trace, replay_trace
+
+from tests.replay import cells
 
 
 @pytest.fixture()
@@ -78,16 +81,18 @@ class TestReplay:
         assert out is engine
         assert engine.verify()
 
-    @given(st.integers(0, 2**31))
+    @given(cells(), st.integers(0, 2**31))
     @settings(max_examples=12, deadline=None)
-    def test_fuzzed_traces_never_diverge(self, seed):
-        overlay = gen.erdos_renyi_graph(25, 0.15, seed=seed)
+    def test_fuzzed_traces_never_diverge(self, example, seed):
+        """A generated trace over a drawn graph replays alike on the
+        object oracle and, in batches, on the flat engine."""
         trace = generate_churn_trace(
-            overlay, duration=120, join_rate=0.8, mean_session=40,
+            example[0], duration=120, join_rate=0.8, mean_session=40,
             rewire_rate=0.6, seed=seed,
         )
-        engine = replay_trace(trace)
-        assert engine.verify()
+        oracle = replay_trace(trace, "object")
+        flat = replay_trace(trace, "flat", batch_size=1 + seed % 8)
+        assert flat.coreness == oracle.coreness == batagelj_zaversnik(oracle.graph)
 
     @pytest.mark.parametrize(
         "option, error",
