@@ -19,7 +19,9 @@ import sys
 from typing import Sequence
 
 from repro.core.api import ALGORITHMS, decompose
-from repro.errors import ConfigurationError, DatasetError, GraphIOError
+from repro.errors import (
+    CheckpointError, ConfigurationError, DatasetError, GraphIOError,
+)
 from repro.graph.io import read_edge_list
 from repro.graph.stats import compute_stats
 from repro.utils.tables import format_table
@@ -543,9 +545,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphIOError, DatasetError, ConfigurationError) as exc:
-        # bad input or a rejected flag combination is a usage error:
-        # one line, argparse's exit code
+    except (
+        GraphIOError, DatasetError, ConfigurationError, CheckpointError
+    ) as exc:
+        # bad input, a rejected flag combination or a checkpoint that
+        # cannot be resumed is a usage error: one line, argparse's exit
+        # code
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -82,10 +82,8 @@ class KCoreHost(Process):
         "neighbor_hosts",
         "border",
         "external_watchers",
-        "remote_neighbors",
         "communication",
         "use_worklist",
-        "p2p_filter",
         "estimates_sent",
     )
 
@@ -97,14 +95,12 @@ class KCoreHost(Process):
         host_of: dict[int, int],
         communication: str = "broadcast",
         use_worklist: bool = True,
-        p2p_filter: bool = False,
     ) -> None:
         super().__init__(pid)
         self.owned: tuple[int, ...] = tuple(owned)
         self.adjacency = adjacency
         self.communication = communication
         self.use_worklist = use_worklist
-        self.p2p_filter = p2p_filter
         self.est: dict[int, int] = {}
         self.changed: set[int] = set()
         self.estimates_sent = 0
@@ -125,26 +121,16 @@ class KCoreHost(Process):
         border: dict[int, set[int]] = {y: set() for y in self.neighbor_hosts}
         # external_watchers[v]: owned nodes adjacent to external node v
         watchers: dict[int, list[int]] = {}
-        # remote_neighbors[u][y]: u's neighbours living on host y (used
-        # by the extension send filter)
-        remote: dict[int, dict[int, list[int]]] = {}
         for u in self.owned:
             for v in adjacency[u]:
                 if v not in owned_set:
                     border[host_of[v]].add(u)
                     watchers.setdefault(v, []).append(u)
-                    remote.setdefault(u, {}).setdefault(
-                        host_of[v], []
-                    ).append(v)
         self.border: dict[int, frozenset[int]] = {
             y: frozenset(nodes) for y, nodes in border.items()
         }
         self.external_watchers: dict[int, tuple[int, ...]] = {
             v: tuple(us) for v, us in watchers.items()
-        }
-        self.remote_neighbors: dict[int, dict[int, tuple[int, ...]]] = {
-            u: {y: tuple(vs) for y, vs in per_host.items()}
-            for u, per_host in remote.items()
         }
 
     # ------------------------------------------------------------------
@@ -173,21 +159,6 @@ class KCoreHost(Process):
                 subset = [
                     (u, k) for u, k in updates if u in self.border[y]
                 ]
-                if self.p2p_filter:
-                    # extension (host-level analogue of §3.1.2): skip
-                    # (u, k) for host y when every neighbour of u on y
-                    # already has an estimate <= k — the value would be
-                    # clamped away by their computeIndex anyway. Safe by
-                    # the same argument as the one-to-one filter: our
-                    # stored est[v] upper-bounds v's current estimate.
-                    subset = [
-                        (u, k)
-                        for u, k in subset
-                        if any(
-                            self.est[v] > k
-                            for v in self.remote_neighbors[u][y]
-                        )
-                    ]
                 if subset:
                     self.estimates_sent += len(subset)
                     ctx.send(y, subset)
@@ -313,10 +284,6 @@ class OneToManyConfig:
     #: full sweep (same fixpoint, more recompute); the flat and mp rows,
     #: whose cascade is always a worklist, reject it.
     use_worklist: bool = True
-    #: Extension beyond the paper: host-level send filter for the p2p
-    #: policy (the paper notes the §3.1.2 filter "cannot be applied" as
-    #: is; this is the sound host-level analogue). Default off.
-    p2p_filter: bool = False
     #: ``observer(round_number, engine)`` callables run after every
     #: round of ``engine="round"``, such as
     #: :class:`~repro.sim.tracing.TraceRecorder` (which reads each
@@ -346,7 +313,6 @@ def build_host_processes(
     assignment: Assignment,
     communication: str = "broadcast",
     use_worklist: bool = True,
-    p2p_filter: bool = False,
 ) -> dict[int, KCoreHost]:
     """Instantiate one :class:`KCoreHost` per host of ``assignment``."""
     if communication not in ("broadcast", "p2p"):
@@ -354,8 +320,6 @@ def build_host_processes(
             f"unknown communication policy {communication!r}; "
             "options: ['broadcast', 'p2p']"
         )
-    if p2p_filter and communication != "p2p":
-        raise ConfigurationError("p2p_filter requires the p2p policy")
     adjacency_of = {
         u: graph.sorted_neighbors(u) for u in graph.nodes()
     }
@@ -369,7 +333,6 @@ def build_host_processes(
             host_of=assignment.host_of,
             communication=communication,
             use_worklist=use_worklist,
-            p2p_filter=p2p_filter,
         )
     return processes
 
@@ -456,7 +419,6 @@ def run_objects(
         assignment,
         communication=config.communication,
         use_worklist=config.use_worklist,
-        p2p_filter=config.p2p_filter,
     )
     if config.engine == "async":
         from repro.sim.async_engine import AsyncEngine
@@ -526,7 +488,6 @@ def run_flat(
         communication=config.communication,
         mode=config.mode,
         seed=config.seed,
-        p2p_filter=config.p2p_filter,
         max_rounds=config.max_rounds,
         strict=config.strict,
         backend=backend,
@@ -576,7 +537,6 @@ def run_mp(
         communication=config.communication,
         mode=config.mode,
         seed=config.seed,
-        p2p_filter=config.p2p_filter,
         max_rounds=config.max_rounds,
         strict=config.strict,
         backend=config.backend,
@@ -687,7 +647,6 @@ def resume_from_checkpoint(
         pickle.loads(ckpt.fleet_blob),
         communication=cfg["communication"],
         mode="lockstep",
-        p2p_filter=cfg["p2p_filter"],
         max_rounds=cfg["max_rounds"] if max_rounds is None else max_rounds,
         strict=cfg["strict"] if strict is None else strict,
         backend=cfg["backend"],

@@ -49,8 +49,7 @@ FLEET_OPTIONS = (
 #: Options every row of a protocol or baseline family takes.
 _ONE_TO_ONE = ("seed", "optimize_sends", "strict")
 _ONE_TO_MANY = (
-    "seed", "strict", "num_hosts", "policy", "communication", "p2p_filter",
-    "assignment",
+    "seed", "strict", "num_hosts", "policy", "communication", "assignment",
 )
 #: Only the object hosts pick their cascade.
 _ONE_TO_MANY_OBJECTS = _ONE_TO_MANY + ("use_worklist",)

@@ -11,7 +11,7 @@ load-bearing:
   caches were never reset, a lone ``__setstate__`` never runs against
   the default state dict it assumes.
 * The pinned classes above must keep lazy/underscore cache attributes
-  (``_index_of``, ``_mirror``, ``_dest_slots``, ...) *out* of their
+  (``_index_of``, ``_mirror``, ``_edge_owners``, ...) *out* of their
   state: caches are derived data, shipping them bloats every spawn /
   checkpoint payload, and a stale cache that disagrees with the
   rebuilt-on-demand value is a silent divergence between a respawned

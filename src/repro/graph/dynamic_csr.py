@@ -103,6 +103,21 @@ class DynamicCSRGraph:
     def has_node(self, node: int) -> bool:
         return node in self._index_of
 
+    def absent(self, nodes: Iterable[int]) -> list[int]:
+        """The ``nodes`` not present, in order. Each is checked first:
+        an id that is not a signed 64-bit integer raises
+        :class:`GraphError` naming it, so a caller adding them adds
+        every one or none."""
+        missing = [node for node in nodes if node not in self._index_of]
+        for node in missing:
+            try:
+                array("q", (node,))
+            except (OverflowError, TypeError):
+                raise GraphError(
+                    f"node id {node!r} is not a signed 64-bit integer"
+                ) from None
+        return missing
+
     def row_of(self, node: int) -> int:
         """Row of an original node id."""
         try:
@@ -147,23 +162,19 @@ class DynamicCSRGraph:
     def add_node(self, node: int) -> int:
         """Give ``node`` an isolated row, the last freed one if any;
         returns the row. An id that is not a signed 64-bit integer
-        raises :class:`GraphError` naming it, with nothing changed."""
-        if node in self._index_of:
+        raises :class:`GraphError` naming it (:meth:`absent`), with
+        nothing changed."""
+        if not self.absent((node,)):
             raise GraphError(f"node {node} already present")
-        try:  # each branch writes the id first
-            if self._free:
-                row = self._free[-1]
-                self.ids[row] = node
-                self._free.pop()
-                self.alive[row] = 1
-            else:
-                row = len(self.rows)
-                self.ids.append(node)
-                self.rows.append(array("q"))
-                self.alive.append(1)
-        except (OverflowError, TypeError):
-            raise GraphError(
-                f"node id {node!r} is not a signed 64-bit integer") from None
+        if self._free:
+            row = self._free.pop()
+            self.ids[row] = node
+            self.alive[row] = 1
+        else:
+            row = len(self.rows)
+            self.ids.append(node)
+            self.rows.append(array("q"))
+            self.alive.append(1)
         self._index_of[node] = row
         return row
 
@@ -193,15 +204,17 @@ class DynamicCSRGraph:
         """Insert edge ``{u, v}``; creates missing endpoints.
 
         Self-loops and present edges raise
-        :class:`~repro.errors.EdgeError` before anything mutates. Each
-        endpoint's array gains the other row at its end.
+        :class:`~repro.errors.EdgeError`, and a missing endpoint that
+        cannot be stored :class:`GraphError`, before anything mutates.
+        Each endpoint's array gains the other row at its end.
         """
         if u == v:
             raise EdgeError(f"self-loop ({u}, {v}) rejected")
         if self.has_edge(u, v):
             raise EdgeError(f"edge ({u}, {v}) already present")
-        for node in (u, v):
-            if node not in self._index_of:
+        index_of = self._index_of
+        if u not in index_of or v not in index_of:
+            for node in self.absent((u, v)):
                 self.add_node(node)
         ru, rv = self._index_of[u], self._index_of[v]
         self.rows[ru].append(rv)

@@ -22,12 +22,9 @@ that, once, from a ``CSRGraph`` plus an
   ``deliver_offsets``/``deliver_hosts``/``deliver_slots``, a CSR over
   owned nodes listing every ``(neighbour host, destination mailbox
   slot)`` pair a node's estimate must reach — routing iterates exactly
-  the relevant pairs, no per-host membership test. Per neighbour host,
-  ``dest_slots`` (border membership *and* the destination slot in one
-  dict — Algorithm 5's ``border``) and ``remote_slots`` (the owned
-  node's external neighbours on that host, as local ext slots — the
-  ``p2p_filter`` extension's ``remote_neighbors``) are built lazily;
-  only the filter needs them;
+  the relevant pairs, no per-host membership test. The owned nodes
+  with a ``deliver_hosts`` entry ``y`` are Algorithm 5's ``border``
+  toward host ``y``;
 * the host-to-host edge cuts are counted during the build:
   ``HostShard.cut_to[y]`` is the number of directed edges leaving the
   shard for host ``y``, and :attr:`ShardedCSR.cut_edges` is the global
@@ -79,7 +76,6 @@ class HostShard:
         "n_ext",
         "owned_global",
         "ext_global",
-        "_ext_index",
         "ext_host",
         "offsets",
         "targets",
@@ -90,8 +86,6 @@ class HostShard:
         "deliver_hosts",
         "deliver_slots",
         "cut_to",
-        "_dest_slots",
-        "_remote_slots",
     )
 
     def __init__(self, host: int, tables: "ShardTables") -> None:
@@ -102,7 +96,6 @@ class HostShard:
         self.owned_global: array = tables.owned_global
         #: global index of each external boundary node
         self.ext_global: array = tables.ext_global
-        self._ext_index: dict[int, int] | None = None
         #: owning host of each external boundary node
         self.ext_host: array = tables.ext_host
         #: local CSR over owned nodes; targets are local indices
@@ -122,110 +115,22 @@ class HostShard:
         self.cut_to: dict[int, int] = tables.cut_to
         #: hosts owning at least one neighbour of an owned node (sorted)
         self.neighbor_hosts: tuple[int, ...] = tuple(sorted(tables.cut_to))
-        self._dest_slots: dict[int, dict[int, int]] | None = None
-        self._remote_slots: dict[int, dict[int, tuple[int, ...]]] | None = None
 
     # ------------------------------------------------------------------
     # pickling — the multi-process engine ships exactly one HostShard to
-    # each worker process, so the wire format is explicit: every
-    # precomputed table travels, the lazy caches (_ext_index,
-    # _dest_slots, _remote_slots) are dropped and rebuild on first
-    # access in the receiving process (only the p2p_filter path reads
-    # them, and it is cheaper to rebuild per worker than to ship them).
+    # each worker process, so the wire format is explicit: every table
+    # travels, and there is no cache to drop.
     # ------------------------------------------------------------------
-    _PICKLED_SLOTS = (
-        "host",
-        "n_owned",
-        "n_ext",
-        "owned_global",
-        "ext_global",
-        "ext_host",
-        "offsets",
-        "targets",
-        "watch_offsets",
-        "watch_targets",
-        "neighbor_hosts",
-        "deliver_offsets",
-        "deliver_hosts",
-        "deliver_slots",
-        "cut_to",
-    )
-
     def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self._PICKLED_SLOTS}
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state: dict) -> None:
-        for name in self._PICKLED_SLOTS:
+        for name in self.__slots__:
             setattr(self, name, state[name])
-        self._ext_index = None
-        self._dest_slots = None
-        self._remote_slots = None
 
     def degree(self, u: int) -> int:
         """Degree of owned local node ``u`` (internal + external edges)."""
         return self.offsets[u + 1] - self.offsets[u]
-
-    def border(self, y: int) -> frozenset[int]:
-        """Owned local nodes with at least one neighbour on host ``y``."""
-        return frozenset(self.dest_slots.get(y, ()))
-
-    @property
-    def ext_index(self) -> dict[int, int]:
-        """Global index -> local ext slot (inverse of ``ext_global``)."""
-        if self._ext_index is None:
-            self._ext_index = {g: s for s, g in enumerate(self.ext_global)}
-        return self._ext_index
-
-    @property
-    def dest_slots(self) -> dict[int, dict[int, int]]:
-        """Per neighbour host y: {owned local u -> y's ext slot for u}.
-
-        The key set is exactly the border toward y (Algorithm 5) —
-        derived lazily from the delivery table; only the ``p2p_filter``
-        transmit path and introspection read this per-host view.
-        """
-        if self._dest_slots is None:
-            table: dict[int, dict[int, int]] = {}
-            offsets = self.deliver_offsets
-            hosts = self.deliver_hosts
-            slots = self.deliver_slots
-            for u in range(self.n_owned):
-                for e in range(offsets[u], offsets[u + 1]):
-                    y = hosts[e]
-                    per_host = table.get(y)
-                    if per_host is None:
-                        per_host = table[y] = {}
-                    per_host[u] = slots[e]
-            self._dest_slots = table
-        return self._dest_slots
-
-    @property
-    def remote_slots(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """Per neighbour host y: {owned local u -> u's neighbours on y,
-        as *this* shard's ext slots} (the ``p2p_filter`` tables).
-
-        Built lazily from the local CSR on first access — only the
-        filter extension reads it, so the default build stays lean.
-        """
-        if self._remote_slots is None:
-            table: dict[int, dict[int, list[int]]] = {}
-            n_owned = self.n_owned
-            ext_host = self.ext_host
-            offsets = self.offsets
-            targets = self.targets
-            for u in range(n_owned):
-                for e in range(offsets[u], offsets[u + 1]):
-                    t = targets[e]
-                    if t >= n_owned:
-                        s = t - n_owned
-                        table.setdefault(ext_host[s], {}).setdefault(
-                            u, []
-                        ).append(s)
-            self._remote_slots = {
-                y: {u: tuple(slots) for u, slots in per_u.items()}
-                for y, per_u in table.items()
-            }
-        return self._remote_slots
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

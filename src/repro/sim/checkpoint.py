@@ -63,8 +63,10 @@ __all__ = [
 #: the manifest schema, the worker snapshot payload or the pickled
 #: partition in ``fleet.pkl``; loaders refuse both older and newer files
 #: loudly (see the module docstring). Version 2: ``HostShard`` carries
-#: its delivery table as three flat arrays.
-CHECKPOINT_FORMAT_VERSION = 2
+#: its delivery table as three flat arrays. Version 3: the manifest's
+#: config drops the host-level send-filter flag along with the filter,
+#: so a version-2 run that set it cannot resume as a different run.
+CHECKPOINT_FORMAT_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _FLEET = "fleet.pkl"
@@ -195,12 +197,12 @@ def _read_verified(dir: str, entry: dict) -> bytes:
             payload = fh.read()
     except OSError as exc:
         raise CheckpointError(
-            f"checkpoint file {entry['file']!r} named by the manifest "
+            f"checkpoint file {path!r} named by the manifest "
             f"could not be read: {exc}"
         ) from None
     if len(payload) != entry["bytes"] or _sha256(payload) != entry["sha256"]:
         raise CheckpointError(
-            f"checkpoint file {entry['file']!r} does not match its "
+            f"checkpoint file {path!r} does not match its "
             "manifest checksum — the checkpoint is corrupt or was "
             "written by a different run; refusing to restore from it"
         )
@@ -243,8 +245,9 @@ def load_checkpoint(dir: str) -> Checkpoint:
                 "no longer reads (re-run and re-checkpoint)"
             )
         raise CheckpointFormatError(
-            f"checkpoint format version {version!r} != supported version "
-            f"{CHECKPOINT_FORMAT_VERSION}: the checkpoint {direction}"
+            f"checkpoint {dir!r}: format version {version!r} != supported "
+            f"version {CHECKPOINT_FORMAT_VERSION}: the checkpoint "
+            f"{direction}"
         )
     fleet_blob = _read_verified(dir, manifest["fleet"])
     worker_blobs = tuple(

@@ -39,7 +39,7 @@ host activations, delivers batches in-process and keeps statistics.
 the same monotone operator — legitimate because the fixpoint, the
 changed-node set and the exact support counters are all
 schedule-independent (see below), and those are the only cascade
-outputs the protocol observes. Both modes and all three communication
+outputs the protocol observes. Both modes and both communication
 policies accept either backend.
 
 **Semantics.** The engine is an exact replay of
@@ -57,10 +57,10 @@ schedule (the operator is monotone non-increasing), so the post-cascade
 estimates *and* the changed-node set are schedule-independent — and
 those are the only cascade outputs the protocol observes. Coreness,
 round counts, per-round send counts, per-host message counts, and the
-Figure-5 ``estimates_sent`` overhead (under ``broadcast``, ``p2p``, and
-the ``p2p_filter`` extension) all match the object engine bit-for-bit
-per seed. The replay harness (``tests/replay.py``) asserts it, and
-stdlib/numpy bit-identity, on the 12-family grid and on fuzzed graphs.
+Figure-5 ``estimates_sent`` overhead (under ``broadcast`` and ``p2p``)
+all match the object engine bit-for-bit per seed. The replay harness
+(``tests/replay.py``) asserts it, and stdlib/numpy bit-identity, on the
+12-family grid and on fuzzed graphs.
 
 **When is it selected?** ``run_one_to_many(engine="flat")`` routes here
 via the flat row of :mod:`repro.core.paths`. Observers are not
@@ -107,13 +107,11 @@ class FlatOneToManyEngine:
         Seed (or shared :class:`random.Random`) for the peersim
         activation shuffle; pass the object engine's seed to reproduce
         a run exactly. Ignored under ``lockstep`` (which never draws).
-    p2p_filter:
-        The host-level send-filter extension (p2p only).
     max_rounds / strict:
         As in :class:`~repro.sim.flat_engine.FlatOneToOneEngine`.
     backend:
         Kernel backend (name or instance; see
-        :mod:`repro.sim.kernels`). Both activation modes and all
+        :mod:`repro.sim.kernels`). Both activation modes and both
         communication policies support ``"stdlib"`` and ``"numpy"`` —
         the per-shard batches are vectorisable regardless of the host
         activation order, which stays in this engine.
@@ -132,7 +130,6 @@ class FlatOneToManyEngine:
         "communication",
         "mode",
         "seed",
-        "p2p_filter",
         "max_rounds",
         "strict",
         "backend",
@@ -148,7 +145,6 @@ class FlatOneToManyEngine:
         communication: str = "broadcast",
         mode: str = "peersim",
         seed: int | random.Random | None = 0,
-        p2p_filter: bool = False,
         max_rounds: int = 1_000_000,
         strict: bool = True,
         backend: "str | KernelBackend" = "stdlib",
@@ -159,8 +155,6 @@ class FlatOneToManyEngine:
                 f"unknown communication policy {communication!r}; "
                 "options: ['broadcast', 'p2p']"
             )
-        if p2p_filter and communication != "p2p":
-            raise ConfigurationError("p2p_filter requires the p2p policy")
         if mode not in ("peersim", "lockstep"):
             raise ConfigurationError(
                 f"unknown engine mode {mode!r}; the flat engine replays "
@@ -170,7 +164,6 @@ class FlatOneToManyEngine:
         self.communication = communication
         self.mode = mode
         self.seed = seed
-        self.p2p_filter = p2p_filter
         self.max_rounds = max_rounds
         self.strict = strict
         self.backend = resolve_backend(backend)
@@ -220,8 +213,8 @@ class FlatOneToManyEngine:
         # delivers the batches in-process
         steps = [
             HostStep(
-                kb, shard, num_hosts, self.communication, self.p2p_filter,
-                INFINITY_INT, tracer, {"host": x},
+                kb, shard, num_hosts, self.communication, INFINITY_INT,
+                tracer, {"host": x},
             )
             for x, shard in enumerate(shards)
         ]

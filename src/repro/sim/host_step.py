@@ -3,12 +3,12 @@
 The one-to-many host program — seed the estimates (Algorithm 3), fold
 received ``(ext-slot, value)`` pairs, run the ``improveEstimate``
 cascade (Algorithm 4), and route the changes by broadcast (Algorithm 3)
-or point-to-point (Algorithm 5, optionally ``p2p_filter``) — is written
-once, here, over one :class:`~repro.graph.sharded.HostShard`, with its
-array work on a :class:`~repro.sim.kernels.base.KernelBackend`: the
-backend's ``route_updates`` kernel does the broadcast and p2p routing
-over the shard's delivery table. The drivers only decide when a host
-runs and how its batches travel:
+or point-to-point (Algorithm 5) — is written once, here, over one
+:class:`~repro.graph.sharded.HostShard`, with its array work on a
+:class:`~repro.sim.kernels.base.KernelBackend`: the backend's
+``route_updates`` kernel is the one routing of both policies, over the
+shard's delivery table. The drivers only decide when a host runs and
+how its batches travel:
 :class:`~repro.sim.flat_many_engine.FlatOneToManyEngine` hands
 :meth:`HostStep.emit` its live ``array('q')`` mailbox buffers, and
 :class:`~repro.sim.mp_engine.MultiProcessOneToManyEngine` ships the
@@ -47,7 +47,6 @@ class HostStep:
         "kb",
         "shard",
         "broadcast",
-        "p2p_filter",
         "infinity",
         "offsets",
         "targets",
@@ -74,7 +73,6 @@ class HostStep:
         shard: HostShard,
         num_hosts: int,
         communication: str,
-        p2p_filter: bool,
         infinity: int,
         tracer=NULL_TRACER,
         span_args: "dict | None" = None,
@@ -83,7 +81,6 @@ class HostStep:
         self.kb = kb
         self.shard = shard
         self.broadcast = communication == "broadcast"
-        self.p2p_filter = p2p_filter
         self.infinity = infinity
         self.offsets = kb.graph_array(shard.offsets)
         self.targets = kb.graph_array(shard.targets)
@@ -170,47 +167,14 @@ class HostStep:
         Appends each delivered ``(dest slot, value)`` pair to the
         ``array('q')`` buffers ``out_slots[y]`` / ``out_vals[y]`` and
         returns the destination hosts that receive a message this
-        activation, in ascending order for broadcast and the filter and
-        in first-touch order for plain p2p. Charges the Figure-5
-        overhead to :attr:`estimates_sent`.
+        activation, in ascending order for broadcast and in
+        first-touch order for p2p. Charges the Figure-5 overhead to
+        :attr:`estimates_sent`.
         """
-        shard = self.shard
-        if not self.p2p_filter:
-            dests, sent = self.kb.route_updates(
-                updates, self.est, self.deliver_offsets, self.deliver_hosts,
-                self.deliver_slots, shard.neighbor_hosts, self.broadcast,
-                out_slots, out_vals, self.host_counts,
-            )
-            self.estimates_sent += sent
-            return dests
-        neighbor_hosts = shard.neighbor_hosts
-        if not updates or not neighbor_hosts:
-            # nothing "has to be sent to another host" (Figure 5)
-            return ()
-        # the §3.1.2-style host-level filter consults this shard's
-        # stored external estimates per (node, host)
-        est = self.est
-        n_owned = shard.n_owned
-        dest_slots = shard.dest_slots
-        remote_slots = shard.remote_slots
-        values = [int(est[u]) for u in updates]
-        dests: list[int] = []
-        for y in neighbor_hosts:
-            dest_get = dest_slots[y].get
-            remote = remote_slots[y]
-            slots = out_slots[y]
-            vals = out_vals[y]
-            count = 0
-            for u, k in zip(updates, values):
-                s = dest_get(u)
-                if s is None:  # u has no neighbour on y
-                    continue
-                if not any(est[n_owned + t] > k for t in remote[u]):
-                    continue
-                slots.append(s)
-                vals.append(k)
-                count += 1
-            if count:
-                self.estimates_sent += count
-                dests.append(y)
+        dests, sent = self.kb.route_updates(
+            updates, self.est, self.deliver_offsets, self.deliver_hosts,
+            self.deliver_slots, self.shard.neighbor_hosts, self.broadcast,
+            out_slots, out_vals, self.host_counts,
+        )
+        self.estimates_sent += sent
         return dests

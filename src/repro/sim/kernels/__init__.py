@@ -35,8 +35,8 @@ execution path                               stdlib     numpy
 ===========================================  =========  =========
 ``FlatOneToOneEngine`` (lockstep)            yes        yes
 ``FlatPeerSimEngine`` (one-to-one peersim)   yes        no [1]_
-``FlatOneToManyEngine`` (both modes, all
-communication policies incl. p2p_filter)     yes        yes
+``FlatOneToManyEngine`` (both modes, both
+communication policies)                      yes        yes
 ``hindex_iteration`` (flat baseline)         yes        yes
 ``run_pregel_kcore(engine="flat")``          yes        yes
 ``ShardedCSR`` table build

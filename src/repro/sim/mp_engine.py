@@ -62,10 +62,9 @@ the engine is an exact replay of
 :class:`~repro.sim.flat_many_engine.FlatOneToManyEngine` under
 ``mode="lockstep"`` — same coreness, executed rounds, per-round send
 counts, per-host message counts and Figure-5 ``estimates_sent``, for
-both communication policies and the ``p2p_filter`` extension, on either
-kernel backend (each worker constructs its own backend instance, so
-numpy state never crosses a pipe). Two properties make the parallel
-replay exact:
+both communication policies, on either kernel backend (each worker
+constructs its own backend instance, so numpy state never crosses a
+pipe). Two properties make the parallel replay exact:
 
 * lockstep double-buffers mailboxes (messages sent in round ``r`` are
   folded in round ``r+1``), so within a round no host observes another
@@ -234,7 +233,6 @@ class _ShardWorker:
         shard: HostShard,
         num_hosts: int,
         communication: str,
-        p2p_filter: bool,
         backend: str,
         infinity: int,
         inboxes,
@@ -244,7 +242,7 @@ class _ShardWorker:
     ) -> None:
         self.step = HostStep(
             resolve_backend(backend), shard, num_hosts, communication,
-            p2p_filter, infinity, tracer,
+            infinity, tracer,
         )
         self.host = host
         self.num_hosts = num_hosts
@@ -489,7 +487,6 @@ def _worker_main(
     host: int,
     num_hosts: int,
     communication: str,
-    p2p_filter: bool,
     backend: str,
     infinity: int,
     conn,
@@ -539,7 +536,7 @@ def _worker_main(
         tracer = Tracer(lane=f"worker-{host}") if telemetry else NULL_TRACER
         worker = _ShardWorker(
             host, pickle.loads(shard_blob), num_hosts, communication,
-            p2p_filter, backend, infinity, inboxes,
+            backend, infinity, inboxes,
             resilient=resilient, faults=faults, tracer=tracer,
         )
         if shm_info is not None:
@@ -650,7 +647,7 @@ class MultiProcessOneToManyEngine:
         Only ``"lockstep"`` — the barrier-synchronous discipline a
         process-per-host deployment can execute in parallel (see the
         module docstring for why peersim cannot be).
-    p2p_filter / max_rounds / strict / backend:
+    max_rounds / strict / backend:
         As in :class:`~repro.sim.flat_many_engine.FlatOneToManyEngine`;
         ``backend`` is resolved *by name inside each worker*, so numpy
         arrays never cross a pipe.
@@ -707,7 +704,6 @@ class MultiProcessOneToManyEngine:
         communication: str = "broadcast",
         mode: str = "lockstep",
         seed: "int | None" = 0,
-        p2p_filter: bool = False,
         max_rounds: int = 1_000_000,
         strict: bool = True,
         backend: str = "stdlib",
@@ -724,8 +720,6 @@ class MultiProcessOneToManyEngine:
                 f"unknown communication policy {communication!r}; "
                 "options: ['broadcast', 'p2p']"
             )
-        if p2p_filter and communication != "p2p":
-            raise ConfigurationError("p2p_filter requires the p2p policy")
         if mode != "lockstep":
             raise ConfigurationError(
                 f"engine='mp' cannot replay mode={mode!r}: peersim "
@@ -772,7 +766,6 @@ class MultiProcessOneToManyEngine:
         self.communication = communication
         self.mode = mode
         self.seed = seed  # accepted for signature parity; lockstep never draws
-        self.p2p_filter = p2p_filter
         self.max_rounds = max_rounds
         self.strict = strict
         self.start_method = start_method
@@ -866,7 +859,7 @@ class MultiProcessOneToManyEngine:
             target=_worker_main,
             args=(
                 x, self.sharded.num_hosts, self.communication,
-                self.p2p_filter, self.backend_name, self._infinity,
+                self.backend_name, self._infinity,
                 child_conn, self._inboxes[x], self._inboxes,
                 self.resilient, self.tracer.enabled, self._shm_info,
             ),
@@ -1123,7 +1116,6 @@ class MultiProcessOneToManyEngine:
                 }
                 config = {
                     "communication": self.communication,
-                    "p2p_filter": self.p2p_filter,
                     "backend": self.backend_name,
                     "num_hosts": num_hosts,
                     "num_nodes": self.sharded.csr.num_nodes,

@@ -42,38 +42,20 @@ The result is bit-identical to the object engine and to from-scratch
 Batagelj–Zaveršnik after every batch — the differential churn grid in
 ``tests/test_streaming_equivalence.py`` pins this across 12 graph
 families, three trace shapes and three seeds.
-
-**Approximate ELM lane** (``approx=eps``): following Esfandiari,
-Lattanzi & Mirrokni ("Parallel and Streaming Algorithms for K-Core
-Decomposition"), each inserted edge is kept independently with a fixed
-probability ``p = min(1, 3 ln(n0) / (eps^2 * approx_floor))`` decided
-by a seeded arithmetic edge hash (deterministic, order-independent, no
-per-edge memory). The engine maintains the *exact* coreness of the
-sampled subgraph and reports ``round(core_sample / p)``. By the ELM
-sampling theorem the estimate is within a ``(1 ± eps)`` factor of the
-true coreness, with high probability, for every node whose true
-coreness is at least ``approx_floor``; below the floor only the
-additive bound ``O(log n / p)`` holds. Space and re-convergence work
-shrink by the factor ``p``. Deleting an edge the sample never kept is
-a silent no-op (the sample is unchanged), so ``has_edge`` on this lane
-answers for the sample, not the full graph.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr, \
     batagelj_zaversnik_order
 from repro.core.compute_index import compute_index
-from repro.errors import ConfigurationError, EdgeError, GraphError, \
-    NodeNotFoundError
+from repro.errors import EdgeError, GraphError, NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic_csr import DynamicCSRGraph
 from repro.streaming.korder import SHIFT, KOrder
@@ -84,28 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
 
 __all__ = ["FlatDynamicKCore", "reconverge_from_bounds"]
-
-_M64 = (1 << 64) - 1
-
-
-def _edge_hash(u: int, v: int, seed: int) -> int:
-    """Seeded splitmix64-style mix of an undirected edge.
-
-    Pure arithmetic (no builtin ``hash``), so the sampling decision is
-    deterministic across processes and replay orders.
-    """
-    a, b = (u, v) if u <= v else (v, u)
-    x = (
-        a * 0x9E3779B97F4A7C15
-        + b * 0xC2B2AE3D27D4EB4F
-        + (seed + 1) * 0x165667B19E3779F9
-    ) & _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
-    return x
 
 
 def reconverge_from_bounds(rows, est, frontier, scratch):
@@ -241,9 +201,6 @@ class FlatDynamicKCore:
         self,
         graph: "Graph | CSRGraph | DynamicCSRGraph | None" = None,
         *,
-        approx: float | None = None,
-        approx_floor: int = 16,
-        seed: int = 0,
         telemetry=None,
     ) -> None:
         self._tracer = resolve_tracer(telemetry)
@@ -253,22 +210,7 @@ class FlatDynamicKCore:
         self.metrics: dict[str, Any] = _fresh_metrics()
         self._batch_dirty = 0
         self._batch_rounds = 0
-        if approx is not None and not 0.0 < approx < 1.0:
-            raise ConfigurationError(
-                f"approx={approx!r}: the ELM error target must be in (0, 1)"
-            )
-        if approx_floor < 1:
-            raise ConfigurationError("approx_floor must be >= 1")
-        self._approx = approx
-        self._seed = seed
-        self._sample_p = 1.0
         csr = self._adopt(graph)
-        if approx is not None:
-            n0 = max(csr.num_nodes, 2)
-            self._sample_p = min(
-                1.0, 3.0 * math.log(n0) / (approx * approx * approx_floor)
-            )
-            csr = self._downsample(csr)
         self._graph = DynamicCSRGraph.from_csr(csr)
         self._est, order, later = batagelj_zaversnik_order(csr)
         self._order = KOrder.from_peel(self._est, order, later)
@@ -283,26 +225,6 @@ class FlatDynamicKCore:
             return graph
         return CSRGraph.from_graph(graph)
 
-    def _keeps(self, u: int, v: int) -> bool:
-        """ELM sampling decision for edge ``{u, v}`` (fixed per edge)."""
-        if self._approx is None:
-            return True
-        draw = (_edge_hash(u, v, self._seed) >> 11) / float(1 << 53)
-        return draw < self._sample_p
-
-    def _downsample(self, csr: CSRGraph) -> CSRGraph:
-        """The sampled subgraph of ``csr`` (every node, kept edges)."""
-        ids = csr.ids
-        kept = (
-            (ids[a], ids[b])
-            for a, b in csr.edges()
-            if self._keeps(ids[a], ids[b])
-        )
-        # a self-loop keeps a node whose every edge was sampled away
-        return CSRGraph.from_edges(
-            chain(kept, ((u, u) for u in ids)), name=csr.name
-        )
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -312,26 +234,13 @@ class FlatDynamicKCore:
         return self._graph
 
     @property
-    def sample_probability(self) -> float:
-        """The ELM sampling probability (1.0 on the exact lane)."""
-        return self._sample_p
-
-    @property
     def coreness(self) -> dict[int, int]:
-        """Current coreness of every node (scaled estimate if approx)."""
+        """Current coreness of every node."""
         if self._coreness_cache is None:
-            g = self._graph
             est = self._est
-            if self._approx is None:
-                self._coreness_cache = {
-                    node: est[row] for node, row in g._index_of.items()
-                }
-            else:
-                p = self._sample_p
-                self._coreness_cache = {
-                    node: int(est[row] / p + 0.5)
-                    for node, row in g._index_of.items()
-                }
+            self._coreness_cache = {
+                node: est[row] for node, row in self._graph._index_of.items()
+            }
         return self._coreness_cache
 
     def coreness_of(self, node: int) -> int:
@@ -339,9 +248,7 @@ class FlatDynamicKCore:
         row = self._graph._index_of.get(node)
         if row is None:
             raise NodeNotFoundError(node)
-        if self._approx is None:
-            return self._est[row]
-        return int(self._est[row] / self._sample_p + 0.5)
+        return self._est[row]
 
     def core(self, k: int) -> set[int]:
         """Nodes of the current k-core."""
@@ -351,7 +258,6 @@ class FlatDynamicKCore:
         return self._graph.has_node(node)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Edge presence (in the *sample*, on the approx lane)."""
         return self._graph.has_edge(u, v)
 
     def degree(self, node: int) -> int:
@@ -369,26 +275,26 @@ class FlatDynamicKCore:
     def add_node(self, node: int) -> None:
         """Add an isolated node (coreness 0)."""
         self._begin_batch()
-        self._add_row(node)
-        self._finish_batch(1)
+        self._add_node(node)
+        self._finish_batch()
 
     def insert_edge(self, u: int, v: int) -> None:
         """Insert edge {u, v}; creates missing endpoints."""
         self._begin_batch()
         self._insert(u, v)
-        self._finish_batch(1)
+        self._finish_batch()
 
     def delete_edge(self, u: int, v: int) -> None:
         """Delete edge {u, v} (endpoints stay)."""
         self._begin_batch()
         self._delete(u, v)
-        self._finish_batch(1)
+        self._finish_batch()
 
     def remove_node(self, node: int) -> None:
         """Remove a node and all its incident edges."""
         self._begin_batch()
         self._remove(node)
-        self._finish_batch(1)
+        self._finish_batch()
 
     # ------------------------------------------------------------------
     # batch API
@@ -399,43 +305,50 @@ class FlatDynamicKCore:
         Each :class:`~repro.workloads.churn.ChurnEvent` goes through
         :func:`~repro.workloads.churn.apply_event`, as in
         ``replay_trace`` and on the object oracle; deletes re-converge
-        together up to the next insert or the batch's end. Coreness is
-        exact when the call returns, and also when an event raises: the
-        edits before it are settled and recorded before the exception
+        together up to the next insert or the batch's end. Each edit is
+        counted in ``metrics["edits_applied"]`` where it is applied, as
+        on the oracle. Coreness is exact when the call returns, and also
+        when an event raises: the edits before the raise, that event's
+        own included, are settled and counted before the exception
         propagates.
         """
         self._begin_batch()
-        applied = 0
+        metrics = self.metrics
+        before = metrics["edits_applied"]
         edits = self._edits
         try:
             with self._tracer.span("churn.apply_batch") as span:
                 for event in events:
-                    applied += apply_event(edits, event)
+                    apply_event(edits, event)
                 self._flush()
-                span.note(edits=applied)
+                span.note(edits=metrics["edits_applied"] - before)
         finally:
-            self._finish_batch(applied)
-        return applied
+            self._finish_batch()
+        return metrics["edits_applied"] - before
 
     @cached_property
     def _edits(self) -> SimpleNamespace:
         """The edits ``apply_event`` calls, minus the per-edit flush."""
         g = self._graph
         return SimpleNamespace(
-            has_node=g.has_node, has_edge=g.has_edge, add_node=self._add_row,
+            has_node=g.has_node, has_edge=g.has_edge, add_node=self._add_node,
             insert_edge=self._insert, remove_node=self._remove,
             delete_edge=self._delete)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _add_row(self, node: int) -> int:
+    def _add_row(self, node: int) -> None:
         row = self._graph.add_node(node)
         if row == len(self._est):  # a reused row kept est 0 from _remove
             self._est.append(0)
         self._order.add_row(row)
         self._coreness_cache = None
-        return row
+
+    # the edits: each counts itself once it is applied
+    def _add_node(self, node: int) -> None:
+        self._add_row(node)
+        self.metrics["edits_applied"] += 1
 
     def _insert(self, u: int, v: int) -> None:
         # OrderInsert needs exact coreness and an exact k-order: settle
@@ -443,25 +356,21 @@ class FlatDynamicKCore:
         self._flush()
         if u == v:
             raise EdgeError(f"self-loop on node {u} is not allowed")
-        for node in (u, v):
-            if not self._graph.has_node(node):
+        g = self._graph
+        if not (g.has_node(u) and g.has_node(v)):
+            # every new endpoint's id is checked before either is added
+            for node in g.absent((u, v)):
                 self._add_row(node)
-        # a present edge raises in insert_edge before anything changes:
-        # both its rows existed, and the sample kept it
-        if not self._keeps(u, v):
-            return  # ELM lane: the sample never takes this edge
-        self._graph.insert_edge(u, v)
-        ru = self._graph.row_of(u)
-        rv = self._graph.row_of(v)
+        # a present edge raises here before anything changes, since
+        # both its rows existed
+        g.insert_edge(u, v)
+        ru = g.row_of(u)
+        rv = g.row_of(v)
         self._order_insert(ru, rv)
         self._coreness_cache = None
+        self.metrics["edits_applied"] += 1
 
     def _delete(self, u: int, v: int) -> None:
-        if self._approx is not None and not self._graph.has_edge(u, v):
-            for node in (u, v):  # still surface bad ids, like the graph
-                if not self._graph.has_node(node):
-                    raise NodeNotFoundError(node)
-            return  # ELM lane: the sample never held this edge
         self._graph.delete_edge(u, v)
         ru = self._graph.row_of(u)
         rv = self._graph.row_of(v)
@@ -470,6 +379,7 @@ class FlatDynamicKCore:
         self._pending.add(ru)
         self._pending.add(rv)
         self._coreness_cache = None
+        self.metrics["edits_applied"] += 1
 
     def _remove(self, node: int) -> None:
         row = self._graph.row_of(node)
@@ -485,6 +395,7 @@ class FlatDynamicKCore:
         self._est[row] = 0
         self._pending.update(nbrs)
         self._coreness_cache = None
+        self.metrics["edits_applied"] += 1
 
     def _order_insert(self, ru: int, rv: int) -> None:
         """Zhang et al.'s OrderInsert for the new edge ``ru``-``rv``.
@@ -660,10 +571,9 @@ class FlatDynamicKCore:
         self._batch_dirty = 0
         self._batch_rounds = 0
 
-    def _finish_batch(self, edits: int) -> None:
+    def _finish_batch(self) -> None:
         self._flush()
         m = self.metrics
-        m["edits_applied"] += edits
         m["dirty_nodes_total"] += self._batch_dirty
         m["dirty_nodes_per_batch"].append(self._batch_dirty)
         m["reconverge_rounds_per_batch"].append(self._batch_rounds)
@@ -714,12 +624,7 @@ class FlatDynamicKCore:
                 )
 
     def verify(self) -> bool:
-        """Expensive check: maintained estimates equal recomputation.
-
-        On the approx lane this verifies the *sample's* coreness — the
-        maintenance is exact on the sampled subgraph; the scaling is
-        where the (1 ± eps) approximation enters.
-        """
+        """Expensive check: maintained estimates equal recomputation."""
         csr = self._graph.to_csr()
         oracle = batagelj_zaversnik_csr(csr)
         est = self._est

@@ -45,15 +45,11 @@ class ChurnService:
         graph=None,
         *,
         batch_size: int = 64,
-        approx: float | None = None,
-        seed: int = 0,
         telemetry=None,
     ) -> None:
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        self._engine = FlatDynamicKCore(
-            graph, approx=approx, seed=seed, telemetry=telemetry
-        )
+        self._engine = FlatDynamicKCore(graph, telemetry=telemetry)
         self._batch_size = batch_size
         self._queue: list = []
         self.batches_applied = 0

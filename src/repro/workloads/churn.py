@@ -143,9 +143,9 @@ def generate_churn_trace(
     return ChurnTrace(initial=initial.copy(), events=events)
 
 
-def apply_event(target: Any, event: ChurnEvent) -> int:
+def apply_event(target: Any, event: ChurnEvent) -> None:
     """Apply one churn event to ``target`` (the edit API of
-    :class:`~repro.streaming.DynamicKCore`); returns the edits applied.
+    :class:`~repro.streaming.DynamicKCore`), which counts the edits.
 
     The one definition of a churn request: a join adds its new node (a
     present one raises :class:`~repro.errors.GraphError`) and links it
@@ -165,12 +165,10 @@ def apply_event(target: Any, event: ChurnEvent) -> int:
         if target.has_node(new):
             raise GraphError(f"node {new} already present")
         target.add_node(new)
-        applied = 1
         for contact in nodes[1:]:
             if target.has_node(contact):
                 target.insert_edge(new, contact)
-                applied += 1
-        return applied
+        return
     u, v = nodes[0], nodes[-1]
     if kind == "leave" and target.has_node(u):
         target.remove_node(u)
@@ -179,9 +177,6 @@ def apply_event(target: Any, event: ChurnEvent) -> int:
         target.insert_edge(u, v)
     elif kind == "unlink" and target.has_edge(u, v):
         target.delete_edge(u, v)
-    else:
-        return 0
-    return 1
 
 
 def _make_engine(engine, trace, telemetry):

@@ -283,7 +283,6 @@ def cells(draw):
         "num_hosts": draw(st.integers(1, 8) | st.integers(n + 1, n + 3)),
         "policy": draw(st.sampled_from(POLICIES)),
         "communication": communication,
-        "p2p_filter": communication == "p2p" and draw(st.booleans()),
         "use_worklist": draw(st.booleans()),
         "num_workers": draw(st.integers(1, 6)),
         "use_combiner": draw(st.booleans()),
@@ -336,12 +335,12 @@ def check_churn(graph: "Graph | None", events, batch: int,
     through :func:`~repro.workloads.churn.apply_event`.
 
     After every call both sides raised the same error type, or none, at
-    the same event; the flat engine and the oracle hold the same
-    coreness, which is BZ's; and the engine's k-order and its dynamic
-    CSR pass ``check_invariants()``. As in
-    :class:`~repro.streaming.ChurnService`, an event that raises is
-    dropped and the rest of its batch is the next call. At the end both
-    hold the same graph. Returns the flat engine.
+    the same event and counted the same ``edits_applied``; the flat
+    engine and the oracle hold the same coreness, which is BZ's; and the
+    engine's k-order and its dynamic CSR pass ``check_invariants()``.
+    As in :class:`~repro.streaming.ChurnService`, an event that raises
+    is dropped and the rest of its batch is the next call. At the end
+    both hold the same graph. Returns the flat engine.
     """
     flat = FlatDynamicKCore(seeded(graph, build))
     oracle = DynamicKCore(graph)
@@ -363,6 +362,8 @@ def check_churn(graph: "Graph | None", events, batch: int,
                     error = type(exc)
                 outcomes.append((error, list(rest)))
             assert outcomes[0] == outcomes[1], f"batch at event {at}"
+            assert flat.metrics["edits_applied"] == \
+                oracle.metrics["edits_applied"], f"batch at event {at}"
             pending = outcomes[0][1]
             truth = batagelj_zaversnik(oracle.graph)
             assert flat.coreness == oracle.coreness == truth, (

@@ -2,8 +2,8 @@
 
 Every row that takes ``backend="numpy"`` runs :mod:`tests.replay` cells
 whose reference is the same row on stdlib: both protocols and modes,
-both communication policies, ``p2p_filter``, placement policies,
-shuffled ids, truncated runs, the flat h-index and Pregel baselines.
+both communication policies, placement policies, shuffled ids,
+truncated runs, the flat h-index and Pregel baselines.
 Without numpy each cell skips on its own.
 """
 
@@ -52,13 +52,6 @@ class TestOneToManyGrid:
         for seed in (0, 1, 2):
             check("one-to-many", graph, num_hosts=5, mode=mode,
                   communication=communication, seed=seed, **NUMPY)
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_families_p2p_filter(self, family):
-        graph = FAMILIES[family]()
-        for seed in (0, 1, 2):
-            check("one-to-many", graph, num_hosts=5, communication="p2p",
-                  p2p_filter=True, seed=seed, **NUMPY)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_placement_policies(self, policy):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.graph import generators as gen
 from repro.graph.io import write_edge_list
+from repro.sim.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointWriter
 
 
 @pytest.fixture()
@@ -15,6 +18,17 @@ def edge_file(tmp_path):
     path = tmp_path / "fig1.txt"
     write_edge_list(graph, path)
     return str(path)
+
+
+def _refused_resume(capsys, dir) -> str:
+    """``decompose --resume dir`` is a usage error: exit code 2 and one
+    stderr line, which names the directory; returns the line."""
+    assert main(["decompose", "--resume", str(dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro-kcore: error: ")
+    assert captured.err.count("\n") == 1
+    assert str(dir) in captured.err
+    return captured.err
 
 
 class TestParser:
@@ -267,11 +281,9 @@ class TestDecompose:
                  "--resume", str(tmp_path / "ck")]
             )
 
-    def test_resume_missing_checkpoint_fails_loudly(self, tmp_path):
-        from repro.errors import CheckpointError
-
-        with pytest.raises(CheckpointError, match="missing"):
-            main(["decompose", "--resume", str(tmp_path / "nowhere")])
+    def test_resume_missing_checkpoint_fails_loudly(self, tmp_path, capsys):
+        line = _refused_resume(capsys, tmp_path / "nowhere")
+        assert "manifest.json is missing" in line
 
     def test_pregel(self, edge_file, capsys):
         assert main(
@@ -351,6 +363,31 @@ class TestBadInput:
             ) == 0
             outputs.append(capsys.readouterr().out)
         assert all("k_max=3" in out for out in outputs)
+
+
+class TestUnreadableCheckpoint:
+    """A checkpoint that cannot be resumed is refused like a missing one
+    (``TestDecompose``): one stderr line naming the directory, exit 2."""
+
+    @pytest.fixture()
+    def committed(self, tmp_path):
+        """A committed checkpoint directory holding placeholder blobs:
+        the loader refuses each case below before it unpickles any."""
+        writer = CheckpointWriter(str(tmp_path / "ck"))
+        writer.write_fleet(b"fleet")
+        writer.commit(2, [b"state-0", b"state-1"], {}, {})
+        return tmp_path / "ck"
+
+    def test_version_skew(self, committed, capsys):
+        manifest = committed / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["format_version"] = CHECKPOINT_FORMAT_VERSION - 1
+        manifest.write_text(json.dumps(content))
+        assert "format version" in _refused_resume(capsys, committed)
+
+    def test_checksum_mismatch(self, committed, capsys):
+        (committed / "state-1.pkl").write_bytes(b"state-X")
+        assert "checksum" in _refused_resume(capsys, committed)
 
 
 class TestStats:

@@ -134,6 +134,8 @@ class TestOptionsThePathDoesNotTake:
             # only the object hosts choose their cascade
             ("one-to-many-flat", "use_worklist", False),
             ("one-to-many-mp", "use_worklist", False),
+            # the host-level send filter is no option of any row
+            ("one-to-many-flat", "p2p_filter", True),
         ],
     )
     def test_rejected_by_name(self, small_graph, algorithm, option, value):

@@ -1,6 +1,5 @@
 """Tests for the extension features beyond the paper's core algorithms.
 
-* p2p host-level send filter (sound analogue of §3.1.2);
 * k-core fingerprint layout (visualization, paper reference [1]);
 * degeneracy ordering from the BZ visit order.
 """
@@ -9,59 +8,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.fingerprint import core_fingerprint, render_fingerprint
 from repro.baselines import batagelj_zaversnik
 from repro.baselines.batagelj_zaversnik import degeneracy_ordering
-from repro.core.assignment import assign
-from repro.core.one_to_many import (
-    OneToManyConfig,
-    build_host_processes,
-    run_one_to_many,
-)
-from repro.errors import ConfigurationError
 from repro.graph import generators as gen
 
 from tests.conftest import graphs
-
-
-class TestP2PSendFilter:
-    @given(graphs(), st.integers(1, 8), st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_filter_preserves_correctness(self, g, hosts, seed):
-        filtered = run_one_to_many(
-            g,
-            OneToManyConfig(
-                num_hosts=hosts, communication="p2p",
-                p2p_filter=True, seed=seed,
-            ),
-        )
-        assert filtered.coreness == batagelj_zaversnik(g)
-
-    def test_filter_reduces_overhead(self, medium_social):
-        plain = run_one_to_many(
-            medium_social,
-            OneToManyConfig(num_hosts=16, communication="p2p", seed=3),
-        )
-        filtered = run_one_to_many(
-            medium_social,
-            OneToManyConfig(
-                num_hosts=16, communication="p2p", p2p_filter=True, seed=3
-            ),
-        )
-        assert (
-            filtered.stats.extra["estimates_sent_total"]
-            <= plain.stats.extra["estimates_sent_total"]
-        )
-
-    def test_filter_requires_p2p(self, small_social):
-        assignment = assign(small_social, 4)
-        with pytest.raises(ConfigurationError):
-            build_host_processes(
-                small_social, assignment,
-                communication="broadcast", p2p_filter=True,
-            )
 
 
 class TestFingerprint:

@@ -1,8 +1,8 @@
 """The flat one-to-many engine (:class:`repro.sim.flat_many_engine.FlatOneToManyEngine`).
 
 Its :mod:`tests.replay` cells (families x placement policies x
-communication policies x seeds, shuffled and sparse ids, ``p2p_filter``,
-lockstep, degenerate host counts, truncated runs), then its own
+communication policies x seeds, shuffled and sparse ids, lockstep,
+degenerate host counts, truncated runs), then its own
 contracts: the full-sweep cascade, placements, a shared RNG instance,
 rejections and the ``decompose`` aliases.
 """
@@ -64,11 +64,6 @@ class TestGrid:
 
 
 class TestVariants:
-    @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_p2p_filter_extension(self, small_social, seed):
-        check("one-to-many-flat", small_social, num_hosts=6,
-              communication="p2p", p2p_filter=True, seed=seed)
-
     @pytest.mark.parametrize("communication", COMMUNICATIONS)
     def test_lockstep_mode(self, small_social, communication):
         check("one-to-many-flat", small_social, num_hosts=6,
@@ -163,10 +158,6 @@ class TestEdgeCases:
         with pytest.raises(ConfigurationError):
             _flat(gen.path_graph(4), num_hosts=2,
                   communication="smoke-signals")
-
-    def test_flat_rejects_filter_without_p2p(self):
-        with pytest.raises(ConfigurationError, match="p2p"):
-            _flat(gen.path_graph(4), num_hosts=2, p2p_filter=True)
 
     def test_prebuilt_csr_requires_assignment(self):
         csr = CSRGraph.from_graph(gen.path_graph(5))

@@ -24,12 +24,12 @@ BACKENDS = ["stdlib"] + (["numpy"] if numpy_available() else [])
 HOSTS = 3
 
 
-def _step(communication="p2p", p2p_filter=False, backend="stdlib"):
+def _step(communication="p2p", backend="stdlib"):
     g = path_graph(6)
     sharded = ShardedCSR.from_graph(g, assign(g, HOSTS))
     return HostStep(
         resolve_backend(backend), sharded.shards[0], HOSTS, communication,
-        p2p_filter, INFINITY_INT,
+        INFINITY_INT,
     )
 
 
@@ -58,14 +58,9 @@ def test_init_seeds_degrees_and_returns_every_owned_estimate(backend):
     assert not any(step.changed_flag)
 
 
-@pytest.mark.parametrize(
-    "communication, p2p_filter, sent",
-    [("broadcast", False, 2), ("p2p", False, 3), ("p2p", True, 3)],
-)
-def test_initial_send_routing_and_figure5_accounting(
-    communication, p2p_filter, sent
-):
-    step = _step(communication, p2p_filter)
+@pytest.mark.parametrize("communication, sent", [("broadcast", 2), ("p2p", 3)])
+def test_initial_send_routing_and_figure5_accounting(communication, sent):
+    step = _step(communication)
     dests, out_slots, out_vals = _emit(step, step.init())
     assert dests == [1, 2]
     assert out_slots == [[], [0, 2], [1]]
@@ -92,21 +87,15 @@ def test_fold_returns_only_the_cascade_changes(backend):
     assert step.fold([2], [1]) == []
 
 
-@pytest.mark.parametrize(
-    "p2p_filter, dests, sent", [(False, [1, 2], 2), (True, [2], 1)]
-)
-def test_filter_drops_estimates_the_neighbour_host_cannot_use(
-    p2p_filter, dests, sent
-):
-    # node 3's new estimate 1 is no news to host 1, whose node 4 told
-    # it 1; host 2's node 2 still sits at infinity here
-    step = _step("p2p", p2p_filter)
+def test_p2p_routes_a_fold_update_to_every_neighbour_host():
+    # node 3 (local 1) borders hosts 1 and 2, so its new estimate 1
+    # goes to both, at each host's ext slot for it
+    step = _step("p2p")
     step.init()
     updates = step.fold([2], [1])
     before = step.estimates_sent
-    got, _, _ = _emit(step, updates)
-    assert got == dests
-    assert step.estimates_sent - before == sent
+    assert _emit(step, updates) == ([1, 2], [[], [2], [1]], [[], [1], [1]])
+    assert step.estimates_sent - before == 2
 
 
 def test_nothing_to_send_is_not_a_message():

@@ -2,8 +2,8 @@
 
 Its :mod:`tests.replay` cells replay the flat lockstep engine (families
 x placement x communication policies on 3 ``fork`` workers, the random
-policy's seed, shuffled and sparse ids, ``p2p_filter``, numpy workers,
-degenerate host counts, truncated runs, a ``spawn`` slice), then its own
+policy's seed, shuffled and sparse ids, numpy workers, degenerate host
+counts, truncated runs, a ``spawn`` slice), then its own
 contracts: transport metrics, the serialization guard and rejections.
 """
 
@@ -76,10 +76,6 @@ class TestSpawn:
 
 
 class TestVariants:
-    def test_p2p_filter_extension(self, small_social):
-        check(MP, small_social, num_hosts=4, communication="p2p",
-              p2p_filter=True, seed=3)
-
     @pytest.mark.parametrize("communication", COMMUNICATIONS)
     def test_numpy_workers(self, communication):
         """Each worker resolves the backend by name in its own process;

@@ -3,9 +3,10 @@
 The contract: given a ``CSRGraph`` and an ``Assignment``, every host
 gets a sub-CSR in a local index space (owned nodes first, then the
 external boundary), boundary tables that mirror the object engine's
-``KCoreHost`` structures exactly (``border`` / ``external_watchers`` /
-``remote_neighbors``), and precomputed host-to-host edge cuts that
-agree with ``Assignment.cut_edges``.
+``KCoreHost`` structures exactly (the watcher table its
+``external_watchers``, the delivery table its ``border``, each entry
+pointing at the destination's ext slot for the node), and precomputed
+host-to-host edge cuts that agree with ``Assignment.cut_edges``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,18 @@ def _shard_owned_ids(sharded: ShardedCSR, host: int) -> list[int]:
     return [ids[g] for g in sharded.shards[host].owned_global]
 
 
+def _deliveries(shard) -> dict[int, dict[int, int]]:
+    """The delivery table per destination host y: {owned local node u
+    -> the slot deliver_slots gives u's estimate on y}."""
+    table: dict[int, dict[int, int]] = {}
+    offsets = shard.deliver_offsets
+    for u in range(shard.n_owned):
+        for e in range(offsets[u], offsets[u + 1]):
+            y = shard.deliver_hosts[e]
+            table.setdefault(y, {})[u] = shard.deliver_slots[e]
+    return table
+
+
 class TestStructure:
     def test_path_over_two_hosts(self):
         # path 0-1-2-3 via modulo: host0={0,2}, host1={1,3}
@@ -56,8 +69,9 @@ class TestStructure:
         assert _shard_owned_ids(sharded, 1) == [1, 3]
         assert s0.neighbor_hosts == (1,)
         assert s1.neighbor_hosts == (0,)
-        # all of host0's nodes border host1 (edges 0-1, 2-1, 2-3)
-        assert s0.border(1) == frozenset({0, 1})  # local indices of 0, 2
+        # all of host0's nodes border host1 (edges 0-1, 2-1, 2-3), and
+        # node 0 (local 0) lands in host1's ext slot 0, node 2 in slot 1
+        assert _deliveries(s0) == {1: {0: 0, 1: 1}}
         # every edge is cut
         assert sharded.cut_edges == 3
         assert sharded.cut_matrix() == {(0, 1): 3}
@@ -95,7 +109,7 @@ class TestStructure:
         (shard,) = sharded.shards
         assert shard.n_ext == 0
         assert shard.neighbor_hosts == ()
-        assert shard.dest_slots == {}
+        assert _deliveries(shard) == {}
         assert sharded.cut_edges == 0
 
     def test_empty_hosts_get_empty_shards(self):
@@ -158,10 +172,10 @@ class TestBoundaryTables:
         ids = sharded.csr.ids
         for x, host in hosts.items():
             shard = sharded.shards[x]
-            for y in host.neighbor_hosts:
-                local_border = {
-                    ids[shard.owned_global[u]] for u in shard.border(y)
-                }
+            deliveries = _deliveries(shard)
+            assert sorted(deliveries) == list(host.neighbor_hosts)
+            for y, dest in deliveries.items():
+                local_border = {ids[shard.owned_global[u]] for u in dest}
                 assert local_border == set(host.border[y])
 
     def test_watchers_match(self, pair):
@@ -182,36 +196,21 @@ class TestBoundaryTables:
             }
             assert flat_watchers == object_watchers
 
-    def test_remote_neighbors_match(self, pair):
-        _, hosts, sharded = pair
-        ids = sharded.csr.ids
-        for x, host in hosts.items():
-            shard = sharded.shards[x]
-            for y, per_u in shard.remote_slots.items():
-                for u, slots in per_u.items():
-                    original_u = ids[shard.owned_global[u]]
-                    flat = sorted(
-                        ids[shard.ext_global[s]] for s in slots
-                    )
-                    assert flat == sorted(host.remote_neighbors[original_u][y])
-
     def test_dest_slots_point_into_destination_ext_space(self, pair):
         _, _, sharded = pair
         ids = sharded.csr.ids
         for shard in sharded.shards:
-            for y, dest in shard.dest_slots.items():
+            for y, dest in _deliveries(shard).items():
                 target = sharded.shards[y]
                 for u, slot in dest.items():
                     assert (
                         target.ext_global[slot] == shard.owned_global[u]
                     ), (ids[shard.owned_global[u]], y)
 
-    def test_ext_index_inverts_ext_global(self, pair):
+    def test_ext_global_has_no_repeats(self, pair):
         _, _, sharded = pair
         for shard in sharded.shards:
-            assert len(shard.ext_index) == shard.n_ext
-            for s, g in enumerate(shard.ext_global):
-                assert shard.ext_index[g] == s
+            assert len(set(shard.ext_global)) == shard.n_ext
 
 
 class TestCuts:

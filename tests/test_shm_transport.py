@@ -161,27 +161,22 @@ class TestRingCapacity:
         graphs(min_nodes=1),
         st.integers(2, 6),
         st.sampled_from(("modulo", "refined")),
-        st.sampled_from(
-            (("broadcast", False), ("p2p", False), ("p2p", True))
-        ),
+        st.sampled_from(("broadcast", "p2p")),
     )
     @settings(max_examples=60, deadline=None)
-    def test_emit_batches_fit_ring_capacity(self, g, hosts, policy, comm):
-        communication, p2p_filter = comm
+    def test_emit_batches_fit_ring_capacity(
+        self, g, hosts, policy, communication
+    ):
         sharded = ShardedCSR(
             CSRGraph.from_graph(g), assign(g, hosts, policy=policy)
         )
         layout = build_shm_layout(sharded)
         kb = resolve_backend("stdlib")
         for x, shard in enumerate(sharded.shards):
-            step = HostStep(
-                kb, shard, hosts, communication, p2p_filter, INFINITY_INT
-            )
+            step = HostStep(kb, shard, hosts, communication, INFINITY_INT)
             out_slots: list[list[int]] = [[] for _ in range(hosts)]
             out_vals: list[list[int]] = [[] for _ in range(hosts)]
-            # the worst case: every owned estimate at once, against
-            # external estimates still at infinity (the filter passes
-            # everything)
+            # the worst case: every owned estimate at once
             dests = step.emit(step.init(), out_slots, out_vals)
             for y in dests:
                 _, _, cap = layout.regions[y][x]

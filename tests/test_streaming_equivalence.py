@@ -13,8 +13,7 @@ every single insert checked alone, row reuse under leave-then-join
 batches, the churn vocabulary's rejections (unknown kinds, wrong arity,
 node ids outside int64), duplicate-edge / self-loop rejection parity,
 nodes appearing and vanishing (and reappearing under the same id), the
-ChurnService facade, the approx (ELM) lane's sample-exactness, and the
-delete-side re-convergence
+ChurnService facade, and the delete-side re-convergence
 (:func:`~repro.streaming.flat_maintenance.reconverge_from_bounds`)
 against the full-recompute Jacobi loop.
 """
@@ -40,6 +39,7 @@ from repro.errors import (
     NodeNotFoundError,
 )
 from repro.graph import generators as gen
+from repro.graph.dynamic_csr import DynamicCSRGraph
 from repro.streaming import ChurnService, DynamicKCore, FlatDynamicKCore
 from repro.streaming import flat_maintenance
 from repro.streaming.flat_maintenance import reconverge_from_bounds
@@ -208,8 +208,6 @@ class TestEveryInsertIsExact:
 def _spy(monkeypatch, method: str) -> Counter:
     """Count the calls of a :class:`DynamicCSRGraph` method by argument
     (the arguments' tuple when there are several)."""
-    from repro.graph.dynamic_csr import DynamicCSRGraph
-
     calls: Counter = Counter()
     original = getattr(DynamicCSRGraph, method)
 
@@ -459,6 +457,30 @@ class TestEditEdgeCases:
             assert service.verify()
         assert service.coreness_of(7) == 2
 
+    @pytest.mark.parametrize("first", [True, False],
+                             ids=["bad-first", "bad-second"])
+    @pytest.mark.parametrize("bad", [2**63, -2**63 - 1, "a", 1.5])
+    def test_a_rejected_insert_adds_neither_endpoint(self, bad, first):
+        """An insert between a new node and an id the dynamic CSR cannot
+        hold raises GraphError naming the id, in either position, and
+        changes nothing, on the engine and on a bare dynamic CSR."""
+        engine = FlatDynamicKCore(gen.path_graph(3))
+        bare = DynamicCSRGraph.from_graph(gen.path_graph(3))
+        metrics = repr(engine.metrics)
+
+        def state(graph):
+            return list(graph.nodes()), sorted(graph.edges()), graph.num_rows
+
+        for target, graph in ((engine, engine.graph), (bare, bare)):
+            before = state(graph)
+            with pytest.raises(GraphError, match=re.escape(repr(bad))):
+                target.insert_edge(*((bad, 7) if first else (7, bad)))
+            assert state(graph) == before
+            graph.check_invariants()
+        assert repr(engine.metrics) == metrics
+        engine.check_invariants()
+        assert engine.verify()
+
     def test_a_link_tests_its_edge_twice(self, monkeypatch):
         """A ``link`` between present nodes scans a row for the edge in
         the replay guard and in ``insert_edge``, and nowhere else."""
@@ -514,6 +536,14 @@ class TestBatchThatRaises:
         assert service.coreness_of(0) == expected[0] == 2
         assert service.coreness() == expected
         assert service.verify()
+
+    def test_the_raising_event_counts_its_edits(self):
+        """A join whose repeated contact raises has added its node and
+        its first link: the engine counts those two edits, like the
+        oracle."""
+        event = ChurnEvent(0.0, "join", (5, 0, 0))
+        flat = check_churn(gen.path_graph(3), [event], 1)
+        assert flat.metrics["edits_applied"] == 2
 
 
 class TestGeneratedTraces:
@@ -572,16 +602,12 @@ class TestChurnService:
 
 class TestCorenessOf:
     """``FlatDynamicKCore.coreness_of`` reads one estimate; it must agree
-    with the full map on both lanes and both seed builds."""
+    with the full map on both seed builds."""
 
     @pytest.mark.parametrize("build", BUILDS)
-    @pytest.mark.parametrize("approx", [None, 0.5])
-    def test_matches_full_map(self, build, approx):
+    def test_matches_full_map(self, build):
         graph = gen.erdos_renyi_graph(200, 0.1, seed=9)
-        engine = FlatDynamicKCore(seeded(graph, build), approx=approx,
-                                  approx_floor=150, seed=4)
-        if approx is not None:
-            assert engine.sample_probability < 1.0  # scaling is exercised
+        engine = FlatDynamicKCore(seeded(graph, build))
         events = _script(graph, "mixed", seed=2)
         for start in range(0, len(events), BATCH):
             engine.apply_events(events[start:start + BATCH])
@@ -594,44 +620,6 @@ class TestCorenessOf:
         for node in (3, -1, 99):
             with pytest.raises(NodeNotFoundError):
                 engine.coreness_of(node)
-
-
-class TestApproxLane:
-    def test_parameters_validated(self):
-        with pytest.raises(ConfigurationError, match="approx"):
-            FlatDynamicKCore(approx=1.5)
-        with pytest.raises(ConfigurationError, match="approx_floor"):
-            FlatDynamicKCore(approx=0.5, approx_floor=0)
-
-    def test_sample_is_exactly_maintained(self):
-        graph = gen.erdos_renyi_graph(200, 0.1, seed=9)
-        engine = FlatDynamicKCore(graph, approx=0.5, approx_floor=150,
-                                  seed=4)
-        assert 0.0 < engine.sample_probability < 1.0
-        assert engine.graph.num_edges < graph.num_edges
-        rng = random.Random(11)
-        for _ in range(30):
-            u, v = rng.sample(range(200), 2)
-            if engine.has_edge(u, v):
-                engine.delete_edge(u, v)
-            else:
-                try:
-                    engine.insert_edge(u, v)
-                except EdgeError:
-                    pass  # unsampled duplicate of a full-graph edge
-            engine.check_invariants()
-        assert engine.verify()
-
-    def test_scaling_is_applied(self):
-        graph = gen.clique_graph(12)
-        engine = FlatDynamicKCore(graph, approx=0.5, approx_floor=200)
-        p = engine.sample_probability
-        for node, scaled in engine.coreness.items():
-            row = engine.graph.row_of(node)
-            assert scaled == int(engine._est[row] / p + 0.5)
-
-    def test_exact_lane_reports_p_one(self):
-        assert FlatDynamicKCore().sample_probability == 1.0
 
 
 class TestPropertyBased:
